@@ -24,7 +24,12 @@ import sys
 from . import jsonio
 from .errors import BudgetExceededError, ParseError, TrivialQuotientError
 from .measure import joint_measure, mixing_experiment
-from .mixing import frobenius_certificate, mixing_bounds, search_relations
+from .mixing import (
+    IRREDUCIBILITY_WARNING,
+    frobenius_certificate,
+    mixing_bounds,
+    search_relations,
+)
 from .redraw import DEFAULT_TOLERANCE, redraw_space
 from .seqgeom import detect_redrawing
 
@@ -51,9 +56,7 @@ def _cmd_analyze(args) -> dict:
     poly = jsonio.load_poly(args.poly)
     bounds, polytope = mixing_bounds(poly)
     certificate = frobenius_certificate(poly, args.max_k)
-    warnings = [
-        "irreducibility of the input polynomial is asserted by the caller, not verified"
-    ]
+    warnings = [IRREDUCIBILITY_WARNING]
     if bounds.polytope_tight is None:
         warnings.append("tightness undetermined: affine dimension exceeds 3")
     return {

@@ -2,7 +2,9 @@
 
 Phase-1 simplex over Fraction arithmetic with Bland's rule, sized for
 convex-combination membership queries on a few dozen points.  No
-floating point anywhere.
+floating point anywhere.  The hull itself does not use it: it serves
+``polytope.is_vertex``/``point_in_hull`` and the tests as an oracle
+independent of the integer beneath-beyond hull.
 """
 
 from __future__ import annotations

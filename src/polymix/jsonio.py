@@ -25,7 +25,7 @@ from .measure import CylinderSpec, MeasureResult
 from .mixing import MixingBounds, ShapeCertificate
 from .polytope import LatticePolytope
 from .redraw import RedrawSpace, Skeleton, make_skeleton
-from .seqgeom import RedrawMatch, SnappedShape
+from .seqgeom import RedrawMatch
 
 
 def dumps(obj) -> str:
@@ -189,11 +189,3 @@ def match_json(match: RedrawMatch | None) -> dict:
             "translation": [fraction_json(Fraction(t)) for t in translation],
         }
     return out
-
-
-def snapped_json(snapped: SnappedShape) -> dict:
-    return {
-        "points": [list(p) for p in snapped.points],
-        "scale": fraction_json(snapped.scale),
-        "translation": [fraction_json(Fraction(t)) for t in snapped.translation],
-    }

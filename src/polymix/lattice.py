@@ -3,13 +3,12 @@
 Small exact helpers shared by the polytope and frame-construction code:
 primitivity, Hermite-style column reduction with a tracked unimodular
 transform, completion of a primitive vector to a basis of Z^d, and exact
-determinants/inverses of small integer matrices.
+determinants and ranks of small integer (or rational) matrices.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 IntVec = tuple[int, ...]
 
@@ -57,32 +56,45 @@ def int_det(matrix: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def unimodular_inverse(matrix: list[list[int]]) -> list[list[int]]:
-    """Exact inverse of a matrix with determinant ±1."""
-    n = len(matrix)
-    aug = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+def int_rank(rows) -> int:
+    """Exact rank of a matrix of integers or rationals, fraction-free.
+
+    Each row is first scaled by the lcm of its denominators, which leaves
+    the rank unchanged.  Elimination then keeps every row integral: a
+    row r is replaced by piv * r - r[col] * pivot_row and divided by its
+    content, which keeps the entries small; rows that vanish are dropped.
+    """
+    work = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        r = [x.numerator * (den // x.denominator) for x in row]
+        if any(r):
+            work.append(r)
+    rank = 0
+    ncols = len(work[0]) if work else 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
         if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        scale = aug[col][col]
-        aug[col] = [x / scale for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    inv = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            x = aug[i][n + j]
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            row.append(int(x))
-        inv.append(row)
-    return inv
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        top = work[rank]
+        a = top[col]
+        rest = []
+        for r in work[rank + 1:]:
+            b = r[col]
+            if b:
+                r = [a * x - b * y for x, y in zip(r, top)]
+                g = gcd(*r)
+                if g == 0:
+                    continue
+                if g > 1:
+                    r = [x // g for x in r]
+            rest.append(r)
+        rank += 1
+        work[rank:] = rest
+        if not rest:
+            break
+    return rank
 
 
 def column_reduce(rows: list[IntVec], dim: int) -> tuple[list[list[int]], int]:

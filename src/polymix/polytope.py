@@ -1,12 +1,12 @@
 """Lattice polytopes from polynomial supports, with exact arithmetic.
 
-Vertices are computed in any ambient dimension (convex-combination
-membership is an exact rational LP); the full edge/facet structure is
-available when the affine dimension is at most 3.  Supports whose affine
-hull is lower-dimensional are mapped onto Z^k by a unimodular column
-reduction, the faces are computed there, and results are reported in the
-original coordinates (normals are pulled back through the same
-transform).
+Vertices are computed in any dimension by one integer beneath-beyond
+hull (orientation signs of integer cofactor normals, no division); the
+full edge/facet structure is reported when the affine dimension is at
+most 3.  Supports whose affine hull is lower-dimensional are mapped onto
+Z^k by a unimodular column reduction, the faces are computed there, and
+results are reported in the original coordinates (normals are pulled
+back through the same transform).
 
 No floating point appears anywhere in this module.
 """
@@ -19,7 +19,14 @@ from typing import Iterable, Sequence
 
 from .errors import InternalInconsistencyError
 from .exactlp import in_convex_hull
-from .lattice import apply_columns, column_reduce, combine_columns, primitive
+from .lattice import (
+    apply_columns,
+    column_reduce,
+    combine_columns,
+    int_det,
+    int_rank,
+    primitive,
+)
 
 IntVec = tuple[int, ...]
 
@@ -92,14 +99,6 @@ def _chain_ccw(points: list[IntVec]) -> list[IntVec]:
     return lower[:-1] + upper[:-1]
 
 
-def _cross3(a: IntVec, b: IntVec) -> IntVec:
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
 def _dot(a, b) -> int:
     return sum(x * y for x, y in zip(a, b))
 
@@ -108,33 +107,79 @@ def _sub(a, b) -> IntVec:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def _facets_3d(verts: list[IntVec]) -> list[Facet]:
-    """All supporting planes spanned by vertex triples, grouped by plane."""
-    found: dict[tuple[IntVec, int], set[int]] = {}
-    m = len(verts)
-    for i, j, k in combinations(range(m), 3):
-        n = _cross3(_sub(verts[j], verts[i]), _sub(verts[k], verts[i]))
-        if n == (0, 0, 0):
+def _normal(corners: Sequence[IntVec]) -> IntVec:
+    """Integer normal of the hyperplane through k points of Z^k.
+
+    The cofactor expansion of det([x; c_1 - c_0; ...; c_{k-1} - c_0])
+    along its first row: a nonzero vector exactly when the points are
+    affinely independent.
+    """
+    rows = [_sub(c, corners[0]) for c in corners[1:]]
+    return tuple(
+        (-1) ** j * int_det([list(r[:j] + r[j + 1:]) for r in rows])
+        for j in range(len(corners[0]))
+    )
+
+
+def _beneath_beyond(
+    pts: list[IntVec],
+) -> tuple[list[IntVec], dict[tuple[IntVec, int], set[IntVec]]]:
+    """Vertices and facet planes of a full-dimensional point set in Z^k, k >= 2.
+
+    Points are inserted one at a time into a simplicial hull.  A facet is
+    visible from a point only when the point lies strictly beyond its
+    plane, so a point with no visible facet lies in the current hull and
+    is not a vertex; the visible facets are replaced by cones from the
+    point over their horizon ridges.  Facet simplices are then grouped by
+    (primitive inward normal, offset); a corner of the triangulation is a
+    vertex exactly when the normals of its facets have rank k.  Returns
+    the sorted vertices and, per facet plane, the vertices lying on it.
+    """
+    k = len(pts[0])
+    simplex = [pts[0]]
+    for q in pts[1:]:
+        if int_rank([_sub(c, pts[0]) for c in simplex[1:] + [q]]) == len(simplex):
+            simplex.append(q)
+            if len(simplex) == k + 1:
+                break
+    # k+1 times the simplex's centroid: an integral point strictly inside
+    # every hull built on the simplex
+    centre = tuple(sum(col) for col in zip(*simplex))
+    facets: dict[tuple[IntVec, ...], tuple[IntVec, int]] = {}
+
+    def add(corners) -> None:
+        normal = primitive(_normal(corners))
+        offset = _dot(normal, corners[0])
+        if _dot(normal, centre) < (k + 1) * offset:
+            normal, offset = tuple(-x for x in normal), -offset
+        facets[tuple(sorted(corners))] = (normal, offset)
+
+    for i in range(k + 1):
+        add(simplex[:i] + simplex[i + 1:])
+    placed = set(simplex)
+    for q in pts:
+        if q in placed:
             continue
-        dots = [_dot(n, _sub(verts[t], verts[i])) for t in range(m)]
-        if all(x >= 0 for x in dots):
-            inward = n
-        elif all(x <= 0 for x in dots):
-            inward = tuple(-x for x in n)
-        else:
-            continue
-        inward = primitive(inward)
-        c = _dot(inward, verts[i])
-        key = (inward, c)
-        found.setdefault(key, set()).update(
-            t for t in range(m) if _dot(inward, verts[t]) == c
-        )
-    facets = [
-        Facet(tuple(sorted(members)), normal, off)
-        for (normal, off), members in found.items()
-    ]
-    facets.sort(key=lambda f: (f.inward_normal, f.offset))
-    return facets
+        visible = [c for c, (normal, offset) in facets.items() if _dot(normal, q) < offset]
+        ridges: dict[tuple[IntVec, ...], int] = {}
+        for c in visible:
+            del facets[c]
+            for i in range(k):
+                ridge = c[:i] + c[i + 1:]
+                ridges[ridge] = ridges.get(ridge, 0) + 1
+        for ridge, count in ridges.items():
+            if count == 1:
+                add(ridge + (q,))
+
+    planes: dict[tuple[IntVec, int], set[IntVec]] = {}
+    normals_at: dict[IntVec, set[IntVec]] = {}
+    for corners, plane in facets.items():
+        planes.setdefault(plane, set()).update(corners)
+        for c in corners:
+            normals_at.setdefault(c, set()).add(plane[0])
+    vertices = sorted(c for c, normals in normals_at.items() if int_rank(list(normals)) == k)
+    keep = set(vertices)
+    return vertices, {plane: members & keep for plane, members in planes.items()}
 
 
 def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
@@ -177,28 +222,27 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
         v = len(face_verts)
         edges = sorted(tuple(sorted((i, (i + 1) % v))) for i in range(v))
         facets = []
-    elif k == 3:
-        face_verts = sorted(
-            fp for fp in face_pts if not in_convex_hull(fp, [q for q in face_pts if q != fp])
-        )
-        facets = _facets_3d(face_verts)
-        edge_map: dict[tuple[int, int], tuple[int, int]] = {}
-        for fi, fj in combinations(range(len(facets)), 2):
-            shared = set(facets[fi].vertex_indices) & set(facets[fj].vertex_indices)
-            if len(shared) == 2:
-                a, b = sorted(shared)
-                edge_map[(a, b)] = (fi, fj)
-        edges = sorted(edge_map)
-        if len(face_verts) - len(edges) + len(facets) != 2:
-            raise InternalInconsistencyError(
-                "Euler check failed on 3-dimensional hull"
-            )
     else:
-        face_verts = sorted(
-            fp for fp in face_pts if not in_convex_hull(fp, [q for q in face_pts if q != fp])
-        )
+        face_verts, planes = _beneath_beyond(face_pts)
         edges = []
         facets = []
+        if k == 3:
+            index = {v: i for i, v in enumerate(face_verts)}
+            facets = [
+                Facet(tuple(sorted(index[v] for v in members)), normal, offset)
+                for (normal, offset), members in sorted(planes.items())
+            ]
+            edge_map: dict[tuple[int, int], tuple[int, int]] = {}
+            for fi, fj in combinations(range(len(facets)), 2):
+                shared = set(facets[fi].vertex_indices) & set(facets[fj].vertex_indices)
+                if len(shared) == 2:
+                    a, b = sorted(shared)
+                    edge_map[(a, b)] = (fi, fj)
+            edges = sorted(edge_map)
+            if len(face_verts) - len(edges) + len(facets) != 2:
+                raise InternalInconsistencyError(
+                    "Euler check failed on 3-dimensional hull"
+                )
 
     vertices = [by_face[fv] for fv in face_verts]
     poly = LatticePolytope(

@@ -2,27 +2,30 @@
 
 A redrawing assigns new positions q_i to the skeleton's vertices so that
 every edge stays parallel to the corresponding original edge.  These
-constraints are linear: one cross-product scalar per edge in the plane,
-the full (rank 2) cross product per edge in space.  The kernel always
-contains the translations and the global scaling, so its dimension is at
-least d+1; the skeleton is *tight* exactly when nothing else survives,
-i.e. when the dimension equals d+1 and every redrawing is a homothety.
+constraints are linear: with e the original edge direction and x the
+redrawn one, every 2x2 minor e_i x_j - e_j x_i (i < j) vanishes, rank
+d-1 per edge in any dimension d.  The kernel always contains the
+translations and the global scaling, so its dimension is at least d+1;
+the skeleton is *tight* exactly when nothing else survives, i.e. when
+the dimension equals d+1 and every redrawing is a homothety.
 
-Two arithmetic paths: exact rational elimination whenever the positions
-are integers/Fractions (the lattice-polytope pipeline), and an SVD rank
-with a relative tolerance for irrational catalog solids such as the
-icosahedron.
+Two arithmetic paths: a fraction-free integer rank (``lattice.int_rank``)
+whenever the positions are integers/Fractions (the lattice-polytope
+pipeline), and an SVD rank with a relative tolerance for irrational
+catalog solids such as the icosahedron.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import combinations
 from numbers import Rational
 from typing import Sequence
 
 import numpy as np
 
+from .errors import InternalInconsistencyError
+from .lattice import int_rank
 from .polytope import LatticePolytope
 
 DEFAULT_TOLERANCE = 1e-9
@@ -93,55 +96,24 @@ def _is_exact(positions) -> bool:
 def constraint_rows(skeleton: Skeleton) -> list[list]:
     """Rows of the parallelism system over the d*V position unknowns.
 
-    Unknown layout: vertex v occupies columns v*d .. v*d+d-1.  For d = 1
-    every redrawing is parallel, so there are no rows.
+    Unknown layout: vertex v occupies columns v*d .. v*d+d-1.  Each edge
+    s -> t with direction e gives one row per pair i < j, the minor
+    e_j (q_t - q_s)_i - e_i (q_t - q_s)_j.  For d = 1 every redrawing is
+    parallel, so there are no rows.
     """
     d = skeleton.dim
     n = len(skeleton.positions)
     rows: list[list] = []
     for s, t in skeleton.edges:
         e = [a - b for a, b in zip(skeleton.positions[t], skeleton.positions[s])]
-        if d == 2:
-            combos = [((0, e[1]), (1, -e[0]))]
-        elif d == 3:
-            combos = [
-                ((1, e[2]), (2, -e[1])),
-                ((2, e[0]), (0, -e[2])),
-                ((0, e[1]), (1, -e[0])),
-            ]
-        else:
-            combos = []
-        for (c1, w1), (c2, w2) in combos:
+        for i, j in combinations(range(d), 2):
             row = [0] * (n * d)
-            row[t * d + c1] += w1
-            row[t * d + c2] += w2
-            row[s * d + c1] -= w1
-            row[s * d + c2] -= w2
+            row[t * d + i] += e[j]
+            row[t * d + j] -= e[i]
+            row[s * d + i] -= e[j]
+            row[s * d + j] += e[i]
             rows.append(row)
     return rows
-
-
-def _rank_exact(rows: list[list]) -> int:
-    if not rows:
-        return 0
-    m = [[Fraction(x) for x in row] for row in rows]
-    ncols = len(m[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        scale = m[rank][col]
-        m[rank] = [x / scale for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
 
 
 def _rank_approx(rows: list[list], tolerance: float) -> int:
@@ -162,7 +134,7 @@ def redraw_space(skeleton: Skeleton, tolerance: float = DEFAULT_TOLERANCE) -> Re
     rows = constraint_rows(skeleton)
     exact = _is_exact(skeleton.positions)
     if exact:
-        rank = _rank_exact(rows)
+        rank = int_rank(rows)
         arithmetic = "exact"
         tol = None
     else:
@@ -171,7 +143,7 @@ def redraw_space(skeleton: Skeleton, tolerance: float = DEFAULT_TOLERANCE) -> Re
         tol = tolerance
     dimension = len(skeleton.positions) * d - rank
     if dimension < d + 1:
-        raise AssertionError(
+        raise InternalInconsistencyError(
             f"redrawing space of dimension {dimension} < {d + 1}: "
             "translations and scaling must always survive"
         )

@@ -77,6 +77,17 @@ class TestSubcommands:
         assert report["dimension"] == 6
         assert report["tight"] is False
 
+    def test_tightness_4_simplex(self, capsys, tmp_path):
+        skel = tmp_path / "simplex4.json"
+        vertices = [[0, 0, 0, 0]] + [[int(i == j) for j in range(4)] for i in range(4)]
+        edges = [[i, j] for i in range(5) for j in range(i + 1, 5)]
+        skel.write_text(json.dumps({"dim": 4, "vertices": vertices, "edges": edges}))
+        code, out = run(capsys, "tightness", str(skel))
+        report = json.loads(out)
+        assert code == 0
+        assert (report["constraint_rank"], report["dimension"]) == (15, 5)
+        assert report["tight"] is True
+
     def test_tightness_icosahedron_approximate(self, capsys):
         code, out = run(
             capsys, "tightness", str(FIXTURES / "icosahedron_skeleton.json")

@@ -1,8 +1,11 @@
 import random
+from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
 
+from polymix import make_skeleton
 from polymix.exactlp import in_convex_hull
 from polymix.lattice import (
     apply_columns,
@@ -10,9 +13,18 @@ from polymix.lattice import (
     complete_to_unimodular,
     content,
     int_det,
+    int_rank,
     is_primitive,
     primitive,
-    unimodular_inverse,
+)
+from polymix.redraw import constraint_rows
+
+from conftest import (
+    cube_skeleton,
+    octahedron_skeleton,
+    square_skeleton,
+    tetrahedron_skeleton,
+    triangle_skeleton,
 )
 
 
@@ -51,28 +63,76 @@ class TestDeterminant:
             assert int_det([row[:] for row in m]) == expected
 
 
-class TestUnimodularInverse:
-    def test_round_trip(self):
-        rng = random.Random(82)
-        for _ in range(30):
-            # build a unimodular matrix from random shears
-            d = rng.choice((2, 3))
-            m = [[int(i == j) for j in range(d)] for i in range(d)]
-            for _ in range(5):
-                i, j = rng.sample(range(d), 2)
-                q = rng.randint(-3, 3)
-                for k in range(d):
-                    m[i][k] += q * m[j][k]
-            inv = unimodular_inverse(m)
-            prod = [
-                [sum(m[i][k] * inv[k][j] for k in range(d)) for j in range(d)]
-                for i in range(d)
-            ]
-            assert prod == [[int(i == j) for j in range(d)] for i in range(d)]
+def _rank_fraction(rows):
+    """Reference rank: Gauss-Jordan elimination over Fractions."""
+    if not rows:
+        return 0
+    m = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(m[0])
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        scale = m[rank][col]
+        m[rank] = [x / scale for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
 
-    def test_rejects_non_unimodular(self):
-        with pytest.raises(ValueError):
-            unimodular_inverse([[2, 0], [0, 1]])
+
+def _random_rational(rng):
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+
+def _random_rational_skeleton(rng, d):
+    n = rng.randint(d + 1, d + 3)
+    positions = set()
+    while len(positions) < n:
+        positions.add(tuple(_random_rational(rng) for _ in range(d)))
+    positions = sorted(positions)
+    pairs = list(combinations(range(n), 2))
+    edges = rng.sample(pairs, rng.randint(1, len(pairs)))
+    return make_skeleton(d, positions, edges)
+
+
+class TestIntRank:
+    def test_known_values(self):
+        assert int_rank([]) == 0
+        assert int_rank([[0, 0], [0, 0]]) == 0
+        assert int_rank([[1, 2], [2, 4]]) == 1
+        assert int_rank([[Fraction(1, 2), Fraction(1, 3)], [3, 2]]) == 1
+        assert int_rank([[0, 1, 0], [0, 0, 1], [0, 2, 3]]) == 2
+
+    def test_matches_fraction_elimination_on_low_rank_products(self):
+        rng = random.Random(82)
+        for _ in range(200):
+            m, n, r = rng.randint(1, 7), rng.randint(1, 7), rng.randint(0, 4)
+            left = [[_random_rational(rng) for _ in range(r)] for _ in range(m)]
+            right = [[_random_rational(rng) for _ in range(n)] for _ in range(r)]
+            rows = [
+                [sum((left[i][t] * right[t][j] for t in range(r)), Fraction(0)) for j in range(n)]
+                for i in range(m)
+            ]
+            assert int_rank(rows) == _rank_fraction(rows)
+
+    def test_matches_fraction_elimination_on_skeletons(self):
+        rng = random.Random(87)
+        skeletons = [
+            builder()
+            for builder in (triangle_skeleton, square_skeleton, cube_skeleton,
+                            tetrahedron_skeleton, octahedron_skeleton)
+        ]
+        skeletons += [_random_rational_skeleton(rng, rng.choice((2, 3, 4))) for _ in range(40)]
+        for skel in skeletons:
+            rows = constraint_rows(skel)
+            assert int_rank(rows) == _rank_fraction(rows)
 
 
 class TestColumnReduce:

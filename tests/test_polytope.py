@@ -1,14 +1,56 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from polymix import hull, is_vertex, outward_normal, point_in_hull
-from polymix.lattice import content, int_det
+from polymix.lattice import content, int_det, primitive
+from polymix.polytope import Facet
 
 
 def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
+
+
+def sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def cross(a, b):
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def facets_by_triples(verts):
+    """Reference facets of a 3-polytope: every supporting plane spanned by a
+    vertex triple, grouped by (primitive inward normal, offset)."""
+    found = {}
+    m = len(verts)
+    for i, j, k in combinations(range(m), 3):
+        n = cross(sub(verts[j], verts[i]), sub(verts[k], verts[i]))
+        if n == (0, 0, 0):
+            continue
+        dots = [dot(n, sub(verts[t], verts[i])) for t in range(m)]
+        if all(x >= 0 for x in dots):
+            inward = n
+        elif all(x <= 0 for x in dots):
+            inward = tuple(-x for x in n)
+        else:
+            continue
+        inward = primitive(inward)
+        c = dot(inward, verts[i])
+        found.setdefault((inward, c), set()).update(
+            t for t in range(m) if dot(inward, verts[t]) == c
+        )
+    facets = [
+        Facet(tuple(sorted(members)), normal, off)
+        for (normal, off), members in found.items()
+    ]
+    facets.sort(key=lambda f: (f.inward_normal, f.offset))
+    return facets
 
 
 class TestHull2D:
@@ -232,14 +274,34 @@ class TestInvariants:
             assert v1 == v2
 
     def test_3d_vertices_match_lp_oracle(self):
+        # the LP decides each point alone; the triple scan is the facet reference
         rng = random.Random(26)
-        for _ in range(5):
-            pts = {tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(7)}
+        sets = [set(product(range(3), repeat=3)), set(product(range(2), repeat=4))]
+        for d in (3, 4):
+            for _ in range(12):
+                sets.append({tuple(rng.randint(0, 4) for _ in range(d))
+                             for _ in range(rng.randint(5, 14))})
+            for _ in range(6):
+                # even corners plus midpoints: points on edges and facets
+                corners = [tuple(2 * rng.randint(0, 2) for _ in range(d)) for _ in range(d + 3)]
+                mids = {tuple((a + b) // 2 for a, b in zip(*rng.sample(corners, 2)))
+                        for _ in range(8)}
+                sets.append(set(corners) | mids)
+        # a 3-dimensional set in Z^4 on the hyperplane x3 = x0 + x1
+        sets.append({(a, b, c, a + b) for a, b, c in product(range(3), repeat=3)})
+        checked = 0
+        for pts in sets:
             poly = hull(pts)
-            if poly.affine_dim != 3:
+            if poly.affine_dim < 3:
                 continue
+            checked += 1
             expected = {p for p in pts if is_vertex(p, pts)}
             assert set(poly.vertices) == expected
+            if poly.affine_dim == 3:
+                assert poly.facets == facets_by_triples(poly.face_vertices)
+            else:
+                assert not poly.edges and not poly.facets
+        assert checked >= 30
 
     def test_all_pairs_of_facets_checked(self):
         # every edge of a 3-polytope lies in exactly two facets

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 from polymix import hull, is_tight, make_skeleton, redraw_space, skeleton_from_polytope
+from polymix.errors import InternalInconsistencyError
 from polymix.redraw import constraint_rows
 
 from conftest import (
@@ -38,6 +40,21 @@ class TestCatalog:
     def test_octahedron_tight(self):
         space = redraw_space(octahedron_skeleton())
         assert space.dimension == 4 and space.tight
+
+    def test_4_simplex_tight(self):
+        verts = [(0, 0, 0, 0)] + [tuple(int(i == j) for j in range(4)) for i in range(4)]
+        skel = make_skeleton(4, verts, list(combinations(range(5), 2)))
+        space = redraw_space(skel)
+        assert space.dimension == 5 and space.tight
+        assert space.constraint_rank == 15
+
+    def test_4_cube_not_tight(self):
+        # each of the four edge directions can be stretched on its own
+        verts = list(product((0, 1), repeat=4))
+        edges = [(i, j) for i, j in combinations(range(16), 2)
+                 if sum(a != b for a, b in zip(verts[i], verts[j])) == 1]
+        space = redraw_space(make_skeleton(4, verts, edges))
+        assert space.dimension == 8 and not space.tight
 
     def test_icosahedron_tight_approximate(self):
         space = redraw_space(icosahedron_skeleton(), tolerance=1e-9)
@@ -169,6 +186,12 @@ class TestValidationAndEdgeCases:
         skel = make_skeleton(2, [(0, 0), (1, 0)], [])
         with pytest.raises(ValueError):
             redraw_space(skel)
+
+    def test_wrong_rank_is_an_internal_inconsistency(self, monkeypatch):
+        # a rank that leaves fewer than d+1 dimensions must not pass silently
+        monkeypatch.setattr("polymix.redraw.int_rank", lambda rows: len(rows))
+        with pytest.raises(InternalInconsistencyError):
+            redraw_space(cube_skeleton())
 
     def test_segment_is_tight(self):
         skel = make_skeleton(1, [(0,), (2,)], [(0, 1)])
