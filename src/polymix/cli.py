@@ -11,8 +11,9 @@
 
 All output is canonical JSON on stdout.  Exit codes: 0 success, 1 parse
 error, 2 degenerate input (zero/monomial polynomial or degenerate
-polytope), 3 budget exceeded.  The environment variable POLYMIX_BUDGET
-overrides the cell/enumeration/search budgets.
+polytope), 3 budget exceeded, 4 internal error (a machine check failed).
+The environment variable POLYMIX_BUDGET overrides the
+cell/enumeration/search budgets.
 """
 
 from __future__ import annotations
@@ -22,7 +23,12 @@ import json
 import sys
 
 from . import jsonio
-from .errors import BudgetExceededError, ParseError, TrivialQuotientError
+from .errors import (
+    BudgetExceededError,
+    InternalInconsistencyError,
+    ParseError,
+    TrivialQuotientError,
+)
 from .measure import joint_measure, mixing_experiment
 from .mixing import (
     IRREDUCIBILITY_WARNING,
@@ -216,6 +222,9 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
+    except InternalInconsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     print(jsonio.dumps(report))
     return 0
 

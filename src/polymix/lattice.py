@@ -34,8 +34,10 @@ def primitive(v) -> IntVec:
 
 
 def int_det(matrix: list[list[int]]) -> int:
-    """Exact determinant via fraction-free Bareiss elimination."""
+    """Exact determinant via fraction-free Bareiss elimination (1 when empty)."""
     n = len(matrix)
+    if n == 0:
+        return 1
     m = [row[:] for row in matrix]
     sign = 1
     prev = 1

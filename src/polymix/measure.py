@@ -24,6 +24,7 @@ and serves as an independent oracle for both paths.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -103,22 +104,10 @@ def _check_modulus(f: LaurentPoly) -> None:
 def _box_cells(box: Box, dim: int) -> list[ExponentVec]:
     if len(box) != dim:
         raise ValueError(f"box has {len(box)} axes, polynomial has {dim}")
-    ranges = []
     for lo, hi in box:
         if lo > hi:
             raise ValueError(f"empty axis range ({lo}, {hi})")
-        ranges.append(range(lo, hi + 1))
-    cells: list[ExponentVec] = []
-
-    def rec(prefix: tuple[int, ...], axis: int) -> None:
-        if axis == dim:
-            cells.append(prefix)
-            return
-        for x in ranges[axis]:
-            rec(prefix + (x,), axis + 1)
-
-    rec((), 0)
-    return cells
+    return list(itertools.product(*(range(lo, hi + 1) for lo, hi in box)))
 
 
 def _constraint_matrix(f: LaurentPoly, box: Box, cells: list[ExponentVec]) -> np.ndarray:
@@ -126,22 +115,13 @@ def _constraint_matrix(f: LaurentPoly, box: Box, cells: list[ExponentVec]) -> np
     index = {c: i for i, c in enumerate(cells)}
     smin = f.min_exponents()
     smax = f.max_exponents()
-    spans = []
-    for axis, (lo, hi) in enumerate(box):
-        spans.append(range(lo - smin[axis], hi - smax[axis] + 1))
+    spans = [range(lo - a, hi - b + 1) for (lo, hi), a, b in zip(box, smin, smax)]
     rows = []
-
-    def rec(m: tuple[int, ...], axis: int) -> None:
-        if axis == f.dim:
-            row = np.zeros(len(cells), dtype=np.int64)
-            for n, c in f.terms.items():
-                row[index[tuple(a + b for a, b in zip(m, n))]] = c
-            rows.append(row)
-            return
-        for x in spans[axis]:
-            rec(m + (x,), axis + 1)
-
-    rec((), 0)
+    for m in itertools.product(*spans):
+        row = np.zeros(len(cells), dtype=np.int64)
+        for n, c in f.terms.items():
+            row[index[tuple(a + b for a, b in zip(m, n))]] = c
+        rows.append(row)
     if not rows:
         return np.zeros((0, len(cells)), dtype=np.int64)
     return np.array(rows, dtype=np.int64)

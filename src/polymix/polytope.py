@@ -1,18 +1,22 @@
 """Lattice polytopes from polynomial supports, with exact arithmetic.
 
-Vertices are computed in any dimension by one integer beneath-beyond
-hull (orientation signs of integer cofactor normals, no division); the
-full edge/facet structure is reported when the affine dimension is at
-most 3.  Supports whose affine hull is lower-dimensional are mapped onto
-Z^k by a unimodular column reduction, the faces are computed there, and
-results are reported in the original coordinates (normals are pulled
-back through the same transform).
+Vertices and facet planes are computed in every dimension by one integer
+beneath-beyond hull (orientation signs of integer cofactor normals, no
+division).  When the affine dimension k is at most 3 the faces are read
+off the facet planes by one rule: edges are the vertex pairs sharing at
+least k - 1 facets, and an edge's outward normal is the primitive sum of
+the outward normals of the facets through it.  Supports whose affine
+hull is lower-dimensional are mapped onto Z^k by a unimodular column
+reduction, the faces are computed there, and results are reported in the
+original coordinates (normals are pulled back through the same
+transform).
 
 No floating point appears anywhere in this module.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -44,13 +48,10 @@ class LatticePolytope:
     affine_dim: int
     vertices: list[IntVec]            # original coordinates
     edges: list[tuple[int, int]]      # index pairs into vertices (i < j)
-    facets: list[Facet]               # populated only for affine_dim == 3
+    facets: list[Facet]               # populated only for affine_dim <= 3
     face_vertices: list[IntVec]       # vertices in face-computation coordinates
     _proj_cols: list[list[int]] | None = field(default=None, repr=False)
     _base: IntVec | None = field(default=None, repr=False)
-    _edge_facets: dict[tuple[int, int], tuple[int, int]] = field(
-        default_factory=dict, repr=False
-    )
 
     @property
     def vertex_count(self) -> int:
@@ -73,30 +74,6 @@ def is_vertex(q: Sequence[int], points: Iterable[Sequence[int]]) -> bool:
 def point_in_hull(q: Sequence[int], points: Iterable[Sequence[int]]) -> bool:
     """Exact containment of q in the convex hull of the points."""
     return in_convex_hull(tuple(q), sorted({tuple(s) for s in points}))
-
-
-def _cross2(o: IntVec, a: IntVec, b: IntVec) -> int:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _chain_ccw(points: list[IntVec]) -> list[IntVec]:
-    """Monotone chain; strict turns only, so collinear points are dropped.
-
-    Returns the extreme points in counter-clockwise cycle order starting
-    at the lexicographic minimum.
-    """
-    pts = sorted(points)
-    lower: list[IntVec] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross2(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[IntVec] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross2(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
 
 
 def _dot(a, b) -> int:
@@ -124,7 +101,7 @@ def _normal(corners: Sequence[IntVec]) -> IntVec:
 def _beneath_beyond(
     pts: list[IntVec],
 ) -> tuple[list[IntVec], dict[tuple[IntVec, int], set[IntVec]]]:
-    """Vertices and facet planes of a full-dimensional point set in Z^k, k >= 2.
+    """Vertices and facet planes of a full-dimensional point set in Z^k, k >= 1.
 
     Points are inserted one at a time into a simplicial hull.  A facet is
     visible from a point only when the point lies strictly beyond its
@@ -182,13 +159,33 @@ def _beneath_beyond(
     return vertices, {plane: members & keep for plane, members in planes.items()}
 
 
+def _counter_clockwise(
+    vertices: list[IntVec], planes: dict[tuple[IntVec, int], set[IntVec]]
+) -> list[IntVec]:
+    """Polygon vertices in counter-clockwise order from the first (lex-least) one.
+
+    Each edge runs along its inward normal turned clockwise, (n_1, -n_0).
+    """
+    after = {}
+    for (normal, _), members in planes.items():
+        a, b = members
+        if normal[1] * (b[0] - a[0]) < normal[0] * (b[1] - a[1]):
+            a, b = b, a
+        after[a] = b
+    order = vertices[:1]
+    while len(order) < len(vertices):
+        order.append(after[order[-1]])
+    return order
+
+
 def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
     """Convex hull of a non-empty set of lattice points, exactly.
 
-    Vertices are reported in the original coordinates in a deterministic
-    order; edges (and facets in the 3-dimensional case) are index pairs
-    (sets) into the vertex list.  For affine dimension >= 4 only the
-    vertex set is produced.
+    Vertices are reported in the original coordinates, ordered by their
+    face-computation coordinates: sorted, except in affine dimension 2,
+    where they run counter-clockwise from the lexicographic minimum.
+    Edges (index pairs into the vertex list) and facets are produced up to
+    affine dimension 3; beyond that only the vertex set is.
     """
     pts = sorted({tuple(int(x) for x in s) for s in points})
     if not pts:
@@ -211,53 +208,36 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
         proj_cols = vcols
 
     by_face = {fp: orig for fp, orig in zip(face_pts, pts)}
+    face_verts, planes = _beneath_beyond(face_pts)
+    if k == 2:
+        face_verts = _counter_clockwise(face_verts, planes)
+    edges: list[tuple[int, int]] = []
+    facets: list[Facet] = []
+    if k <= 3:
+        index = {v: i for i, v in enumerate(face_verts)}
+        facets = [
+            Facet(tuple(sorted(index[v] for v in members)), normal, offset)
+            for (normal, offset), members in sorted(planes.items())
+        ]
+        shared = Counter(pair for f in facets for pair in combinations(f.vertex_indices, 2))
+        edges = [
+            pair
+            for pair in combinations(range(len(face_verts)), 2)
+            if shared[pair] >= k - 1
+        ]
+        if k == 3 and len(face_verts) - len(edges) + len(facets) != 2:
+            raise InternalInconsistencyError("Euler check failed on 3-dimensional hull")
 
-    if k == 1:
-        order = sorted(face_pts)
-        face_verts = [order[0], order[-1]]
-        edges = [(0, 1)]
-        facets: list[Facet] = []
-    elif k == 2:
-        face_verts = _chain_ccw(face_pts)
-        v = len(face_verts)
-        edges = sorted(tuple(sorted((i, (i + 1) % v))) for i in range(v))
-        facets = []
-    else:
-        face_verts, planes = _beneath_beyond(face_pts)
-        edges = []
-        facets = []
-        if k == 3:
-            index = {v: i for i, v in enumerate(face_verts)}
-            facets = [
-                Facet(tuple(sorted(index[v] for v in members)), normal, offset)
-                for (normal, offset), members in sorted(planes.items())
-            ]
-            edge_map: dict[tuple[int, int], tuple[int, int]] = {}
-            for fi, fj in combinations(range(len(facets)), 2):
-                shared = set(facets[fi].vertex_indices) & set(facets[fj].vertex_indices)
-                if len(shared) == 2:
-                    a, b = sorted(shared)
-                    edge_map[(a, b)] = (fi, fj)
-            edges = sorted(edge_map)
-            if len(face_verts) - len(edges) + len(facets) != 2:
-                raise InternalInconsistencyError(
-                    "Euler check failed on 3-dimensional hull"
-                )
-
-    vertices = [by_face[fv] for fv in face_verts]
-    poly = LatticePolytope(
+    return LatticePolytope(
         dim,
         k,
-        vertices,
-        list(edges),
+        [by_face[fv] for fv in face_verts],
+        edges,
         facets,
-        list(face_verts),
+        face_verts,
         proj_cols,
         base if proj_cols is not None else None,
     )
-    if k == 3:
-        poly._edge_facets = edge_map
-    return poly
 
 
 def _pull_back(poly: LatticePolytope, w: IntVec) -> IntVec:
@@ -277,9 +257,10 @@ def outward_normal(poly: LatticePolytope, edge: Sequence[int]) -> IntVec:
     """Primitive integer vector orthogonal to the edge, pointing outward.
 
     The functional x -> x . w is maximized over the polytope exactly on
-    the edge.  In the 3-dimensional case the representative is the
-    primitive rescaling of the sum of the two adjacent facets' outward
-    normals, a vector interior to the edge's normal cone.
+    the edge.  The representative is the primitive rescaling of the sum
+    of the outward normals of the facets through the edge (one in the
+    2-dimensional case, two in the 3-dimensional one), a vector interior
+    to the edge's normal cone.
     """
     if poly.affine_dim < 2:
         raise ValueError(f"degenerate polytope (affine dimension {poly.affine_dim})")
@@ -289,24 +270,10 @@ def outward_normal(poly: LatticePolytope, edge: Sequence[int]) -> IntVec:
     if key not in set(poly.edges):
         raise ValueError(f"{key} is not an edge of the polytope")
     i, j = key
+    through = [f.inward_normal for f in poly.facets if {i, j} <= set(f.vertex_indices)]
+    w = primitive(tuple(-sum(col) for col in zip(*through)))
+
     fv = poly.face_vertices
-
-    if poly.affine_dim == 2:
-        t = _sub(fv[j], fv[i])
-        w = primitive((t[1], -t[0]))
-        for m in range(len(fv)):
-            s = _dot(w, _sub(fv[m], fv[i]))
-            if s > 0:
-                w = tuple(-x for x in w)
-                break
-            if s < 0:
-                break
-    else:
-        fi, fj = poly._edge_facets[key]
-        o1 = tuple(-x for x in poly.facets[fi].inward_normal)
-        o2 = tuple(-x for x in poly.facets[fj].inward_normal)
-        w = primitive(tuple(a + b for a, b in zip(o1, o2)))
-
     top = _dot(w, fv[i])
     for m, q in enumerate(fv):
         s = _dot(w, q)

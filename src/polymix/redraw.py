@@ -71,10 +71,8 @@ def skeleton_from_polytope(poly: LatticePolytope, intrinsic: bool = True) -> Ske
     of a possibly degenerate Newton polytope needs; tightness is invariant
     under the unimodular change of coordinates.
     """
-    if poly.affine_dim < 1 or not poly.edges:
+    if not poly.edges:
         raise ValueError("polytope has no edges; skeleton undefined")
-    if poly.affine_dim > 3:
-        raise ValueError("skeletons are only built for affine dimension <= 3")
     positions = poly.face_vertices if intrinsic else poly.vertices
     dim = len(positions[0])
     return make_skeleton(dim, positions, poly.edges)

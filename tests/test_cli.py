@@ -1,8 +1,12 @@
 import json
 
+import pytest
+
 from polymix.cli import main
 
 from conftest import FIXTURES
+
+GOLDEN = FIXTURES.parent / "tests" / "golden"
 
 LED = str(FIXTURES / "ledrappier.json")
 QUAD = str(FIXTURES / "quad.json")
@@ -188,6 +192,15 @@ class TestSubcommands:
         assert code == 0
         assert all(row["available"] is False for row in report["rows"])
 
+    def test_failed_machine_check_exits_4(self, capsys, monkeypatch):
+        # a constraint rank equal to the row count breaks the d+1 floor
+        monkeypatch.setattr("polymix.redraw.int_rank", lambda rows: len(rows))
+        code = main(["tightness", CUBE])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: ")
+
     def test_budget_env_exits_3(self, capsys, monkeypatch):
         monkeypatch.setenv("POLYMIX_BUDGET", "4")
         code, _ = run(capsys, "measure", LED, "--cylinder", CELL, "--method", "box")
@@ -218,3 +231,17 @@ class TestSubcommands:
             assert code == 0
             parsed = json.loads(out)
             assert isinstance(parsed, dict)
+
+
+@pytest.mark.parametrize(
+    "case",
+    json.loads((GOLDEN / "cases.json").read_text()),
+    ids=lambda case: case["name"],
+)
+def test_golden_stdout(capsys, case):
+    # byte-identical stdout and the exit code of every README command and
+    # of bounds/analyze on each polynomial fixture
+    argv = [str(FIXTURES.parent / a) if a.startswith("fixtures/") else a for a in case["argv"]]
+    code, out = run(capsys, *argv)
+    assert code == case["exit"]
+    assert out == (GOLDEN / f"{case['name']}.stdout").read_text()

@@ -50,6 +50,7 @@ class TestDeterminant:
         assert int_det([[1, 2], [3, 4]]) == -2
         assert int_det([[2, 0, 0], [0, 3, 0], [0, 0, 4]]) == 24
         assert int_det([[1, 1], [1, 1]]) == 0
+        assert int_det([]) == 1  # the empty determinant
 
     def test_against_expansion(self):
         rng = random.Random(81)

@@ -16,6 +16,10 @@ def sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
+def cross2(a, b):
+    return a[0] * b[1] - a[1] * b[0]
+
+
 def cross(a, b):
     return (
         a[1] * b[2] - a[2] * b[1],
@@ -89,6 +93,12 @@ class TestHull2D:
                 degree[b] += 1
             assert all(d == 2 for d in degree.values())
             assert len(poly.edges) == poly.vertex_count
+            # counter-clockwise from the lexicographic minimum
+            v = poly.vertices
+            assert v[0] == min(v)
+            for i in range(len(v)):
+                a, b, c = v[i], v[(i + 1) % len(v)], v[(i + 2) % len(v)]
+                assert cross2(sub(b, a), sub(c, b)) > 0
 
 
 class TestIsVertex:
@@ -304,14 +314,25 @@ class TestInvariants:
         assert checked >= 30
 
     def test_all_pairs_of_facets_checked(self):
-        # every edge of a 3-polytope lies in exactly two facets
-        pts = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
-        poly = hull(pts)
-        for a, b in poly.edges:
-            containing = [
-                f for f in poly.facets if a in f.vertex_indices and b in f.vertex_indices
-            ]
-            assert len(containing) == 2
+        # every edge of a k-polytope (k = 2, 3) lies in exactly k - 1 facets
+        rng = random.Random(27)
+        sets = [[(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]]
+        for d in (2, 3):
+            for _ in range(15):
+                sets.append([tuple(rng.randint(0, 4) for _ in range(d))
+                             for _ in range(rng.randint(4, 14))])
+        checked = 0
+        for pts in sets:
+            poly = hull(pts)
+            if poly.affine_dim < 2:
+                continue
+            checked += 1
+            for a, b in poly.edges:
+                containing = [
+                    f for f in poly.facets if a in f.vertex_indices and b in f.vertex_indices
+                ]
+                assert len(containing) == poly.affine_dim - 1
+        assert checked >= 25
 
     def test_facet_combinatorics_vs_pairwise(self):
         pts = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
