@@ -1,10 +1,13 @@
 """Hard budgets for the expensive operations.
 
 ``POLYMIX_BUDGET`` (an integer) overrides every budget at once; when it is
-unset the per-operation defaults below apply.
+unset the per-operation defaults below apply.  A value that is not a
+positive integer is a ``ParseError``, read when a budget is first needed.
 """
 
 import os
+
+from .errors import ParseError
 
 DEFAULT_CELL_BUDGET = 10_000        # cells of a constraint box
 DEFAULT_ENUM_BUDGET = 2 ** 22       # configurations enumerated brute-force
@@ -20,9 +23,9 @@ def _override() -> int | None:
     try:
         value = int(raw)
     except ValueError as exc:
-        raise ValueError(f"{_ENV_VAR} must be an integer, got {raw!r}") from exc
+        raise ParseError(f"{_ENV_VAR} must be an integer, got {raw!r}") from exc
     if value <= 0:
-        raise ValueError(f"{_ENV_VAR} must be positive, got {value}")
+        raise ParseError(f"{_ENV_VAR} must be positive, got {value}")
     return value
 
 

@@ -10,10 +10,11 @@
     polymix search     POLY.json --r R --radius RAD [--coeff-degree D]
 
 All output is canonical JSON on stdout.  Exit codes: 0 success, 1 parse
-error, 2 degenerate input (zero/monomial polynomial or degenerate
-polytope), 3 budget exceeded, 4 internal error (a machine check failed).
-The environment variable POLYMIX_BUDGET overrides the
-cell/enumeration/search budgets.
+error (malformed input file or inline JSON, a negative --max-k, or a
+POLYMIX_BUDGET that is not a positive integer), 2 degenerate input
+(zero/monomial polynomial or degenerate polytope), 3 budget exceeded,
+4 internal error (a machine check failed).  The environment variable
+POLYMIX_BUDGET overrides the cell/enumeration/search budgets.
 """
 
 from __future__ import annotations
@@ -58,10 +59,17 @@ def _vector_list(data, dim: int, what: str) -> list[tuple[int, ...]]:
     return out
 
 
+def _max_k(args) -> int:
+    if args.max_k < 0:
+        raise ParseError(f"--max-k must be >= 0, got {args.max_k}")
+    return args.max_k
+
+
 def _cmd_analyze(args) -> dict:
     poly = jsonio.load_poly(args.poly)
+    max_k = _max_k(args)
     bounds, polytope = mixing_bounds(poly)
-    certificate = frobenius_certificate(poly, args.max_k)
+    certificate = frobenius_certificate(poly, max_k)
     warnings = [IRREDUCIBILITY_WARNING]
     if bounds.polytope_tight is None:
         warnings.append("tightness undetermined: affine dimension exceeds 3")
@@ -92,7 +100,7 @@ def _cmd_tightness(args) -> dict:
 
 def _cmd_certify(args) -> dict:
     poly = jsonio.load_poly(args.poly)
-    return jsonio.certificate_json(frobenius_certificate(poly, args.max_k))
+    return jsonio.certificate_json(frobenius_certificate(poly, _max_k(args)))
 
 
 def _cmd_measure(args) -> dict:

@@ -6,7 +6,7 @@ class PolymixError(Exception):
 
 
 class ParseError(PolymixError):
-    """Malformed input file or schema violation."""
+    """Malformed input file, schema violation, option or setting."""
 
 
 class TrivialQuotientError(PolymixError):

@@ -18,7 +18,7 @@ def rref(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(m[r:, c])[0]
+        nz = m[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         piv = r + int(nz[0])
@@ -26,10 +26,10 @@ def rref(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             m[[r, piv]] = m[[piv, r]]
         inv = pow(int(m[r, c]), p - 2, p)
         m[r] = (m[r] * inv) % p
-        other = np.nonzero(m[:, c])[0]
-        for i in other:
-            if i != r:
-                m[i] = (m[i] - m[i, c] * m[r]) % p
+        other = m[:, c].nonzero()[0]
+        other = other[other != r]
+        # columns left of c are zero in row r, so one outer product clears c
+        m[other, c:] = (m[other, c:] - m[other, c, None] * m[r, c:]) % p
         pivots.append(c)
         r += 1
     return m, pivots
@@ -48,12 +48,11 @@ def kernel_basis(matrix: np.ndarray, p: int) -> np.ndarray:
     if matrix.size == 0:
         return np.eye(cols, dtype=np.int64)
     r, pivots = rref(matrix, p)
-    free = [c for c in range(cols) if c not in pivots]
+    pivot_set = set(pivots)
+    free = [c for c in range(cols) if c not in pivot_set]
     basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-r[i, fc]) % p
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-r[: len(pivots), free].T) % p
     return basis
 
 

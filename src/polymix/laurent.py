@@ -11,7 +11,11 @@ Exponents are plain Python ints; dilated supports such as p^k * n for
 k around 12 stay exact without any overflow concern.
 
 Values are immutable after construction and all operations are pure
-functions, so they are safe to share between threads.
+functions, so they are safe to share between threads.  The one exception
+is a private slot that ``quotient`` fills the first time a polynomial is
+used as a modulus (its division data and the residues computed against
+it); it never changes ``==`` or the terms.  Two threads filling it at
+once each compute the same data and one copy wins, so sharing stays safe.
 """
 
 from __future__ import annotations
@@ -55,10 +59,11 @@ def _as_field(field: FieldSpec | int) -> FieldSpec:
 class LaurentPoly:
     """Canonical sparse Laurent polynomial over F_p.
 
-    Do not mutate ``terms``; treat instances as values.
+    Do not mutate ``terms``; treat instances as values.  ``_modulus`` is
+    left unset until ``quotient`` prepares the polynomial as a modulus.
     """
 
-    __slots__ = ("field", "dim", "terms")
+    __slots__ = ("field", "dim", "terms", "_modulus")
 
     def __init__(
         self,

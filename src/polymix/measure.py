@@ -35,7 +35,7 @@ from . import gfp
 from .budgets import cell_budget, enum_budget
 from .errors import BudgetExceededError, InternalInconsistencyError, TrivialQuotientError
 from .laurent import ExponentVec, LaurentPoly
-from .quotient import monomial_residue
+from .quotient import monomial_residue, nf
 
 Box = Sequence[tuple[int, int]]
 
@@ -170,12 +170,25 @@ def _window_residue_matrix(
     The annihilator of the window projection of X is the null space of
     this matrix: lambda annihilates iff sum lambda_w u^w lies in <f>.
     A common monomial shift (a unit) clears negative exponents first.
+    Walking the window in lexicographic order, a monomial whose neighbour
+    u^(w - e_i) is already known costs one shift-and-reduce step; the
+    rest go through ``monomial_residue``.  Every route gives the same
+    canonical remainder.
     """
     window = [tuple(w) for w in window]
     shift = tuple(min(w[i] for w in window) for i in range(f.dim))
-    residues = [
-        monomial_residue(tuple(a - b for a, b in zip(w, shift)), f) for w in window
-    ]
+    points = [tuple(a - b for a, b in zip(w, shift)) for w in window]
+    units = [tuple(int(i == axis) for i in range(f.dim)) for axis in range(f.dim)]
+    known: dict[ExponentVec, LaurentPoly] = {}
+    for e in sorted(points):
+        for axis, x in enumerate(e):
+            neighbour = known.get(e[:axis] + (x - 1,) + e[axis + 1:]) if x else None
+            if neighbour is not None:
+                known[e] = nf(neighbour.shift(units[axis]), f)
+                break
+        else:
+            known[e] = monomial_residue(e, f)
+    residues = [known[e] for e in points]
     monomials = sorted({e for r in residues for e in r.terms})
     index = {e: i for i, e in enumerate(monomials)}
     matrix = np.zeros((len(window), max(len(monomials), 1)), dtype=np.int64)
@@ -186,11 +199,12 @@ def _window_residue_matrix(
 
 
 def _exact_measure(f: LaurentPoly, cyl: CylinderSpec) -> MeasureResult:
-    matrix, _ = _window_residue_matrix(f, cyl.window)
+    matrix, n = _window_residue_matrix(f, cyl.window)
     p = f.p
-    dim_proj = gfp.rank(matrix, p)
-    # annihilating functionals: lambda with lambda^T . matrix = 0
+    # annihilating functionals: lambda with lambda^T . matrix = 0; the
+    # projected dimension is the rank, n minus their number
     annihilator = gfp.kernel_basis(matrix.T, p)
+    dim_proj = n - annihilator.shape[0]
     values = np.array([v % p for v in cyl.values], dtype=np.int64)
     consistent = not ((annihilator @ values) % p).any() if annihilator.size else True
     exponent = dim_proj if consistent else None

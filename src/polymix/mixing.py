@@ -21,9 +21,9 @@ from typing import Callable, Iterable, Sequence
 
 from .budgets import search_budget
 from .errors import BudgetExceededError, InternalInconsistencyError
-from .laurent import ExponentVec, LaurentPoly, frobenius_power, zero
+from .laurent import ExponentVec, LaurentPoly, zero
 from .polytope import LatticePolytope, hull
-from .quotient import monomial_residue, nf, residue_mul
+from .quotient import frobenius_residue, monomial_residue, nf, residue_mul
 from .redraw import redraw_space, skeleton_from_polytope
 
 IRREDUCIBILITY_WARNING = (
@@ -95,8 +95,8 @@ def frobenius_certificate(f: LaurentPoly, k_max: int) -> ShapeCertificate:
 
     For each k the sum of coefficient-weighted residues of the dilated
     monomials u^(p^k n) is reduced modulo f and must vanish.  The
-    residues are advanced one Frobenius round per k, so exponents of
-    p^12 and beyond stay cheap.
+    residues are advanced one Frobenius round per k (``frobenius_residue``),
+    so exponents of p^12 and beyond stay cheap.
     """
     if f.is_zero or f.is_monomial:
         raise ValueError("certificates need a non-monomial polynomial")
@@ -111,7 +111,7 @@ def frobenius_certificate(f: LaurentPoly, k_max: int) -> ShapeCertificate:
     verified = []
     for k in range(k_max + 1):
         if k > 0:
-            residues = [nf(frobenius_power(r, 1), f) for r in residues]
+            residues = [frobenius_residue(r, 1, f) for r in residues]
         acc = zero(f.field, f.dim)
         for c, r in zip(coeffs, residues):
             acc = acc + r.scale(c)

@@ -16,15 +16,25 @@ therefore canonical only up to that unit, while zero-ness never is.)
 Term order: graded lexicographic, ties between monomials of equal total
 degree broken lexicographically with the *last* variable most
 significant.  Under this order the leading term of 1 + u1 + u2 is u2.
+
+The modulus is prepared once: the first call with a given f normalizes
+it, finds its leading term, the inverse of that coefficient and the tail,
+and keeps them in f's ``_modulus`` slot with two residue tables, the axis
+squares u_i^(2^j) and the monomial residues already computed.  Every later
+call with the same f (one query holds one f) reuses them; nothing is kept
+at module level, so the tables go when f does.  Because the remainder is
+unique, a residue taken from a table, from a neighbour or by a fresh
+division is the same polynomial.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field as dc_field
+from operator import add, ge, neg, sub
 
 from .errors import TrivialQuotientError
-from .laurent import ExponentVec, LaurentPoly, _raw, frobenius_power
+from .laurent import ExponentVec, LaurentPoly, _raw, frobenius_power, monomial, one
 
 __all__ = [
     "Residue",
@@ -74,50 +84,74 @@ def _lift(g: LaurentPoly) -> tuple[LaurentPoly, ExponentVec]:
     return g, shift
 
 
-def _divisible(e: ExponentVec, lt: ExponentVec) -> bool:
-    return all(a >= b for a, b in zip(e, lt))
+def _heapkey(e: ExponentVec):
+    # min-heap key of the grlex order: the largest monomial pops first
+    return (-sum(e), tuple(map(neg, reversed(e))))
 
 
-def _divide(work: dict[ExponentVec, int], fhat: LaurentPoly) -> dict[ExponentVec, int]:
-    """Remainder of division by fhat (which must have min exponents 0).
+class _Modulus:
+    """Division data of f, computed once, and the residues shared against it.
 
-    Processes the grlex-largest term each step; replacing a divisible
-    term introduces only strictly smaller ones, so a lazy max-heap with
-    stale entries is enough.
+    Stored in the polynomial's ``_modulus`` slot by ``_prepared``, so it
+    lives exactly as long as f: every query that keeps using the same f
+    reuses its axis squares and monomial residues.
     """
-    p = fhat.p
-    lt_e, lt_c = leading_term(fhat)
-    lt_inv = pow(lt_c, p - 2, p) if p > 2 else 1
-    tail = [(e, c) for e, c in fhat.terms.items() if e != lt_e]
 
-    def heapkey(e: ExponentVec):
-        return (-sum(e), tuple(-x for x in reversed(e)))
+    __slots__ = ("p", "lt", "lt_inv", "tail", "squares", "monomials")
 
-    heap = [heapkey(e) for e in work]
+    def __init__(self, f: LaurentPoly) -> None:
+        fhat, _ = normalize(f)
+        p = self.p = f.p
+        self.lt, lt_c = leading_term(fhat)
+        self.lt_inv = pow(lt_c, p - 2, p) if p > 2 else 1
+        self.tail = [(e, c) for e, c in fhat.terms.items() if e != self.lt]
+        # (axis, j) -> residue of u_axis^(2^j); exps -> residue of u^exps
+        self.squares: dict[tuple[int, int], LaurentPoly] = {}
+        self.monomials: dict[ExponentVec, LaurentPoly] = {}
+
+
+def _prepared(f: LaurentPoly) -> _Modulus:
+    prepared = getattr(f, "_modulus", None)
+    if prepared is None:
+        if f.is_zero or f.is_monomial:
+            raise TrivialQuotientError(
+                "modulus is zero or a monomial, quotient ring is trivial"
+            )
+        prepared = _Modulus(f)
+        object.__setattr__(f, "_modulus", prepared)
+    return prepared
+
+
+def _divide(work: dict[ExponentVec, int], m: _Modulus) -> dict[ExponentVec, int]:
+    """Remainder of division by the normalized modulus; consumes ``work``.
+
+    Only terms divisible by the leading term enter the heap, largest
+    first.  Replacing one introduces only strictly smaller terms, so a
+    lazy heap with stale entries is enough, and the terms never divisible
+    are left in place as the remainder.  The remainder is unique (a single
+    divisor is a Groebner basis), whatever the order of the steps.
+    """
+    p, lt, lt_inv, tail = m.p, m.lt, m.lt_inv, m.tail
+    heap = [(_heapkey(e), e) for e in work if all(map(ge, e, lt))]
     heapq.heapify(heap)
-    remainder: dict[ExponentVec, int] = {}
     while heap:
-        key = heapq.heappop(heap)
-        e = tuple(-x for x in reversed(key[1]))
-        c = work.get(e)
+        e = heapq.heappop(heap)[1]
+        c = work.pop(e, None)
         if c is None:
             continue  # stale entry
-        del work[e]
-        if _divisible(e, lt_e):
-            q = (c * lt_inv) % p
-            base = tuple(a - b for a, b in zip(e, lt_e))
-            for fe, fc in tail:
-                te = tuple(a + b for a, b in zip(base, fe))
-                nc = (work.get(te, 0) - q * fc) % p
-                if nc:
-                    if te not in work:
-                        heapq.heappush(heap, heapkey(te))
-                    work[te] = nc
-                else:
-                    work.pop(te, None)
-        else:
-            remainder[e] = c
-    return remainder
+        q = (c * lt_inv) % p
+        base = tuple(map(sub, e, lt))
+        for fe, fc in tail:
+            te = tuple(map(add, base, fe))
+            old = work.get(te)
+            nc = ((old or 0) - q * fc) % p
+            if nc:
+                if old is None and all(map(ge, te, lt)):
+                    heapq.heappush(heap, (_heapkey(te), te))
+                work[te] = nc
+            elif old is not None:
+                del work[te]
+    return work
 
 
 @dataclass(frozen=True)
@@ -138,15 +172,6 @@ class Residue:
         return self.value.is_zero
 
 
-def _checked_modulus(f: LaurentPoly) -> LaurentPoly:
-    if f.is_zero or f.is_monomial:
-        raise TrivialQuotientError(
-            "modulus is zero or a monomial, quotient ring is trivial"
-        )
-    fhat, _ = normalize(f)
-    return fhat
-
-
 def reduce(g: LaurentPoly, f: LaurentPoly) -> Residue:
     """Canonical residue of g modulo the Laurent ideal <f>.
 
@@ -154,11 +179,11 @@ def reduce(g: LaurentPoly, f: LaurentPoly) -> Residue:
     normalized modulus, and it is zero exactly when g lies in <f>.
     """
     g._check_compatible(f)
-    fhat = _checked_modulus(f)
+    m = _prepared(f)
     if g.is_zero:
         return Residue(_raw(g.field, g.dim, {}), f, (0,) * g.dim)
     lifted, shift = _lift(g)
-    remainder = _divide(dict(lifted.terms), fhat)
+    remainder = _divide(dict(lifted.terms), m)
     return Residue(_raw(g.field, g.dim, remainder), f, shift)
 
 
@@ -185,8 +210,6 @@ def power_residue(g: LaurentPoly, n: int, f: LaurentPoly) -> LaurentPoly:
     """
     if n < 0:
         raise ValueError("negative powers are not defined")
-    from .laurent import one
-
     result = nf(one(g.field, g.dim), f)
     base = nf(g, f)
     while n:
@@ -197,24 +220,41 @@ def power_residue(g: LaurentPoly, n: int, f: LaurentPoly) -> LaurentPoly:
     return result
 
 
+def _axis_square(f: LaurentPoly, m: _Modulus, axis: int, j: int) -> LaurentPoly:
+    """Residue of u_axis^(2^j), the square of the one for j - 1."""
+    result = m.squares.get((axis, j))
+    if result is None:
+        if j == 0:
+            result = nf(monomial(f.field, f.dim, [int(i == axis) for i in range(f.dim)]), f)
+        else:
+            half = _axis_square(f, m, axis, j - 1)
+            result = residue_mul(half, half, f)
+        m.squares[axis, j] = result
+    return result
+
+
 def monomial_residue(exps: ExponentVec, f: LaurentPoly) -> LaurentPoly:
     """Residue of the monomial u^exps, all entries non-negative.
 
-    Built axis by axis with binary powering so that dilated exponents
-    like 2^12 cost a handful of quotient multiplications.
+    The product of the axis squares u_i^(2^j) picked by the bits of each
+    exponent, so dilated exponents like 2^12 cost a handful of quotient
+    multiplications.  Both the squares and the result are kept with f.
     """
     if any(e < 0 for e in exps):
         raise ValueError(f"exponents must be non-negative, got {exps}")
-    from .laurent import monomial, one
-
-    result = nf(one(f.field, f.dim), f)
-    for axis, e in enumerate(exps):
-        if e == 0:
-            continue
-        unit = [0] * f.dim
-        unit[axis] = 1
-        axis_pow = power_residue(monomial(f.field, f.dim, unit), e, f)
-        result = residue_mul(result, axis_pow, f)
+    m = _prepared(f)
+    exps = tuple(exps)
+    result = m.monomials.get(exps)
+    if result is None:
+        result = nf(one(f.field, f.dim), f)
+        for axis, e in enumerate(exps):
+            j = 0
+            while e:
+                if e & 1:
+                    result = residue_mul(result, _axis_square(f, m, axis, j), f)
+                e >>= 1
+                j += 1
+        m.monomials[exps] = result
     return result
 
 

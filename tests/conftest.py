@@ -42,6 +42,45 @@ def random_poly(rng: random.Random, p: int, dim: int, max_terms=4, lo=0, hi=3,
             return poly
 
 
+def generic_poly(rng: random.Random, p: int, nterms=5, span=3):
+    """Non-monomial polynomial in two variables with exactly ``nterms`` terms."""
+    points = [(x, y) for x in range(span + 1) for y in range(span + 1)]
+    return make_poly(p, 2, [(e, rng.randint(1, p - 1)) for e in rng.sample(points, nterms)])
+
+
+def divide_from_scratch(g, f):
+    """Residue of g mod <f> by textbook division, sharing nothing with quotient.
+
+    Normalizes f, lifts g out of negative exponents, and cancels the
+    grlex-largest divisible term until none is left (last variable most
+    significant on degree ties).
+    """
+    p = f.p
+
+    def key(e):
+        return (sum(e), tuple(reversed(e)))
+
+    base = f.min_exponents()
+    fhat = {tuple(a - b for a, b in zip(e, base)): c for e, c in f.terms.items()}
+    lt = max(fhat, key=key)
+    inv = pow(fhat[lt], p - 2, p)
+    lift = [min(0, m) for m in g.min_exponents()] if g.terms else [0] * g.dim
+    work = {tuple(a - b for a, b in zip(e, lift)): c for e, c in g.terms.items()}
+    while True:
+        divisible = [e for e in work if all(a >= b for a, b in zip(e, lt))]
+        if not divisible:
+            return make_poly(p, g.dim, work.items())
+        e = max(divisible, key=key)
+        q = work[e] * inv % p
+        for fe, fc in fhat.items():
+            te = tuple(a - b + c for a, b, c in zip(e, lt, fe))
+            value = (work.get(te, 0) - q * fc) % p
+            if value:
+                work[te] = value
+            else:
+                work.pop(te, None)
+
+
 # -- catalog solids for the tightness tests ---------------------------------
 
 

@@ -206,6 +206,23 @@ class TestSubcommands:
         code, _ = run(capsys, "measure", LED, "--cylinder", CELL, "--method", "box")
         assert code == 3
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-5"])
+    def test_malformed_budget_env_exits_1(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("POLYMIX_BUDGET", value)
+        code = main(["measure", LED, "--cylinder", CELL, "--method", "box"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: POLYMIX_BUDGET")
+
+    @pytest.mark.parametrize("command", ["certify", "analyze"])
+    def test_negative_max_k_exits_1(self, capsys, command):
+        code = main([command, LED, "--max-k", "-1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: --max-k")
+
     def test_skeleton_accepts_rational_strings(self, capsys, tmp_path):
         skel = tmp_path / "half_square.json"
         skel.write_text(json.dumps({

@@ -14,7 +14,14 @@ from polymix import (
     monomial,
     solution_space,
 )
-from polymix.measure import box_projected_dimension, brute_force_counts, merge_events
+from polymix.measure import (
+    _window_residue_matrix,
+    box_projected_dimension,
+    brute_force_counts,
+    merge_events,
+)
+
+from conftest import divide_from_scratch, generic_poly
 
 
 def cell(value=0):
@@ -269,3 +276,47 @@ class TestHaarProperties:
             ledrappier, rule, [cell(0)] * 3, [7, 8], method="box"
         )
         assert all(not row.available for row in rows)
+
+
+def _per_monomial_matrix(f, window):
+    """Window residue matrix with every row divided from scratch."""
+    shift = tuple(min(w[i] for w in window) for i in range(f.dim))
+    residues = [
+        divide_from_scratch(monomial(f.p, f.dim, [a - b for a, b in zip(w, shift)]), f)
+        for w in window
+    ]
+    monomials = sorted({e for r in residues for e in r.terms})
+    rows = [[r.terms.get(e, 0) for e in monomials] or [0] for r in residues]
+    return rows
+
+
+class TestWindowResidues:
+    def _moduli(self, all_fixtures):
+        rng = random.Random(45)
+        return list(all_fixtures) + [generic_poly(rng, p) for p in (5, 7) for _ in range(2)]
+
+    def test_rectangles_match_per_monomial_rows(self, all_fixtures):
+        rng = random.Random(46)
+        for f in self._moduli(all_fixtures):
+            for _ in range(4):
+                x0, y0 = rng.randint(-5, 5), rng.randint(-5, 5)
+                w, h = rng.randint(1, 6), rng.randint(1, 6)
+                window = [(x, y) for x in range(x0, x0 + w) for y in range(y0, y0 + h)]
+                rng.shuffle(window)
+                matrix, n = _window_residue_matrix(f, window)
+                assert n == len(window)
+                assert matrix.tolist() == _per_monomial_matrix(f, window)
+
+    def test_scattered_windows_match_per_monomial_rows(self, all_fixtures):
+        rng = random.Random(47)
+        for f in self._moduli(all_fixtures):
+            for _ in range(6):
+                window = list({(rng.randint(-8, 8), rng.randint(-8, 8))
+                               for _ in range(rng.randint(1, 12))})
+                matrix, _ = _window_residue_matrix(f, window)
+                assert matrix.tolist() == _per_monomial_matrix(f, window)
+
+    def test_square_f3_exact_window(self, square_f3):
+        window = [(x, y) for x in range(20) for y in range(20)]
+        matrix, _ = _window_residue_matrix(square_f3, window)
+        assert matrix.tolist() == _per_monomial_matrix(square_f3, window)

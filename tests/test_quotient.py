@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 
@@ -23,7 +25,7 @@ from polymix.quotient import (
     power_residue,
 )
 
-from conftest import random_poly
+from conftest import divide_from_scratch, generic_poly, random_poly
 
 
 class TestTermOrder:
@@ -257,3 +259,103 @@ class TestResidueShortcuts:
         for _ in range(25):
             g = random_poly(rng, 2, 2, max_terms=4, lo=-2, hi=3)
             assert is_zero_mod(g, shifted) == is_zero_mod(g, ledrappier)
+
+
+def _moduli(all_fixtures):
+    """The fixtures plus seeded generic 5-term polynomials over F_5 and F_7."""
+    rng = random.Random(31)
+    return list(all_fixtures) + [generic_poly(rng, p) for p in (5, 7) for _ in range(4)]
+
+
+class TestPreparedModulus:
+    def test_nf_matches_division_from_scratch(self, all_fixtures):
+        rng = random.Random(32)
+        for f in _moduli(all_fixtures):
+            for _ in range(30):
+                g = random_poly(rng, f.p, 2, max_terms=6, lo=-2, hi=5)
+                if rng.random() < 0.3:
+                    g = g * f + random_poly(rng, f.p, 2, max_terms=2)
+                assert nf(g, f) == divide_from_scratch(g, f)
+
+    def test_monomial_residue_matches_division_from_scratch(self, all_fixtures):
+        rng = random.Random(33)
+        for f in _moduli(all_fixtures):
+            exps = [tuple(rng.randint(0, 9) for _ in range(2)) for _ in range(20)]
+            for e in exps + exps[:5]:  # the repeats come from the kept residues
+                assert monomial_residue(e, f) == divide_from_scratch(monomial(f.p, 2, e), f)
+
+    def test_moduli_used_in_turn_keep_their_own_residues(self, all_fixtures):
+        rng = random.Random(34)
+        moduli = _moduli(all_fixtures)
+        for _ in range(60):
+            f = rng.choice(moduli)
+            e = (rng.randint(0, 7), rng.randint(0, 7))
+            assert monomial_residue(e, f) == divide_from_scratch(monomial(f.p, 2, e), f)
+            g = random_poly(rng, f.p, 2, max_terms=4, lo=0, hi=6)
+            assert nf(g, f) == divide_from_scratch(g, f)
+
+    def test_equal_moduli_in_different_objects_agree(self, ledrappier):
+        twin = make_poly(2, 2, [((0, 0), 1), ((1, 0), 1), ((0, 1), 1)])
+        for e in [(5, 3), (0, 9), (4, 4)]:
+            assert monomial_residue(e, ledrappier) == monomial_residue(e, twin)
+
+    def test_trivial_moduli_still_raise(self, ledrappier):
+        for f in (zero(2, 2), monomial(2, 2, (1, 0)), monomial(2, 2, (0, 0))):
+            for _ in range(2):  # a failed preparation leaves nothing behind
+                with pytest.raises(TrivialQuotientError):
+                    reduce(ledrappier, f)
+                with pytest.raises(TrivialQuotientError):
+                    monomial_residue((2, 1), f)
+                with pytest.raises(TrivialQuotientError):
+                    power_residue(ledrappier, 3, f)
+
+    def test_modulus_keeps_equality_and_immutability(self, square_f3):
+        twin = make_poly(3, 2, [((0, 0), 1), ((1, 0), 1), ((0, 1), 1), ((1, 1), 2)])
+        terms_before = dict(square_f3.terms)
+        monomial_residue((6, 5), square_f3)
+        nf(monomial(3, 2, (3, 3)), square_f3)
+        assert square_f3 == twin and twin == square_f3
+        assert square_f3 != square_f3.scale(2)
+        assert square_f3.terms == terms_before
+        with pytest.raises(AttributeError):
+            square_f3.terms = {}
+        with pytest.raises(AttributeError):
+            square_f3._modulus = None
+        with pytest.raises(TypeError):
+            hash(square_f3)
+        # the residues handed out are values too
+        r = monomial_residue((6, 5), square_f3)
+        with pytest.raises(AttributeError):
+            r.terms = {}
+
+    def test_threads_sharing_a_fresh_modulus(self):
+        # every thread fills the same lazily prepared modulus at once; the
+        # answers must be those of one thread working on an equal modulus
+        rng = random.Random(35)
+        f = make_poly(3, 2, [((0, 0), 1), ((1, 0), 2), ((1, 2), 1)])
+        twin = make_poly(3, 2, f.terms.items())
+        exps = [(rng.randint(0, 300), rng.randint(0, 300)) for _ in range(12)]
+        expected = {e: monomial_residue(e, twin) for e in exps}
+        start = threading.Barrier(6)
+        wrong = []
+
+        def work(seed):
+            order = list(exps)
+            random.Random(seed).shuffle(order)
+            start.wait(timeout=30)
+            for e in order:
+                if monomial_residue(e, f) != expected[e]:
+                    wrong.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
