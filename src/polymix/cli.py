@@ -10,8 +10,10 @@
     polymix search     POLY.json --r R --radius RAD [--coeff-degree D]
 
 All output is canonical JSON on stdout.  Exit codes: 0 success, 1 parse
-error (malformed input file or inline JSON, a negative --max-k, or a
-POLYMIX_BUDGET that is not a positive integer), 2 degenerate input
+error (malformed input file or inline JSON, an option value out of range
+-- a negative --max-k, --K, --radius, --coeff-degree or --tolerance, a NaN
+--tolerance, an --r below 2 -- or a POLYMIX_BUDGET that is not a positive
+integer), 2 degenerate input
 (zero/monomial polynomial or degenerate polytope), 3 budget exceeded,
 4 internal error (a machine check failed).  The environment variable
 POLYMIX_BUDGET overrides the cell/enumeration/search budgets.
@@ -59,15 +61,16 @@ def _vector_list(data, dim: int, what: str) -> list[tuple[int, ...]]:
     return out
 
 
-def _max_k(args) -> int:
-    if args.max_k < 0:
-        raise ParseError(f"--max-k must be >= 0, got {args.max_k}")
-    return args.max_k
+def _at_least(value, lo: int, flag: str):
+    # written so that a NaN fails too
+    if not value >= lo:
+        raise ParseError(f"{flag} must be >= {lo}, got {value}")
+    return value
 
 
 def _cmd_analyze(args) -> dict:
     poly = jsonio.load_poly(args.poly)
-    max_k = _max_k(args)
+    max_k = _at_least(args.max_k, 0, "--max-k")
     bounds, polytope = mixing_bounds(poly)
     certificate = frobenius_certificate(poly, max_k)
     warnings = [IRREDUCIBILITY_WARNING]
@@ -95,12 +98,14 @@ def _cmd_bounds(args) -> dict:
 
 def _cmd_tightness(args) -> dict:
     skeleton = jsonio.load_skeleton(args.skeleton)
-    return jsonio.redraw_json(redraw_space(skeleton, tolerance=args.tolerance))
+    tolerance = _at_least(args.tolerance, 0, "--tolerance")
+    return jsonio.redraw_json(redraw_space(skeleton, tolerance=tolerance))
 
 
 def _cmd_certify(args) -> dict:
     poly = jsonio.load_poly(args.poly)
-    return jsonio.certificate_json(frobenius_certificate(poly, _max_k(args)))
+    max_k = _at_least(args.max_k, 0, "--max-k")
+    return jsonio.certificate_json(frobenius_certificate(poly, max_k))
 
 
 def _cmd_measure(args) -> dict:
@@ -153,13 +158,18 @@ def _cmd_experiment(args) -> dict:
 def _cmd_detect(args) -> dict:
     poly = jsonio.load_poly(args.poly)
     points = _vector_list(_parse_inline(args.tuple, "--tuple"), poly.dim, "--tuple")
-    match = detect_redrawing(poly, points, args.K)
+    match = detect_redrawing(poly, points, _at_least(args.K, 0, "--K"))
     return jsonio.match_json(match)
 
 
 def _cmd_search(args) -> dict:
     poly = jsonio.load_poly(args.poly)
-    certificates = search_relations(poly, args.r, args.radius, args.coeff_degree)
+    certificates = search_relations(
+        poly,
+        _at_least(args.r, 2, "--r"),
+        _at_least(args.radius, 0, "--radius"),
+        _at_least(args.coeff_degree, 0, "--coeff-degree"),
+    )
     return {"candidates": [jsonio.certificate_json(c) for c in certificates]}
 
 

@@ -20,6 +20,7 @@ once each compute the same data and one copy wins, so sharing stays safe.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -155,10 +156,11 @@ class LaurentPoly:
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check_compatible(other)
         p = self.p
+        plus = operator.add
         out: dict[ExponentVec, int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(plus, e1, e2))
                 nc = (out.get(e, 0) + c1 * c2) % p
                 if nc:
                     out[e] = nc

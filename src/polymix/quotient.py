@@ -263,8 +263,10 @@ def frobenius_residue(g: LaurentPoly, k: int, f: LaurentPoly) -> LaurentPoly:
 
     Valid because (a + qf)^p = a^p + (q^p f^{p-1}) f in characteristic p,
     so reducing between successive p-th powers never changes the coset.
-    Each round is term surgery plus one division, which keeps certificate
-    checks at k = 12 (exponents beyond 500000) cheap and exact.
+    Each round is term surgery plus one division.  Carried round by round
+    over the support monomials, this is the residue walk that checks the
+    identity certificates of ``mixing`` independently; its residues grow
+    like p^k for a generic f.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")

@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 All tolerances are exact (zero tolerance) except the stated 1e-9
-relative tolerance of the floating-point tightness path and the two
+relative tolerance of the floating-point tightness path and the three
 wall-clock limits.
 """
 
@@ -229,3 +229,18 @@ def test_criterion_9_normalization_and_invariance():
             m = (rng.randint(-8, 8), rng.randint(-8, 8))
             ok = ok and cylinder_measure(f, cyl.translated(m)).value == base
     report(9, "window measures sum to 1 and survive 150 random translations", ok)
+
+
+def test_criterion_10_generic_f7_certificate(capsys):
+    start = time.perf_counter()
+    code = main(["analyze", str(FIXTURES / "generic_f7.json"), "--max-k", "12"])
+    elapsed = time.perf_counter() - start
+    rep = json.loads(capsys.readouterr().out)
+    ok = (
+        code == 0
+        and rep["certificate"]["verified_k"] == list(range(13))
+        and rep["certificate"]["frobenius_family"] is True
+        and elapsed < 1.0
+    )
+    with capsys.disabled():
+        report(10, f"analyze --max-k 12 on a generic 5-term F_7 polynomial in {elapsed:.3f}s", ok)

@@ -223,6 +223,30 @@ class TestSubcommands:
         assert captured.out == ""
         assert captured.err.startswith("parse error: --max-k")
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["search", LED, "--r", "1", "--radius", "1"], "--r"),
+            (["search", LED, "--r", "3", "--radius", "-1"], "--radius"),
+            (["search", LED, "--r", "3", "--radius", "1", "--coeff-degree", "-1"],
+             "--coeff-degree"),
+            (["detect", LED, "--tuple", "[[0,0],[17,0],[0,16]]", "--K", "-1"], "--K"),
+            (["tightness", CUBE, "--tolerance", "-0.5"], "--tolerance"),
+            (["tightness", CUBE, "--tolerance", "nan"], "--tolerance"),
+        ],
+        ids=["r_1", "radius_-1", "coeff_degree_-1", "K_-1", "tolerance_-0.5", "tolerance_nan"],
+    )
+    def test_out_of_range_option_exits_1(self, capsys, argv, flag):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"parse error: {flag} must be >= ")
+
+    def test_zero_option_values_accepted(self, capsys):
+        assert run(capsys, "search", LED, "--r", "2", "--radius", "0")[0] == 0
+        assert run(capsys, "tightness", CUBE, "--tolerance", "0")[0] == 0
+
     def test_skeleton_accepts_rational_strings(self, capsys, tmp_path):
         skel = tmp_path / "half_square.json"
         skel.write_text(json.dumps({

@@ -4,6 +4,8 @@ import pytest
 
 from polymix import (
     BudgetExceededError,
+    InternalInconsistencyError,
+    LaurentPoly,
     SequenceRelation,
     check_relation,
     frobenius_certificate,
@@ -11,12 +13,16 @@ from polymix import (
     make_poly,
     mixing_bounds,
     monomial,
+    poly_pow,
     search_relations,
     zero,
 )
+from polymix.cli import main
+from polymix.laurent import frobenius_power
 from polymix.mixing import relation_value
+from polymix.quotient import frobenius_residue, monomial_residue, nf, normalize
 
-from conftest import random_poly
+from conftest import FIXTURES, generic_poly, random_poly
 
 
 def scalar(p, d, c):
@@ -108,6 +114,120 @@ class TestFrobeniusCertificate:
     def test_monomial_rejected(self):
         with pytest.raises(ValueError):
             frobenius_certificate(monomial(2, 2, (1, 0)), 3)
+
+
+def residue_walk(f, k_max):
+    """Per-k verdicts of the k-round residue walk, independent of the identity.
+
+    Each monomial u^(n - base) of the support is reduced, then carried one
+    Frobenius round per k; the coefficient-weighted sum must reduce to 0.
+    """
+    shape = sorted(f.terms)
+    base = f.min_exponents()
+    residues = [monomial_residue(tuple(a - b for a, b in zip(n, base)), f) for n in shape]
+    verdicts = []
+    for k in range(k_max + 1):
+        if k:
+            residues = [frobenius_residue(r, 1, f) for r in residues]
+        acc = zero(f.field, f.dim)
+        for n, r in zip(shape, residues):
+            acc = acc + r.scale(f.terms[n])
+        verdicts.append(nf(acc, f).is_zero)
+    return verdicts
+
+
+def _cross_check_cases():
+    cases = [
+        pytest.param(make_poly(2, 2, [((0, 0), 1), ((1, 0), 1), ((0, 1), 1)]), 8,
+                     id="ledrappier"),
+        pytest.param(make_poly(2, 2, [((0, 0), 1), ((1, 0), 1), ((2, 0), 1), ((0, 1), 1)]), 8,
+                     id="quad"),
+        pytest.param(make_poly(3, 2, [((0, 0), 1), ((1, 0), 1), ((0, 1), 1), ((1, 1), 2)]), 8,
+                     id="square_f3"),
+    ]
+    rng = random.Random(55)
+    for p in (5, 7):
+        for nterms in (4, 5, 6):
+            cases.append(pytest.param(generic_poly(rng, p, nterms), 3,
+                                      id=f"generic_f{p}_{nterms}"))
+    for p in (2, 3):
+        for i in range(3):
+            cases.append(pytest.param(generic_poly(rng, p, 3, span=2), 8,
+                                      id=f"trinomial_f{p}_{i}"))
+    return cases
+
+
+class TestIdentityCertificate:
+    @pytest.mark.parametrize("f, k_max", _cross_check_cases())
+    def test_agrees_with_residue_walk(self, f, k_max):
+        cert = frobenius_certificate(f, k_max)
+        assert cert.verified_k == tuple(range(k_max + 1))
+        assert cert.frobenius_family
+        assert cert.shape == tuple(sorted(f.terms))
+        assert cert.coefficients == tuple(f.terms[n] for n in cert.shape)
+        assert residue_walk(f, k_max) == [True] * (k_max + 1)
+
+    def test_substitution_step_on_small_powers(self):
+        # the step from k = 1 to every k: fhat^(p^k) is fhat(u^(p^k))
+        rng = random.Random(56)
+        for p, k in ((2, 3), (3, 2), (5, 1), (7, 1)):
+            f = generic_poly(rng, p, 4, span=2)
+            fhat, _ = normalize(f)
+            dilated = frobenius_power(fhat, k)
+            assert poly_pow(fhat, p ** k) == dilated
+            assert nf(dilated, f).is_zero
+
+    def test_generic_f7_reaches_k12(self):
+        # the residue walk would need minutes for this polynomial at k = 12
+        from polymix.jsonio import load_poly
+
+        f = load_poly(str(FIXTURES / "generic_f7.json"))
+        assert frobenius_certificate(f, 12).verified_k == tuple(range(13))
+
+
+def _dropping_mul(orig):
+    def mul(self, other):
+        out = orig(self, other)
+        if len(out.terms) > 1:
+            terms = dict(out.terms)
+            del terms[max(terms)]
+            out = LaurentPoly(out.field, out.dim, terms)
+        return out
+
+    return mul
+
+
+def _dilate_by_p_squared(g, k):
+    return frobenius_power(g, 2 * k)
+
+
+def _dilate_and_shift(g, k):
+    return frobenius_power(g, k).shift((0,) * (g.dim - 1) + (1,)) if k else g
+
+
+@pytest.mark.parametrize(
+    "target, mutant",
+    [
+        ("polymix.laurent.LaurentPoly.__mul__", _dropping_mul(LaurentPoly.__mul__)),
+        ("polymix.mixing.frobenius_power", _dilate_by_p_squared),
+        ("polymix.mixing.frobenius_power", _dilate_and_shift),
+    ],
+    ids=["mul_drops_a_term", "dilates_by_p_squared", "dilation_shifted"],
+)
+class TestCertificateMutations:
+    def test_certificate_raises(self, monkeypatch, ledrappier, square_f3, target, mutant):
+        monkeypatch.setattr(target, mutant)
+        for f in (ledrappier, square_f3):
+            with pytest.raises(InternalInconsistencyError):
+                frobenius_certificate(f, 3)
+
+    def test_certify_exits_4(self, monkeypatch, capsys, target, mutant):
+        monkeypatch.setattr(target, mutant)
+        code = main(["certify", str(FIXTURES / "generic_f7.json"), "--max-k", "2"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: ")
 
 
 class TestCheckRelation:
