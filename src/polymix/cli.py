@@ -15,15 +15,19 @@ error (malformed input file or inline JSON, an option value out of range
 --tolerance, an --r below 2 -- or a POLYMIX_BUDGET that is not a positive
 integer), 2 degenerate input
 (zero/monomial polynomial or degenerate polytope), 3 budget exceeded,
-4 internal error (a machine check failed).  The environment variable
-POLYMIX_BUDGET overrides the cell/enumeration/search budgets.
+4 internal error (a machine check failed), 141 stdout closed before the
+report was written (128 + SIGPIPE, as a shell reports for ``yes | head``).
+The environment variable POLYMIX_BUDGET overrides the
+cell/enumeration/search budgets.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from typing import Callable, NamedTuple
 
 from . import jsonio
 from .errors import (
@@ -173,64 +177,80 @@ def _cmd_search(args) -> dict:
     return {"candidates": [jsonio.certificate_json(c) for c in certificates]}
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="polymix", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+_POLY = ("poly", {})
+_MAX_K = ("--max-k", {"type": int, "default": 8})
+_CYLINDER = ("--cylinder", {"required": True})
+_METHOD = ("--method", {"choices": ["exact", "box"], "default": "exact"})
 
-    p = sub.add_parser("analyze", help="full pipeline: support, hull, tightness, bounds, certificate")
-    p.add_argument("poly")
-    p.add_argument("--max-k", type=int, default=8)
-    p.set_defaults(run=_cmd_analyze)
 
-    p = sub.add_parser("bounds", help="mixing-order bounds only")
-    p.add_argument("poly")
-    p.set_defaults(run=_cmd_bounds)
+class _Command(NamedTuple):
+    help: str
+    arguments: list[tuple[str, dict]]  # (name or flag, add_argument keywords)
+    run: Callable[[argparse.Namespace], dict]
 
-    p = sub.add_parser("tightness", help="parallel-redrawing dimension of a skeleton")
-    p.add_argument("skeleton")
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-    p.set_defaults(run=_cmd_tightness)
 
-    p = sub.add_parser("certify", help="verify the dilated-support relation up to --max-k")
-    p.add_argument("poly")
-    p.add_argument("--max-k", type=int, default=8)
-    p.set_defaults(run=_cmd_certify)
+_COMMANDS = {
+    "analyze": _Command("full pipeline: support, hull, tightness, bounds, certificate",
+                        [_POLY, _MAX_K], _cmd_analyze),
+    "bounds": _Command("mixing-order bounds only", [_POLY], _cmd_bounds),
+    "tightness": _Command("parallel-redrawing dimension of a skeleton",
+                          [("skeleton", {}),
+                           ("--tolerance", {"type": float, "default": DEFAULT_TOLERANCE})],
+                          _cmd_tightness),
+    "certify": _Command("verify the dilated-support relation up to --max-k",
+                        [_POLY, _MAX_K], _cmd_certify),
+    "measure": _Command("exact measure of a (joint) cylinder event",
+                        [_POLY, _CYLINDER, ("--shifts", {}), _METHOD], _cmd_measure),
+    "experiment": _Command("joint vs product measures along shape dilations",
+                           [_POLY, ("--shape", {"required": True}), _CYLINDER,
+                            ("--k-range", {"required": True}), _METHOD],
+                           _cmd_experiment),
+    "detect": _Command("match a tuple against a redrawing of the polytope",
+                       [_POLY, ("--tuple", {"required": True}),
+                        ("--K", {"type": int, "default": 0})],
+                       _cmd_detect),
+    "search": _Command("bounded search for candidate non-mixing shapes",
+                       [_POLY, ("--r", {"type": int, "required": True}),
+                        ("--radius", {"type": int, "required": True}),
+                        ("--coeff-degree", {"type": int, "default": 0})],
+                       _cmd_search),
+}
 
-    p = sub.add_parser("measure", help="exact measure of a (joint) cylinder event")
-    p.add_argument("poly")
-    p.add_argument("--cylinder", required=True)
-    p.add_argument("--shifts", default=None)
-    p.add_argument("--method", choices=["exact", "box"], default="exact")
-    p.set_defaults(run=_cmd_measure)
 
-    p = sub.add_parser("experiment", help="joint vs product measures along shape dilations")
-    p.add_argument("poly")
-    p.add_argument("--shape", required=True)
-    p.add_argument("--cylinder", required=True)
-    p.add_argument("--k-range", required=True)
-    p.add_argument("--method", choices=["exact", "box"], default="exact")
-    p.set_defaults(run=_cmd_experiment)
-
-    p = sub.add_parser("detect", help="match a tuple against a redrawing of the polytope")
-    p.add_argument("poly")
-    p.add_argument("--tuple", required=True)
-    p.add_argument("--K", type=int, default=0)
-    p.set_defaults(run=_cmd_detect)
-
-    p = sub.add_parser("search", help="bounded search for candidate non-mixing shapes")
-    p.add_argument("poly")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--coeff-degree", type=int, default=0)
-    p.set_defaults(run=_cmd_search)
-
+def _with_arguments(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    for flag, keywords in _COMMANDS[command].arguments:
+        parser.add_argument(flag, **keywords)
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="polymix", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        _with_arguments(sub.add_parser(name, help=command.help), name)
+    return parser
+
+
+def _parse(argv: list[str]) -> tuple[str, argparse.Namespace]:
+    """Parse with only the named subcommand's parser when argv[0] names one.
+
+    That parser is the one ``_build_parser`` would add for the name.  Help,
+    a missing or unknown subcommand and unrecognized arguments go through
+    the full parser, so their usage and error text stay the same.
+    """
+    if argv and argv[0] in _COMMANDS:
+        parser = _with_arguments(argparse.ArgumentParser(prog=f"polymix {argv[0]}"), argv[0])
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            return argv[0], args
     args = _build_parser().parse_args(argv)
+    return args.command, args
+
+
+def main(argv: list[str] | None = None) -> int:
+    command, args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        report = args.run(args)
+        report = _COMMANDS[command].run(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
@@ -243,7 +263,13 @@ def main(argv: list[str] | None = None) -> int:
     except InternalInconsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    print(jsonio.dumps(report))
+    try:
+        print(jsonio.dumps(report))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; the flush at exit must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return 0
 
 

@@ -2,15 +2,22 @@
 
 Matrices here come from constraint systems on boxes of lattice cells and
 from residue-coefficient tables; entries always live in {0, ..., p-1}.
+numpy is imported inside the functions, so only the commands that
+eliminate (measure, experiment) pay for loading it.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def rref(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form mod p; returns (R, pivot column list)."""
+    import numpy as np
+
     m = np.array(matrix, dtype=np.int64, copy=True) % p
     rows, cols = m.shape
     pivots: list[int] = []
@@ -43,6 +50,8 @@ def rank(matrix: np.ndarray, p: int) -> int:
 
 def kernel_basis(matrix: np.ndarray, p: int) -> np.ndarray:
     """Basis of the right null space mod p, one vector per row."""
+    import numpy as np
+
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.int64))
     cols = matrix.shape[1]
     if matrix.size == 0:
@@ -58,6 +67,8 @@ def kernel_basis(matrix: np.ndarray, p: int) -> np.ndarray:
 
 def in_row_space(matrix: np.ndarray, vector: np.ndarray, p: int) -> bool:
     """Is `vector` an F_p-combination of the rows of `matrix`?"""
+    import numpy as np
+
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.int64))
     vector = np.asarray(vector, dtype=np.int64) % p
     if matrix.size == 0:

@@ -20,6 +20,9 @@ Two computation paths are provided and cross-checked:
 
 ``brute_force_measure`` enumerates every configuration on a small box
 and serves as an independent oracle for both paths.
+
+numpy is imported inside the functions that build arrays, so importing
+this module does not load it.
 """
 
 from __future__ import annotations
@@ -27,15 +30,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from . import gfp
 from .budgets import cell_budget, enum_budget
 from .errors import BudgetExceededError, InternalInconsistencyError, TrivialQuotientError
 from .laurent import ExponentVec, LaurentPoly
 from .quotient import monomial_residue, nf
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Box = Sequence[tuple[int, int]]
 
@@ -112,6 +116,8 @@ def _box_cells(box: Box, dim: int) -> list[ExponentVec]:
 
 def _constraint_matrix(f: LaurentPoly, box: Box, cells: list[ExponentVec]) -> np.ndarray:
     """One row per translate m with m + S(f) inside the box."""
+    import numpy as np
+
     index = {c: i for i, c in enumerate(cells)}
     smin = f.min_exponents()
     smax = f.max_exponents()
@@ -175,6 +181,8 @@ def _window_residue_matrix(
     rest go through ``monomial_residue``.  Every route gives the same
     canonical remainder.
     """
+    import numpy as np
+
     window = [tuple(w) for w in window]
     shift = tuple(min(w[i] for w in window) for i in range(f.dim))
     points = [tuple(a - b for a, b in zip(w, shift)) for w in window]
@@ -199,6 +207,8 @@ def _window_residue_matrix(
 
 
 def _exact_measure(f: LaurentPoly, cyl: CylinderSpec) -> MeasureResult:
+    import numpy as np
+
     matrix, n = _window_residue_matrix(f, cyl.window)
     p = f.p
     # annihilating functionals: lambda with lambda^T . matrix = 0; the
@@ -250,6 +260,8 @@ def _box_measure(f: LaurentPoly, cyl: CylinderSpec, initial_margin: int | None) 
 
 
 def _finish_box(f, cyl, dim_proj, restricted, margin, stabilized) -> MeasureResult:
+    import numpy as np
+
     p = f.p
     values = np.array([v % p for v in cyl.values], dtype=np.int64)
     consistent = gfp.in_row_space(restricted, values, p)
@@ -363,6 +375,8 @@ def brute_force_counts(
     relation; ``matching`` additionally requires the window assignment.
     Kept deliberately independent of the linear-algebra paths.
     """
+    import numpy as np
+
     _check_modulus(f)
     p = f.p
     cells = _box_cells(tuple((int(a), int(b)) for a, b in box), f.dim)

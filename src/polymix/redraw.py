@@ -22,8 +22,6 @@ from itertools import combinations
 from numbers import Rational
 from typing import Sequence
 
-import numpy as np
-
 from .errors import InternalInconsistencyError
 from .lattice import int_rank
 from .polytope import LatticePolytope
@@ -117,6 +115,8 @@ def constraint_rows(skeleton: Skeleton) -> list[list]:
 def _rank_approx(rows: list[list], tolerance: float) -> int:
     if not rows:
         return 0
+    import numpy as np  # here, so that exact skeletons never load numpy
+
     mat = np.array([[float(x) for x in row] for row in rows], dtype=float)
     sv = np.linalg.svd(mat, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -7,6 +10,7 @@ from polymix.cli import main
 from conftest import FIXTURES
 
 GOLDEN = FIXTURES.parent / "tests" / "golden"
+SRC = FIXTURES.parent / "src"
 
 LED = str(FIXTURES / "ledrappier.json")
 QUAD = str(FIXTURES / "quad.json")
@@ -272,6 +276,135 @@ class TestSubcommands:
             assert code == 0
             parsed = json.loads(out)
             assert isinstance(parsed, dict)
+
+
+# every subcommand with the options its help must name
+SUBCOMMANDS = {
+    "analyze": ["--max-k"],
+    "bounds": [],
+    "tightness": ["--tolerance"],
+    "certify": ["--max-k"],
+    "measure": ["--cylinder", "--shifts", "--method"],
+    "experiment": ["--shape", "--cylinder", "--k-range", "--method"],
+    "detect": ["--tuple", "--K"],
+    "search": ["--r", "--radius", "--coeff-degree"],
+}
+
+
+def exits(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code, capsys.readouterr()
+
+
+class TestParser:
+    def test_help_lists_every_subcommand(self, capsys):
+        code, captured = exits(capsys, "--help")
+        assert code == 0
+        assert captured.out.startswith("usage: polymix [-h]")
+        for name in SUBCOMMANDS:
+            assert f"\n    {name} " in captured.out
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_subcommand_help_names_its_options(self, capsys, command):
+        code, captured = exits(capsys, command, "--help")
+        assert code == 0
+        assert captured.out.startswith(f"usage: polymix {command} [-h]")
+        for flag in SUBCOMMANDS[command]:
+            assert f"  {flag} " in captured.out
+
+    @pytest.mark.parametrize(
+        "argv, usage, error",
+        [
+            ([], "usage: polymix [-h]", "the following arguments are required: command"),
+            (["bogus", LED], "usage: polymix [-h]", "invalid choice: 'bogus'"),
+            (["search", LED, "--radius", "1"], "usage: polymix search [-h]",
+             "the following arguments are required: --r"),
+            (["analyze", LED, "--bogus"], "usage: polymix [-h]",
+             "unrecognized arguments: --bogus"),
+        ],
+        ids=["no_subcommand", "unknown_subcommand", "search_without_r", "unknown_option"],
+    )
+    def test_usage_errors_exit_2(self, capsys, argv, usage, error):
+        code, captured = exits(capsys, *argv)
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(usage)
+        assert error in captured.err
+        if usage == "usage: polymix [-h]":
+            assert "{" + ",".join(SUBCOMMANDS) + "}" in captured.err
+
+
+# runs main on each argv of the JSON list in sys.argv[1], then reports the
+# exit codes, the stdouts and which modules the calls loaded
+FRESH = """
+import contextlib, io, json, sys
+from polymix.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runs.append([main(argv), out.getvalue()])
+print(json.dumps({"runs": runs, "modules": sorted(sys.modules)}))
+"""
+
+
+def polymix_process(*args, **kwargs):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], env=env, timeout=120, **kwargs)
+
+
+def fresh(*argvs):
+    proc = polymix_process("-c", FRESH, json.dumps([list(a) for a in argvs]),
+                           capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+class TestFreshProcess:
+    LAYERS = ["laurent", "quotient", "gfp", "exactlp", "lattice", "polytope", "redraw",
+              "mixing", "measure", "seqgeom", "jsonio"]
+
+    def test_exact_commands_never_load_numpy(self):
+        result = fresh(
+            ["analyze", LED],
+            ["bounds", QUAD],
+            ["certify", LED, "--max-k", "3"],
+            ["search", LED, "--r", "3", "--radius", "1"],
+            ["detect", LED, "--tuple", "[[0,0],[17,0],[0,16]]", "--K", "1"],
+            ["tightness", CUBE],
+        )
+        assert [code for code, _ in result["runs"]] == [0] * 6
+        assert "numpy" not in result["modules"]
+        # the benchmark tracer wraps functions of every layer after importing cli
+        for layer in self.LAYERS:
+            assert f"polymix.{layer}" in result["modules"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["measure", LED, "--cylinder", CELL],
+            ["measure", LED, "--cylinder", CELL, "--method", "box"],
+            ["tightness", str(FIXTURES / "icosahedron_skeleton.json")],
+        ],
+        ids=["measure_exact", "measure_box", "tightness_float"],
+    )
+    def test_numpy_commands_load_it_on_demand(self, capsys, argv):
+        result = fresh(argv)
+        assert result["runs"] == [list(run(capsys, *argv))]
+        assert result["runs"][0][0] == 0
+        assert "numpy" in result["modules"]
+
+    def test_closed_stdout_exits_141_without_traceback(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the report is written
+        try:
+            proc = polymix_process("-m", "polymix.cli", "certify", LED, "--max-k", "3",
+                                   stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == ""
 
 
 @pytest.mark.parametrize(
