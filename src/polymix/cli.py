@@ -125,10 +125,12 @@ def _cmd_measure(args) -> dict:
 
 def _parse_k_range(text: str) -> range:
     try:
-        lo, hi = text.split(":")
-        return range(int(lo), int(hi) + 1)
+        lo, hi = map(int, text.split(":"))
     except ValueError as exc:
         raise ParseError(f"--k-range must look like LO:HI, got {text!r}") from exc
+    if hi < lo:
+        raise ParseError(f"--k-range must have HI >= LO, got {text!r}")
+    return range(lo, hi + 1)
 
 
 def _cmd_experiment(args) -> dict:

@@ -242,12 +242,6 @@ def check_relation(
     return results
 
 
-def _canonical_shape(shape: Sequence[ExponentVec]) -> tuple[ExponentVec, ...]:
-    pts = sorted(tuple(v) for v in shape)
-    base = tuple(min(p[i] for p in pts) for i in range(len(pts[0])))
-    return tuple(tuple(a - b for a, b in zip(p, base)) for p in pts)
-
-
 def _coefficient_space(f: LaurentPoly, degree_bound: int) -> list[LaurentPoly]:
     """All nonzero polynomials with exponents in [0, degree_bound]^d."""
     monos = list(product(range(degree_bound + 1), repeat=f.dim))
@@ -264,7 +258,7 @@ def search_relations(
     shape_radius: int,
     coeff_degree_bound: int = 0,
 ) -> list[ShapeCertificate]:
-    """Bounded brute-force search for candidate non-mixing shapes.
+    """Bounded exhaustive search for candidate non-mixing shapes.
 
     Enumerates r-point shapes inside [-radius, radius]^d up to
     translation, and coefficients up to the degree bound (the first
@@ -273,6 +267,15 @@ def search_relations(
     dilations k in {1, p, p^2} -- a necessary-condition filter, so the
     output is labeled candidate unless it matches the support-of-f
     pattern.
+
+    One shape per translation class is taken directly: the r-subsets of
+    the sorted points of [0, 2 radius]^d whose coordinate minima are all
+    0, in sorted order.  One residue table, local to the call, holds the
+    residue of u^(m + k n) for every coefficient monomial m, point n of
+    that box and k.  The remainder modulo f is unique, so reduction is
+    linear: a candidate vanishes at k exactly when the F_p sum of its
+    coefficient-weighted table entries is zero, and no candidate is
+    divided.
     """
     if f.is_zero or f.is_monomial:
         raise ValueError("search needs a non-monomial polynomial")
@@ -280,15 +283,16 @@ def search_relations(
         raise ValueError("shapes need at least two points")
     from math import comb
 
-    n_points = (2 * shape_radius + 1) ** f.dim
-    n_coeffs = f.p ** ((coeff_degree_bound + 1) ** f.dim) - 1
+    p, d = f.p, f.dim
+    n_points = (2 * shape_radius + 1) ** d
+    n_coeffs = p ** ((coeff_degree_bound + 1) ** d) - 1
     n_candidates = comb(n_points, r) * n_coeffs ** r
     if n_candidates > search_budget():
         raise BudgetExceededError(
             f"{n_candidates} candidates exceed the search budget {search_budget()}"
         )
-    points = sorted(product(range(-shape_radius, shape_radius + 1), repeat=f.dim))
-    shapes = sorted({_canonical_shape(c) for c in combinations(points, r)})
+    points = list(product(range(2 * shape_radius + 1), repeat=d))
+    shapes = [s for s in combinations(points, r) if not any(map(min, zip(*s)))]
     # coefficients vanishing in the quotient would make any relation vacuous
     coeff_pool = [
         a for a in _coefficient_space(f, coeff_degree_bound) if not nf(a, f).is_zero
@@ -296,23 +300,36 @@ def search_relations(
     from .quotient import leading_term
 
     lead_one = [a for a in coeff_pool if leading_term(a)[1] == 1]
-    ks = (1, f.p, f.p ** 2)
-    canon_support = _canonical_shape(sorted(f.terms))
+    ks = (1, p, p * p)
+    # (m, n, k) -> terms of the residue of u^(m + k n), filled on first use:
+    # most candidates fail at k = 1 and never need the larger dilations
+    table: dict[tuple[ExponentVec, ExponentVec, int], dict[ExponentVec, int]] = {}
+
+    def vanishes(
+        coeffs: tuple[LaurentPoly, ...], shape: tuple[ExponentVec, ...], k: int
+    ) -> bool:
+        acc: dict[ExponentVec, int] = {}
+        for a, n in zip(coeffs, shape):
+            for m, c in a.terms.items():
+                key = (m, n, k)
+                if key not in table:
+                    exps = tuple(mi + k * ni for mi, ni in zip(m, n))
+                    table[key] = monomial_residue(exps, f).terms
+                for e, v in table[key].items():
+                    acc[e] = acc.get(e, 0) + c * v
+        return not any(v % p for v in acc.values())
+
+    canon_support = tuple(sorted(normalize(f)[0].terms))
     found: list[ShapeCertificate] = []
     for shape in shapes:
         for first in lead_one:
             for rest in product(coeff_pool, repeat=r - 1):
                 coeffs = (first, *rest)
-                if all(
-                    relation_value(
-                        coeffs, tuple(tuple(k * x for x in n) for n in shape), f
-                    ).is_zero
-                    for k in ks
-                ):
+                if all(vanishes(coeffs, shape, k) for k in ks):
                     frob = _matches_support_pattern(f, shape, coeffs, canon_support)
                     out_coeffs = tuple(
-                        c.terms[(0,) * f.dim]
-                        if c.is_monomial and (0,) * f.dim in c.terms
+                        c.terms[(0,) * d]
+                        if c.is_monomial and (0,) * d in c.terms
                         else c
                         for c in coeffs
                     )

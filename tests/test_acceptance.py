@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 All tolerances are exact (zero tolerance) except the stated 1e-9
-relative tolerance of the floating-point tightness path and the three
+relative tolerance of the floating-point tightness path and the four
 wall-clock limits.
 """
 
@@ -244,3 +244,15 @@ def test_criterion_10_generic_f7_certificate(capsys):
     )
     with capsys.disabled():
         report(10, f"analyze --max-k 12 on a generic 5-term F_7 polynomial in {elapsed:.3f}s", ok)
+
+
+def test_criterion_11_polynomial_coefficient_search(capsys):
+    start = time.perf_counter()
+    code = main(["search", str(FIXTURES / "square_f3.json"), "--r", "2", "--radius", "1",
+                 "--coeff-degree", "1"])
+    elapsed = time.perf_counter() - start
+    rep = json.loads(capsys.readouterr().out)
+    ok = code == 0 and isinstance(rep["candidates"], list) and elapsed < 1.5
+    with capsys.disabled():
+        report(11, f"search --r 2 --radius 1 --coeff-degree 1 on the F_3 square in {elapsed:.3f}s",
+               ok)

@@ -186,6 +186,17 @@ class TestSubcommands:
         )
         assert code == 1
 
+    def test_empty_k_range_exits_1(self, capsys):
+        # HI < LO would be an empty range, and so an empty report
+        code = main([
+            "experiment", LED,
+            "--shape", "[[0,0],[1,0]]", "--cylinder", CELL, "--k-range", "3:1",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: --k-range must have HI >= LO")
+
     def test_experiment_box_method_marks_big_rows(self, capsys):
         code, out = run(
             capsys, "experiment", LED,

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, product
 
 import pytest
 
@@ -20,7 +21,14 @@ from polymix import (
 from polymix.cli import main
 from polymix.laurent import frobenius_power
 from polymix.mixing import relation_value
-from polymix.quotient import frobenius_residue, monomial_residue, nf, normalize
+from polymix.jsonio import load_poly
+from polymix.quotient import (
+    frobenius_residue,
+    leading_term,
+    monomial_residue,
+    nf,
+    normalize,
+)
 
 from conftest import FIXTURES, generic_poly, random_poly
 
@@ -179,8 +187,6 @@ class TestIdentityCertificate:
 
     def test_generic_f7_reaches_k12(self):
         # the residue walk would need minutes for this polynomial at k = 12
-        from polymix.jsonio import load_poly
-
         f = load_poly(str(FIXTURES / "generic_f7.json"))
         assert frobenius_certificate(f, 12).verified_k == tuple(range(13))
 
@@ -392,3 +398,98 @@ class TestSearchRelations:
         assert matching
         # coefficients proportional to (1, 1, 1, 2) after normalization
         assert matching[0].coefficients in {(1, 1, 1, 2), (2, 2, 2, 1)}
+
+
+def brute_force_search(f, r, radius, degree):
+    """The relation search by its definition, sharing no table with the search.
+
+    Every r-subset of [-radius, radius]^d, translated to minimum 0, is a
+    shape; every nonzero coefficient polynomial with exponents in
+    [0, degree]^d that is nonzero mod f is a coefficient, the first one
+    with grlex-leading coefficient 1.  A candidate is a hit when
+    ``relation_value`` reduces to zero at each dilation k in {1, p, p^2}.
+    Residues are taken against a fresh copy of f.
+    """
+    f = make_poly(f.p, f.dim, f.terms.items())
+    p, d = f.p, f.dim
+    zero_exp = (0,) * d
+
+    def canonical(points):
+        base = [min(col) for col in zip(*points)]
+        return tuple(sorted(tuple(a - b for a, b in zip(n, base)) for n in points))
+
+    box = product(range(-radius, radius + 1), repeat=d)
+    shapes = sorted({canonical(c) for c in combinations(list(box), r)})
+    monos = list(product(range(degree + 1), repeat=d))
+    pool = [make_poly(p, d, zip(monos, cs)) for cs in product(range(p), repeat=len(monos))]
+    pool = [a for a in pool if not a.is_zero and not nf(a, f).is_zero]
+    lead_one = [a for a in pool if leading_term(a)[1] == 1]
+    ks = (1, p, p * p)
+    support = sorted(f.terms)
+    canon_support = canonical(support)
+    hits = []
+    for shape in shapes:
+        for coeffs in product(lead_one, *[pool] * (r - 1)):
+            if not all(
+                relation_value(coeffs, [tuple(k * x for x in n) for n in shape], f).is_zero
+                for k in ks
+            ):
+                continue
+            consts = [a.terms.get(zero_exp) if a.is_monomial else None for a in coeffs]
+            frob = (
+                shape == canon_support
+                and None not in consts
+                and all(
+                    c * f.terms[support[0]] % p == consts[0] * f.terms[n] % p
+                    for c, n in zip(consts, support)
+                )
+            )
+            out = tuple(a if c is None else c for a, c in zip(coeffs, consts))
+            hits.append((shape, out, ks, frob))
+    return hits
+
+
+def _search_oracle_cases():
+    # (polynomial, [(r, radius, coefficient degree), ...]), each brute force
+    # under about a second
+    def fixture(name):
+        return load_poly(str(FIXTURES / f"{name}.json"))
+
+    triangle_f2 = [(2, 0, 0), (3, 1, 0), (4, 1, 0), (3, 2, 0), (2, 1, 1)]
+    cases = [
+        ("ledrappier", fixture("ledrappier"), triangle_f2 + [(2, 2, 0)]),
+        ("quad", fixture("quad"), [(3, 1, 0), (4, 1, 0), (3, 2, 0), (2, 1, 1)]),
+        ("square_f3", fixture("square_f3"), [(3, 1, 0), (4, 1, 0), (2, 2, 0), (3, 2, 0)]),
+        ("generic_f7", fixture("generic_f7"), [(2, 1, 0), (3, 1, 0), (2, 2, 0), (2, 0, 1)]),
+    ]
+    rng = random.Random(57)
+    cases.append(("generic_f5", generic_poly(rng, 5, 4), [(2, 1, 0), (3, 1, 0), (2, 2, 0)]))
+    cases.append(("generic_f7_4", generic_poly(rng, 7, 4), [(2, 1, 0), (2, 2, 0)]))
+    for p, grid in ((2, triangle_f2), (3, [(3, 1, 0), (4, 1, 0), (2, 2, 0), (3, 2, 0)])):
+        for i in range(2):
+            cases.append((f"trinomial_f{p}_{i}", generic_poly(rng, p, 3, span=2), grid))
+    return [
+        pytest.param(f, r, radius, degree, id=f"{name}-r{r}-radius{radius}-deg{degree}")
+        for name, f, grid in cases
+        for r, radius, degree in grid
+    ]
+
+
+class TestSearchOracle:
+    @pytest.mark.parametrize("f, r, radius, degree", _search_oracle_cases())
+    def test_matches_brute_force(self, f, r, radius, degree):
+        hits = search_relations(f, r, radius, degree)
+        got = [(h.shape, h.coefficients, h.verified_k, h.frobenius_family) for h in hits]
+        assert got == brute_force_search(f, r, radius, degree)
+
+    def test_hits_vanish_at_every_listed_dilation(self):
+        # with polynomial coefficients a hit at k = 1 and p need not hold at
+        # p^2: this search has candidates of each kind, beyond the oracle's reach
+        f = make_poly(2, 2, [((0, 0), 1), ((1, 1), 1), ((1, 2), 1)])
+        hits = search_relations(f, 3, 1, 1)
+        assert len(hits) == 15
+        for h in hits:
+            coeffs = [c if isinstance(c, LaurentPoly) else scalar(2, 2, c) for c in h.coefficients]
+            for k in h.verified_k:
+                dilated = [tuple(k * x for x in n) for n in h.shape]
+                assert relation_value(coeffs, dilated, f).is_zero
