@@ -10,7 +10,8 @@
     polymix search     POLY.json --r R --radius RAD [--coeff-degree D]
 
 All output is canonical JSON on stdout.  Exit codes: 0 success, 1 parse
-error (malformed input file or inline JSON, an option value out of range
+error (malformed input file or inline JSON, such as `true`, a float or a
+string where an integer is expected; an option value out of range
 -- a negative --max-k, --K, --radius, --coeff-degree or --tolerance, a NaN
 --tolerance, an --r below 2 -- or a POLYMIX_BUDGET that is not a positive
 integer), 2 degenerate input
@@ -36,6 +37,7 @@ from .errors import (
     ParseError,
     TrivialQuotientError,
 )
+from .laurent import is_json_int, to_json_dict
 from .measure import joint_measure, mixing_experiment
 from .mixing import (
     IRREDUCIBILITY_WARNING,
@@ -59,7 +61,7 @@ def _vector_list(data, dim: int, what: str) -> list[tuple[int, ...]]:
         raise ParseError(f"{what} must be a non-empty list of vectors")
     out = []
     for v in data:
-        if not isinstance(v, list) or len(v) != dim or not all(isinstance(x, int) for x in v):
+        if not isinstance(v, list) or len(v) != dim or not all(map(is_json_int, v)):
             raise ParseError(f"{what} entry {v!r} is not an integer vector of length {dim}")
         out.append(tuple(v))
     return out
@@ -81,7 +83,7 @@ def _cmd_analyze(args) -> dict:
     if bounds.polytope_tight is None:
         warnings.append("tightness undetermined: affine dimension exceeds 3")
     return {
-        "input": jsonio.poly_json(poly),
+        "input": to_json_dict(poly),
         "support": [list(n) for n in sorted(poly.terms)],
         "polytope": jsonio.polytope_json(polytope),
         "bounds": jsonio.bounds_json(bounds),
@@ -94,7 +96,7 @@ def _cmd_bounds(args) -> dict:
     poly = jsonio.load_poly(args.poly)
     bounds, polytope = mixing_bounds(poly)
     return {
-        "input": jsonio.poly_json(poly),
+        "input": to_json_dict(poly),
         "polytope": jsonio.polytope_json(polytope),
         "bounds": jsonio.bounds_json(bounds),
     }

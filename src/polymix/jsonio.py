@@ -20,7 +20,7 @@ import json
 from fractions import Fraction
 
 from .errors import ParseError
-from .laurent import LaurentPoly, from_json_dict, to_json_dict
+from .laurent import LaurentPoly, from_json_dict, is_json_int, to_json_dict
 from .measure import CylinderSpec, MeasureResult
 from .mixing import MixingBounds, ShapeCertificate
 from .polytope import LatticePolytope
@@ -46,10 +46,6 @@ def load_poly(path: str) -> LaurentPoly:
         return from_json_dict(data)
     except ValueError as exc:
         raise ParseError(f"bad polynomial file {path}: {exc}") from exc
-
-
-def poly_json(g: LaurentPoly) -> dict:
-    return to_json_dict(g)
 
 
 def _rational_entry(x):
@@ -96,12 +92,13 @@ def parse_cylinder(data: dict, dim: int) -> CylinderSpec:
     try:
         pairs = []
         for w, v in zip(window, values):
-            w = tuple(int(x) for x in w)
+            if not isinstance(w, list) or not all(map(is_json_int, w)) or not is_json_int(v):
+                raise ParseError(f"window point {w!r} and value {v!r} must be integers")
             if len(w) != dim:
-                raise ParseError(f"window point {w} does not have dimension {dim}")
-            pairs.append((w, int(v)))
+                raise ParseError(f"window point {tuple(w)} does not have dimension {dim}")
+            pairs.append((w, v))
         return CylinderSpec.from_pairs(pairs)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ParseError(f"bad cylinder JSON: {exc}") from exc
 
 
@@ -162,7 +159,7 @@ def certificate_json(cert: ShapeCertificate) -> dict:
 
 def measure_json(result: MeasureResult) -> dict:
     return {
-        "value": result.value_json(),
+        "value": fraction_json(result.value),
         "box_margin_used": result.box_margin_used,
         "stabilized": result.stabilized,
         "method": result.method,

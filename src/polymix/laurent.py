@@ -292,6 +292,11 @@ def poly_pow(g: LaurentPoly, n: int) -> LaurentPoly:
 #   {"p": <int>, "d": <int>, "terms": [{"e": [<int>, ...], "c": <int>}, ...]}
 
 
+def is_json_int(x) -> bool:
+    """Is x a JSON integer?  ``true`` and ``false`` load as bools, which are ints."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def to_json_dict(g: LaurentPoly) -> dict:
     return {
         "p": g.p,
@@ -307,7 +312,7 @@ def from_json_dict(data: dict) -> LaurentPoly:
     if missing:
         raise ValueError(f"polynomial JSON missing keys: {sorted(missing)}")
     p, d, terms = data["p"], data["d"], data["terms"]
-    if not isinstance(p, int) or not isinstance(d, int):
+    if not is_json_int(p) or not is_json_int(d):
         raise ValueError("'p' and 'd' must be integers")
     if not isinstance(terms, list):
         raise ValueError("'terms' must be a list")
@@ -318,7 +323,7 @@ def from_json_dict(data: dict) -> LaurentPoly:
         e, c = t["e"], t["c"]
         if not isinstance(e, list) or len(e) != d:
             raise ValueError(f"term exponent {e!r} does not have length d={d}")
-        if not all(isinstance(x, int) for x in e) or not isinstance(c, int):
+        if not all(map(is_json_int, e)) or not is_json_int(c):
             raise ValueError(f"term {t!r} has non-integer entries")
         pairs.append((tuple(e), c))
     return make_poly(FieldSpec(p), d, pairs)

@@ -36,7 +36,7 @@ from . import gfp
 from .budgets import cell_budget, enum_budget
 from .errors import BudgetExceededError, InternalInconsistencyError, TrivialQuotientError
 from .laurent import ExponentVec, LaurentPoly
-from .quotient import monomial_residue, nf
+from .quotient import monomial_residue
 
 if TYPE_CHECKING:
     import numpy as np
@@ -86,10 +86,6 @@ class MeasureResult:
         if self.exponent is None:
             return Fraction(0)
         return Fraction(1, self.p ** self.exponent)
-
-    def value_json(self) -> dict:
-        v = self.value
-        return {"num": v.numerator, "den": v.denominator}
 
 
 @dataclass
@@ -176,27 +172,17 @@ def _window_residue_matrix(
     The annihilator of the window projection of X is the null space of
     this matrix: lambda annihilates iff sum lambda_w u^w lies in <f>.
     A common monomial shift (a unit) clears negative exponents first.
-    Walking the window in lexicographic order, a monomial whose neighbour
-    u^(w - e_i) is already known costs one shift-and-reduce step; the
-    rest go through ``monomial_residue``.  Every route gives the same
-    canonical remainder.
+    The residues come from ``monomial_residue``, asked in lexicographic
+    order, so a point whose neighbour u^(w - e_i) is in the window finds
+    that neighbour's residue kept.
     """
     import numpy as np
 
     window = [tuple(w) for w in window]
     shift = tuple(min(w[i] for w in window) for i in range(f.dim))
     points = [tuple(a - b for a, b in zip(w, shift)) for w in window]
-    units = [tuple(int(i == axis) for i in range(f.dim)) for axis in range(f.dim)]
-    known: dict[ExponentVec, LaurentPoly] = {}
-    for e in sorted(points):
-        for axis, x in enumerate(e):
-            neighbour = known.get(e[:axis] + (x - 1,) + e[axis + 1:]) if x else None
-            if neighbour is not None:
-                known[e] = nf(neighbour.shift(units[axis]), f)
-                break
-        else:
-            known[e] = monomial_residue(e, f)
-    residues = [known[e] for e in points]
+    residue = {e: monomial_residue(e, f) for e in sorted(points)}
+    residues = [residue[e] for e in points]
     monomials = sorted({e for r in residues for e in r.terms})
     index = {e: i for i, e in enumerate(monomials)}
     matrix = np.zeros((len(window), max(len(monomials), 1)), dtype=np.int64)

@@ -19,13 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import comb
+from operator import add, sub
 from typing import Callable, Iterable, Sequence
 
 from .budgets import search_budget
 from .errors import BudgetExceededError, InternalInconsistencyError
 from .laurent import ExponentVec, LaurentPoly, frobenius_power, zero
 from .polytope import LatticePolytope, hull
-from .quotient import monomial_residue, nf, normalize, residue_mul
+from .quotient import leading_term, monomial_residue, nf, normalize
 from .redraw import redraw_space, skeleton_from_polytope
 
 IRREDUCIBILITY_WARNING = (
@@ -194,32 +196,27 @@ def relation_value(
 ) -> LaurentPoly:
     """Residue of sum_i a_i u^{n_i} modulo f.
 
-    A common monomial shift (a unit, so zero-ness is preserved) clears
-    negative exponents; each huge monomial then goes through binary
-    powering in the quotient instead of term-by-term division.
+    A common monomial shift (a unit, so zero-ness is preserved), the
+    componentwise minimum of m + n_i over the terms c u^m of every a_i,
+    clears negative exponents.  The remainder modulo f is unique, so
+    reduction is linear and the residue is the F_p sum of
+    c * monomial_residue(m + n_i - shift); huge dilations cost a handful
+    of quotient multiplications instead of term-by-term division.
     """
     if len(coefficients) != len(exponents):
         raise ValueError("one coefficient per exponent vector is required")
-    mins = []
+    shifted = []
     for a, n in zip(coefficients, exponents):
-        if a.is_zero:
-            continue
-        amin = a.min_exponents()
-        mins.append(tuple(x + y for x, y in zip(amin, n)))
-    if not mins:
+        a._check_compatible(f)
+        shifted += [(tuple(map(add, m, n)), c) for m, c in a.terms.items()]
+    if not shifted:
         return zero(f.field, f.dim)
-    shift = tuple(min(m[i] for m in mins) for i in range(f.dim))
-    acc = zero(f.field, f.dim)
-    for a, n in zip(coefficients, exponents):
-        if a.is_zero:
-            continue
-        # a * u^(n - shift) = normalized(a) * u^(amin + n - shift), and the
-        # common shift makes that exponent componentwise non-negative
-        amin = a.min_exponents()
-        base = nf(a.shift(tuple(-x for x in amin)), f)
-        rest = tuple(mi + ni - si for mi, ni, si in zip(amin, n, shift))
-        acc = acc + residue_mul(base, monomial_residue(rest, f), f)
-    return nf(acc, f)
+    shift = tuple(map(min, zip(*(e for e, _ in shifted))))
+    return LaurentPoly(f.field, f.dim, [
+        (e, c * v)
+        for x, c in shifted
+        for e, v in monomial_residue(tuple(map(sub, x, shift)), f).terms.items()
+    ])
 
 
 def check_relation(
@@ -281,7 +278,6 @@ def search_relations(
         raise ValueError("search needs a non-monomial polynomial")
     if r < 2:
         raise ValueError("shapes need at least two points")
-    from math import comb
 
     p, d = f.p, f.dim
     n_points = (2 * shape_radius + 1) ** d
@@ -297,8 +293,6 @@ def search_relations(
     coeff_pool = [
         a for a in _coefficient_space(f, coeff_degree_bound) if not nf(a, f).is_zero
     ]
-    from .quotient import leading_term
-
     lead_one = [a for a in coeff_pool if leading_term(a)[1] == 1]
     ks = (1, p, p * p)
     # (m, n, k) -> terms of the residue of u^(m + k n), filled on first use:

@@ -51,7 +51,6 @@ class LatticePolytope:
     facets: list[Facet]               # populated only for affine_dim <= 3
     face_vertices: list[IntVec]       # vertices in face-computation coordinates
     _proj_cols: list[list[int]] | None = field(default=None, repr=False)
-    _base: IntVec | None = field(default=None, repr=False)
 
     @property
     def vertex_count(self) -> int:
@@ -236,7 +235,6 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
         facets,
         face_verts,
         proj_cols,
-        base if proj_cols is not None else None,
     )
 
 

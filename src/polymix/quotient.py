@@ -22,9 +22,14 @@ it, finds its leading term, the inverse of that coefficient and the tail,
 and keeps them in f's ``_modulus`` slot with two residue tables, the axis
 squares u_i^(2^j) and the monomial residues already computed.  Every later
 call with the same f (one query holds one f) reuses them; nothing is kept
-at module level, so the tables go when f does.  Because the remainder is
-unique, a residue taken from a table, from a neighbour or by a fresh
-division is the same polynomial.
+at module level, so the tables go when f does.
+
+``monomial_residue`` is the one routine that derives monomial residues:
+from a kept neighbour u^(e - e_i) in one short division when it can, by
+square-and-multiply on the axis squares otherwise.  ``measure`` reads a
+window's residues from it and ``mixing`` sums them.  Because the
+remainder is unique, a residue taken from a table, from a neighbour or
+by a fresh division is the same polynomial.
 """
 
 from __future__ import annotations
@@ -236,16 +241,27 @@ def _axis_square(f: LaurentPoly, m: _Modulus, axis: int, j: int) -> LaurentPoly:
 def monomial_residue(exps: ExponentVec, f: LaurentPoly) -> LaurentPoly:
     """Residue of the monomial u^exps, all entries non-negative.
 
-    The product of the axis squares u_i^(2^j) picked by the bits of each
-    exponent, so dilated exponents like 2^12 cost a handful of quotient
-    multiplications.  Both the squares and the result are kept with f.
+    Results are kept with f.  When a neighbour u^(exps - e_i) is already
+    kept, the residue is one short division of u_i times the neighbour's,
+    so a walk over a window or a box in lexicographic order divides once
+    per point.  Otherwise it is the product of the axis squares u_i^(2^j)
+    picked by the bits of each exponent, so dilated exponents like 2^12
+    cost a handful of quotient multiplications.
     """
-    if any(e < 0 for e in exps):
+    if min(exps) < 0:
         raise ValueError(f"exponents must be non-negative, got {exps}")
     m = _prepared(f)
     exps = tuple(exps)
     result = m.monomials.get(exps)
-    if result is None:
+    if result is not None:
+        return result
+    for axis, x in enumerate(exps):
+        neighbour = m.monomials.get(exps[:axis] + (x - 1,) + exps[axis + 1:]) if x else None
+        if neighbour is not None:
+            step = {e[:axis] + (e[axis] + 1,) + e[axis + 1:]: c for e, c in neighbour.terms.items()}
+            result = _raw(f.field, f.dim, _divide(step, m))
+            break
+    else:
         result = nf(one(f.field, f.dim), f)
         for axis, e in enumerate(exps):
             j = 0
@@ -254,7 +270,7 @@ def monomial_residue(exps: ExponentVec, f: LaurentPoly) -> LaurentPoly:
                     result = residue_mul(result, _axis_square(f, m, axis, j), f)
                 e >>= 1
                 j += 1
-        m.monomials[exps] = result
+    m.monomials[exps] = result
     return result
 
 

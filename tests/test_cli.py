@@ -275,6 +275,57 @@ class TestSubcommands:
         assert report["arithmetic"] == "exact"
         assert report["dimension"] == 4 and report["tight"] is False
 
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            {"p": 2, "d": True, "terms": [{"e": [0], "c": 1}, {"e": [1], "c": 1}]},
+            {"p": 2, "d": 1, "terms": [{"e": [0], "c": 1}, {"e": [True], "c": 1}]},
+            {"p": 2, "d": 1, "terms": [{"e": [0], "c": 1}, {"e": [1], "c": True}]},
+        ],
+        ids=["d_true", "exponent_true", "coefficient_true"],
+    )
+    def test_boolean_in_polynomial_exits_1(self, capsys, tmp_path, poly):
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps(poly))
+        code = main(["bounds", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: bad polynomial file")
+
+    @pytest.mark.parametrize(
+        "window, value",
+        [([0.7, 0], 1), ([0, "0"], 1), ([True, 0], 1), ([0, 0], 1.9), ([0, 0], "1"),
+         ([0, 0], True)],
+        ids=["float_entry", "string_entry", "bool_entry", "float_value", "string_value",
+             "bool_value"],
+    )
+    def test_non_integer_cylinder_exits_1(self, capsys, tmp_path, window, value):
+        path = tmp_path / "cyl.json"
+        path.write_text(json.dumps({"window": [window], "values": [value]}))
+        code = main(["measure", LED, "--cylinder", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: window point")
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["experiment", LED, "--shape", "[[0,0],[true,0]]", "--cylinder", CELL,
+              "--k-range", "1:2"], "--shape"),
+            (["detect", LED, "--tuple", "[[0,0],[17,0],[0,true]]", "--K", "1"], "--tuple"),
+            (["measure", LED, "--cylinder", CELL, "--shifts", "[[0,0],[true,0]]"], "--shifts"),
+        ],
+        ids=["shape", "tuple", "shifts"],
+    )
+    def test_boolean_in_vector_option_exits_1(self, capsys, argv, flag):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"parse error: {flag} entry")
+
     def test_reports_parse_under_schema(self, capsys):
         # round-trip: every emitted report is valid JSON with sorted keys
         for argv in (

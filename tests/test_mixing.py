@@ -30,7 +30,7 @@ from polymix.quotient import (
     normalize,
 )
 
-from conftest import FIXTURES, generic_poly, random_poly
+from conftest import FIXTURES, divide_from_scratch, generic_poly, random_poly
 
 
 def scalar(p, d, c):
@@ -300,34 +300,30 @@ class TestCheckRelation:
                 assert v1 == v2 == True
 
     def test_relation_value_matches_direct_reduction(self, all_fixtures):
-        # the per-term powering shortcut must agree with building the
-        # whole relation polynomial and dividing it
-        from polymix.quotient import nf
-
+        # the sum of monomial residues must be the remainder of the whole
+        # relation polynomial, shifted by the minimum of m + n_i over the
+        # terms u^m of the coefficients (taken before any cancellation)
         rng = random.Random(54)
         for f in all_fixtures:
-            for _ in range(25):
-                r = rng.randint(1, 3)
-                coeffs = [
-                    random_poly(rng, f.p, 2, max_terms=2, lo=-1, hi=1, nonzero=True)
-                    for _ in range(r)
-                ]
-                exps = [
-                    (rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(r)
-                ]
-                direct = zero(f.field, 2)
-                for a, n in zip(coeffs, exps):
-                    direct = direct + a.shift(n)
-                via_shortcut = relation_value(coeffs, exps, f)
-                assert via_shortcut.is_zero == nf(direct, f).is_zero
-                # values agree up to the common unit shift, so compare
-                # through one more reduction of the difference
-                lift = tuple(
-                    -min(0, m)
-                    for m in (direct.min_exponents() if not direct.is_zero else (0, 0))
-                )
-                shifted = direct.shift(lift)
-                assert nf(shifted, f).is_zero == via_shortcut.is_zero
+            for lo in (-1, 0):
+                for _ in range(25):
+                    r = rng.randint(1, 3)
+                    coeffs = [
+                        random_poly(rng, f.p, 2, max_terms=2, lo=lo, hi=1, nonzero=True)
+                        for _ in range(r)
+                    ]
+                    exps = [
+                        (rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(r)
+                    ]
+                    shift = tuple(map(min, zip(*(
+                        (m[0] + n[0], m[1] + n[1]) for a, n in zip(coeffs, exps) for m in a.terms
+                    ))))
+                    direct = zero(f.field, 2)
+                    for a, n in zip(coeffs, exps):
+                        direct = direct + a.shift((n[0] - shift[0], n[1] - shift[1]))
+                    value = relation_value(coeffs, exps, f)
+                    assert value == divide_from_scratch(direct, f)
+                    assert value.is_zero == nf(direct, f).is_zero
 
     def test_laurent_coefficients_supported(self, ledrappier):
         # coefficients may be Laurent polynomials; u1^{-1} is a unit

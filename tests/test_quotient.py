@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+from itertools import product
 
 import pytest
 
@@ -16,6 +17,7 @@ from polymix import (
     reduce,
     zero,
 )
+from polymix import quotient
 from polymix.quotient import (
     frobenius_residue,
     grlex_key,
@@ -283,6 +285,20 @@ class TestPreparedModulus:
             exps = [tuple(rng.randint(0, 9) for _ in range(2)) for _ in range(20)]
             for e in exps + exps[:5]:  # the repeats come from the kept residues
                 assert monomial_residue(e, f) == divide_from_scratch(monomial(f.p, 2, e), f)
+
+    def test_rectangle_walk_steps_from_neighbours(self, all_fixtures, monkeypatch):
+        # in lexicographic order every point after the first has a kept
+        # neighbour u^(e - e_i), so square-and-multiply runs only once
+        calls = []
+        real = quotient.residue_mul
+        monkeypatch.setattr(quotient, "residue_mul", lambda *a: calls.append(a) or real(*a))
+        for f in _moduli(all_fixtures):
+            counts = []
+            for e in sorted(product(range(3, 9), range(2, 8))):
+                before = len(calls)
+                assert monomial_residue(e, f) == divide_from_scratch(monomial(f.p, 2, e), f)
+                counts.append(len(calls) - before)
+            assert counts[0] > 0 and not any(counts[1:])
 
     def test_moduli_used_in_turn_keep_their_own_residues(self, all_fixtures):
         rng = random.Random(34)
