@@ -79,16 +79,13 @@ def _cmd_analyze(args) -> dict:
     max_k = _at_least(args.max_k, 0, "--max-k")
     bounds, polytope = mixing_bounds(poly)
     certificate = frobenius_certificate(poly, max_k)
-    warnings = [IRREDUCIBILITY_WARNING]
-    if bounds.polytope_tight is None:
-        warnings.append("tightness undetermined: affine dimension exceeds 3")
     return {
         "input": to_json_dict(poly),
         "support": [list(n) for n in sorted(poly.terms)],
         "polytope": jsonio.polytope_json(polytope),
         "bounds": jsonio.bounds_json(bounds),
         "certificate": jsonio.certificate_json(certificate),
-        "warnings": warnings,
+        "warnings": [IRREDUCIBILITY_WARNING],
     }
 
 

@@ -73,9 +73,15 @@ def load_skeleton(path: str) -> Skeleton:
         edges = data["edges"]
     except KeyError as exc:
         raise ParseError(f"skeleton JSON missing key {exc}") from exc
+    if not is_json_int(dim):
+        raise ParseError(f"skeleton dim {dim!r} is not an integer")
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(map(is_json_int, e)) for e in edges
+    ):
+        raise ParseError("skeleton edges must be pairs of integer vertex indices")
     try:
         positions = [tuple(_rational_entry(x) for x in v) for v in vertices]
-        return make_skeleton(int(dim), positions, [tuple(e) for e in edges])
+        return make_skeleton(dim, positions, edges)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad skeleton file {path}: {exc}") from exc
 

@@ -41,8 +41,8 @@ class MixingBounds:
     support_size: int
     lower: int
     upper: int
-    polytope_tight: bool | None  # None = undetermined (affine dimension > 3)
-    redraw_dimension: int | None
+    polytope_tight: bool
+    redraw_dimension: int
     conclusion: str
 
 
@@ -57,24 +57,15 @@ def mixing_bounds(f: LaurentPoly) -> tuple[MixingBounds, LatticePolytope]:
     if not 1 <= lower <= upper:
         raise InternalInconsistencyError("bounds violate 1 <= v-1 <= |S(f)|-1")
 
-    tight: bool | None
-    dim_redraw: int | None
-    if poly.affine_dim <= 3:
-        space = redraw_space(skeleton_from_polytope(poly))
-        tight = space.tight
-        dim_redraw = space.dimension
-    else:
-        tight = None
-        dim_redraw = None
-
+    space = redraw_space(skeleton_from_polytope(poly))
     if lower == upper:
         conclusion = f"M=S={lower}"
-    elif tight:
+    elif space.tight:
         conclusion = f"M=S within [{lower},{upper}]"
     else:
         conclusion = f"M in [{lower},?], S in [?,{upper}]"
     return (
-        MixingBounds(v, size, lower, upper, tight, dim_redraw, conclusion),
+        MixingBounds(v, size, lower, upper, space.tight, space.dimension, conclusion),
         poly,
     )
 

@@ -2,21 +2,20 @@
 
 Vertices and facet planes are computed in every dimension by one integer
 beneath-beyond hull (orientation signs of integer cofactor normals, no
-division).  When the affine dimension k is at most 3 the faces are read
-off the facet planes by one rule: edges are the vertex pairs sharing at
-least k - 1 facets, and an edge's outward normal is the primitive sum of
-the outward normals of the facets through it.  Supports whose affine
-hull is lower-dimensional are mapped onto Z^k by a unimodular column
-reduction, the faces are computed there, and results are reported in the
-original coordinates (normals are pulled back through the same
-transform).
+division).  The faces are read off the facet planes by one rule in every
+affine dimension k: two vertices span an edge exactly when the inward
+normals of the facets containing both have rank k - 1, and an edge's
+outward normal is the primitive sum of the outward normals of the facets
+through it.  Supports whose affine hull is lower-dimensional are mapped
+onto Z^k by a unimodular column reduction, the faces are computed there,
+and results are reported in the original coordinates (normals are pulled
+back through the same transform).
 
 No floating point appears anywhere in this module.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -48,7 +47,7 @@ class LatticePolytope:
     affine_dim: int
     vertices: list[IntVec]            # original coordinates
     edges: list[tuple[int, int]]      # index pairs into vertices (i < j)
-    facets: list[Facet]               # populated only for affine_dim <= 3
+    facets: list[Facet]               # sorted by (inward normal, offset); empty for a point
     face_vertices: list[IntVec]       # vertices in face-computation coordinates
     _proj_cols: list[list[int]] | None = field(default=None, repr=False)
 
@@ -183,8 +182,10 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
     Vertices are reported in the original coordinates, ordered by their
     face-computation coordinates: sorted, except in affine dimension 2,
     where they run counter-clockwise from the lexicographic minimum.
-    Edges (index pairs into the vertex list) and facets are produced up to
-    affine dimension 3; beyond that only the vertex set is.
+    Facets and edges (index pairs into the vertex list) are produced in
+    every affine dimension k: a pair is an edge when the facets through
+    both have normals of rank k - 1, so only pairs sharing at least k - 1
+    facets are ranked.
     """
     pts = sorted({tuple(int(x) for x in s) for s in points})
     if not pts:
@@ -210,22 +211,22 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
     face_verts, planes = _beneath_beyond(face_pts)
     if k == 2:
         face_verts = _counter_clockwise(face_verts, planes)
-    edges: list[tuple[int, int]] = []
-    facets: list[Facet] = []
-    if k <= 3:
-        index = {v: i for i, v in enumerate(face_verts)}
-        facets = [
-            Facet(tuple(sorted(index[v] for v in members)), normal, offset)
-            for (normal, offset), members in sorted(planes.items())
-        ]
-        shared = Counter(pair for f in facets for pair in combinations(f.vertex_indices, 2))
-        edges = [
-            pair
-            for pair in combinations(range(len(face_verts)), 2)
-            if shared[pair] >= k - 1
-        ]
-        if k == 3 and len(face_verts) - len(edges) + len(facets) != 2:
-            raise InternalInconsistencyError("Euler check failed on 3-dimensional hull")
+    index = {v: i for i, v in enumerate(face_verts)}
+    facets = [
+        Facet(tuple(sorted(index[v] for v in members)), normal, offset)
+        for (normal, offset), members in sorted(planes.items())
+    ]
+    through: list[set[int]] = [set() for _ in face_verts]  # facets at each vertex
+    for n, f in enumerate(facets):
+        for i in f.vertex_indices:
+            through[i].add(n)
+    edges = []
+    for i, j in combinations(range(len(face_verts)), 2):
+        shared = through[i] & through[j]
+        if len(shared) >= k - 1 and int_rank([facets[n].inward_normal for n in shared]) == k - 1:
+            edges.append((i, j))
+    if k == 3 and len(face_verts) - len(edges) + len(facets) != 2:
+        raise InternalInconsistencyError("Euler check failed on 3-dimensional hull")
 
     return LatticePolytope(
         dim,
@@ -256,14 +257,12 @@ def outward_normal(poly: LatticePolytope, edge: Sequence[int]) -> IntVec:
 
     The functional x -> x . w is maximized over the polytope exactly on
     the edge.  The representative is the primitive rescaling of the sum
-    of the outward normals of the facets through the edge (one in the
-    2-dimensional case, two in the 3-dimensional one), a vector interior
-    to the edge's normal cone.
+    of the outward normals of the facets through the edge (k - 1 or more
+    of them in affine dimension k), a vector interior to the edge's
+    normal cone.
     """
     if poly.affine_dim < 2:
         raise ValueError(f"degenerate polytope (affine dimension {poly.affine_dim})")
-    if poly.affine_dim > 3:
-        raise ValueError("edge normals are only available for affine dimension <= 3")
     key = tuple(sorted(edge))
     if key not in set(poly.edges):
         raise ValueError(f"{key} is not an edge of the polytope")

@@ -3,11 +3,13 @@
 A redrawing assigns new positions q_i to the skeleton's vertices so that
 every edge stays parallel to the corresponding original edge.  These
 constraints are linear: with e the original edge direction and x the
-redrawn one, every 2x2 minor e_i x_j - e_j x_i (i < j) vanishes, rank
-d-1 per edge in any dimension d.  The kernel always contains the
-translations and the global scaling, so its dimension is at least d+1;
-the skeleton is *tight* exactly when nothing else survives, i.e. when
-the dimension equals d+1 and every redrawing is a homothety.
+redrawn one, every 2x2 minor e_i x_j - e_j x_i vanishes.  The d - 1
+minors through the coordinate i of largest |e_i| already span them, so
+each edge contributes rank d-1 in any dimension d.  The kernel always
+contains the translations and the global scaling, so its dimension is
+at least d+1; the skeleton is *tight* exactly when nothing else
+survives, i.e. when the dimension equals d+1 and every redrawing is a
+homothety.
 
 Two arithmetic paths: a fraction-free integer rank (``lattice.int_rank``)
 whenever the positions are integers/Fractions (the lattice-polytope
@@ -18,7 +20,6 @@ catalog solids such as the icosahedron.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from numbers import Rational
 from typing import Sequence
 
@@ -93,21 +94,26 @@ def constraint_rows(skeleton: Skeleton) -> list[list]:
     """Rows of the parallelism system over the d*V position unknowns.
 
     Unknown layout: vertex v occupies columns v*d .. v*d+d-1.  Each edge
-    s -> t with direction e gives one row per pair i < j, the minor
-    e_j (q_t - q_s)_i - e_i (q_t - q_s)_j.  For d = 1 every redrawing is
-    parallel, so there are no rows.
+    s -> t with direction e gives d - 1 rows: with i the first coordinate
+    of largest |e_i|, one minor e_i (q_t - q_s)_j - e_j (q_t - q_s)_i per
+    j != i.  As e_i != 0, these vanish exactly when x = q_t - q_s is a
+    multiple of e, so they span the same row space as all C(d, 2) minors.
+    For d = 1 every redrawing is parallel, so there are no rows.
     """
     d = skeleton.dim
     n = len(skeleton.positions)
     rows: list[list] = []
     for s, t in skeleton.edges:
         e = [a - b for a, b in zip(skeleton.positions[t], skeleton.positions[s])]
-        for i, j in combinations(range(d), 2):
+        i = max(range(d), key=lambda c: abs(e[c]))
+        for j in range(d):
+            if j == i:
+                continue
             row = [0] * (n * d)
-            row[t * d + i] += e[j]
-            row[t * d + j] -= e[i]
-            row[s * d + i] -= e[j]
-            row[s * d + j] += e[i]
+            row[t * d + j] += e[i]
+            row[t * d + i] -= e[j]
+            row[s * d + j] -= e[i]
+            row[s * d + i] += e[j]
             rows.append(row)
     return rows
 

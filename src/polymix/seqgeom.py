@@ -170,9 +170,9 @@ def detect_redrawing(
     if tolerance_K < 0:
         raise ValueError("tolerance must be >= 0")
     poly = hull(f.support())
-    if poly.affine_dim not in (2, 3):
+    if poly.affine_dim < 2:
         raise ValueError(
-            f"detector needs a polytope of affine dimension 2 or 3, got {poly.affine_dim}"
+            f"detector needs a polytope of affine dimension >= 2, got {poly.affine_dim}"
         )
     pts = [tuple(int(x) for x in p) for p in points]
     verts = poly.vertices

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -310,6 +311,23 @@ class TestSubcommands:
         assert captured.err.startswith("parse error: window point")
 
     @pytest.mark.parametrize(
+        "change",
+        [{"dim": 3.9}, {"dim": "3"}, {"edges": [[0.0, 1]]}, {"edges": [[True, 1]]}],
+        ids=["float_dim", "string_dim", "float_edge_index", "bool_edge_index"],
+    )
+    def test_non_integer_skeleton_exits_1(self, capsys, tmp_path, change):
+        skeleton = json.loads((FIXTURES / "cube_skeleton.json").read_text())
+        if "edges" in change:
+            change = {"edges": change["edges"] + skeleton["edges"][1:]}
+        path = tmp_path / "skeleton.json"
+        path.write_text(json.dumps({**skeleton, **change}))
+        code = main(["tightness", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: skeleton")
+
+    @pytest.mark.parametrize(
         "argv, flag",
         [
             (["experiment", LED, "--shape", "[[0,0],[true,0]]", "--cylinder", CELL,
@@ -423,9 +441,41 @@ def fresh(*argvs):
     return json.loads(proc.stdout)
 
 
+# resolves each (module, dotted attribute) of the JSON list in sys.argv[1] on
+# polymix.<module> after importing only the cli, and prints those that fail
+RESOLVE = """
+import functools, json, sys
+import polymix.cli
+missing = []
+for module, attribute in json.loads(sys.argv[1]):
+    try:
+        functools.reduce(getattr, attribute.split("."), sys.modules["polymix." + module])
+    except (KeyError, AttributeError):
+        missing.append([module, attribute])
+print(json.dumps(missing))
+"""
+
+
+def tracer_targets() -> list:
+    """The benchmark tracer's TARGETS list, read from its source without importing it."""
+    tree = ast.parse((SRC.parent / "perfbench" / "tracing.py").read_text())
+    value = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TARGETS"])
+    return ast.literal_eval(value)
+
+
 class TestFreshProcess:
     LAYERS = ["laurent", "quotient", "gfp", "exactlp", "lattice", "polytope", "redraw",
               "mixing", "measure", "seqgeom", "jsonio"]
+
+    def test_tracer_targets_resolve_after_importing_cli(self):
+        # the tracer wraps functions by name, so a renamed or deleted one
+        # would break only a traced benchmark run
+        targets = [[module, attribute] for module, attribute, _ in tracer_targets()]
+        assert ["polytope", "outward_normal"] in targets and len(targets) > 20
+        proc = polymix_process("-c", RESOLVE, json.dumps(targets),
+                               capture_output=True, text=True, check=True)
+        assert json.loads(proc.stdout) == []
 
     def test_exact_commands_never_load_numpy(self):
         result = fresh(

@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
 from polymix import hull, is_vertex, outward_normal, point_in_hull
+from polymix.exactlp import equality_feasible
 from polymix.lattice import content, int_det, primitive
 from polymix.polytope import Facet
 
@@ -55,6 +57,35 @@ def facets_by_triples(verts):
     ]
     facets.sort(key=lambda f: (f.inward_normal, f.offset))
     return facets
+
+
+def edges_by_lp(verts):
+    """Reference edges of the polytope with vertex list ``verts``.
+
+    [u, v] is an edge exactly when the segment misses the convex hull of
+    the other vertices W: no lambda, mu, nu >= 0 with
+    sum lambda_i w_i = mu u + nu v, sum lambda = 1 and mu + nu = 1.
+    """
+    edges = []
+    for a, b in combinations(range(len(verts)), 2):
+        u, v = verts[a], verts[b]
+        others = [w for i, w in enumerate(verts) if i not in (a, b)]
+        rows = [[w[c] for w in others] + [-u[c], -v[c]] for c in range(len(u))]
+        rows.append([1] * len(others) + [0, 0])
+        rows.append([0] * len(others) + [1, 1])
+        if not equality_feasible(rows, [0] * len(u) + [1, 1]):
+            edges.append((a, b))
+    return edges
+
+
+def assert_edge_normals(poly):
+    """Every edge's outward normal is primitive and maximal on that edge only."""
+    for edge in poly.edges:
+        w = outward_normal(poly, edge)
+        assert content(w) == 1
+        values = [dot(w, v) for v in poly.vertices]
+        top = max(values)
+        assert {i for i, x in enumerate(values) if x == top} == set(edge)
 
 
 class TestHull2D:
@@ -141,6 +172,40 @@ class TestIsVertex:
             is_vertex((9, 9), {(0, 0), (1, 0)})
 
 
+class TestEqualityFeasible:
+    def test_fraction_rows_are_scaled_exactly(self):
+        half, third, sixth = Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)
+        assert equality_feasible([[half, third]], [sixth])
+        assert not equality_feasible([[half, third]], [-sixth])
+        # x = (2/3, 1/3) is the only solution of the first two rows
+        assert equality_feasible([[1, 1], [1, -1]], [1, third])
+        assert not equality_feasible([[1, 1], [1, -1], [1, 0]], [1, third, 1])
+
+    def test_random_systems_with_known_answers(self):
+        # feasible: b = A x0 for some x0 >= 0; infeasible: a Farkas vector
+        # y with y.A >= 0 > y.b, made by flipping the columns with y.A_j < 0
+        rng = random.Random(29)
+        for _ in range(300):
+            m, n = rng.randint(1, 6), rng.randint(1, 9)
+            a = [[Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(n)]
+                 for _ in range(m)]
+            x0 = [Fraction(rng.randint(0, 3), rng.choice((1, 2))) for _ in range(n)]
+            assert equality_feasible(a, [dot(row, x0) for row in a])
+            y = [rng.randint(-2, 2) for _ in range(m)]
+            if not any(y):
+                continue
+            for j in range(n):
+                if sum(y[i] * a[i][j] for i in range(m)) < 0:
+                    for row in a:
+                        row[j] = -row[j]
+            b = [Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(m)]
+            if dot(y, b) == 0:
+                continue
+            if dot(y, b) > 0:
+                b = [-x for x in b]
+            assert not equality_feasible(a, b)
+
+
 class TestOutwardNormal2D:
     def test_triangle_normals(self, ledrappier):
         poly = hull(ledrappier.support())
@@ -221,7 +286,7 @@ class TestDegenerateProjection:
             top = max(values)
             assert {i for i, x in enumerate(values) if x == top} == set(edge)
 
-    def test_high_dim_vertices_only(self):
+    def test_high_dim_simplex_edges(self):
         pts = [
             (0, 0, 0, 0),
             (4, 0, 0, 0),
@@ -234,7 +299,9 @@ class TestDegenerateProjection:
         assert poly.affine_dim == 4
         assert (1, 1, 1, 1) not in poly.vertices
         assert poly.vertex_count == 5
-        assert not poly.edges and not poly.facets
+        assert len(poly.facets) == 5
+        assert poly.edges == list(combinations(range(5), 2)) == edges_by_lp(poly.vertices)
+        assert_edge_normals(poly)
 
 
 def random_unimodular(rng: random.Random, d: int):
@@ -310,7 +377,7 @@ class TestInvariants:
             if poly.affine_dim == 3:
                 assert poly.facets == facets_by_triples(poly.face_vertices)
             else:
-                assert not poly.edges and not poly.facets
+                assert poly.edges == edges_by_lp(poly.vertices)
         assert checked >= 30
 
     def test_all_pairs_of_facets_checked(self):
@@ -333,6 +400,32 @@ class TestInvariants:
                 ]
                 assert len(containing) == poly.affine_dim - 1
         assert checked >= 25
+
+    def test_edges_match_lp_oracle_in_dimensions_4_and_5(self):
+        # full-dimensional sets in Z^4 and Z^5, and 4-dimensional sets in Z^5
+        # on the hyperplane x4 = x0 + x1 - x3
+        rng = random.Random(28)
+        sets = []
+        for d, side in ((4, 3), (5, 2)):
+            for _ in range(120):
+                sets.append({tuple(rng.randint(0, side) for _ in range(d))
+                             for _ in range(rng.randint(d + 1, d + 5))})
+        for _ in range(80):
+            sets.append({(a, b, c, e, a + b - e)
+                         for a, b, c, e in (tuple(rng.randint(0, 3) for _ in range(4))
+                                            for _ in range(rng.randint(5, 9)))})
+        counts = {4: 0, 5: 0}
+        non_edges = 0
+        for pts in sets:
+            poly = hull(pts)
+            if poly.affine_dim < 4:
+                continue
+            counts[poly.affine_dim] += 1
+            assert poly.edges == edges_by_lp(poly.vertices)
+            assert_edge_normals(poly)
+            non_edges += len(list(combinations(poly.vertices, 2))) - len(poly.edges)
+        assert counts[4] >= 150 and counts[5] >= 80
+        assert non_edges >= 100  # the sets are not all neighbourly
 
     def test_facet_combinatorics_vs_pairwise(self):
         pts = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]

@@ -186,6 +186,25 @@ class TestDetectRedrawing:
         with pytest.raises(ValueError):
             detect_redrawing(ledrappier, [(0, 0), (1, 0)], 0)
 
+    def test_4d_unimodular_simplex(self):
+        # f = 1 + u1 + u2 + u3 + u4 over F_2; its dilation by 2^k, shifted
+        simplex = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+        f = make_poly(2, 4, [(v, 1) for v in simplex])
+        shift = (3, -2, 5, 1)
+        for k in (2, 3, 5):
+            exact = [tuple(2 ** k * x + t for x, t in zip(v, shift)) for v in simplex]
+            match = detect_redrawing(f, exact, 0)
+            assert match is not None and match.K == 0
+            assert match.homothety == (Fraction(2 ** k), tuple(map(Fraction, shift)))
+            # a jitter of 1 that stretches edge 0-1 and shrinks edge 0-2 by 2
+            # along their axes leaves scale 2^k as the only one within K = 1
+            jitter = [(-1, 1, 0, 0), (1, 0, 0, 1), (0, -1, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0)]
+            bumped = [tuple(a + b for a, b in zip(q, j)) for q, j in zip(exact, jitter)]
+            assert detect_redrawing(f, bumped, 0) is None
+            match = detect_redrawing(f, bumped, 1)
+            assert match is not None and match.K == 1
+            assert match.homothety[0] == 2 ** k
+
     def test_degenerate_polytope_rejected(self):
         f = make_poly(2, 2, [((0, 0), 1), ((1, 1), 1), ((2, 2), 1)])
         with pytest.raises(ValueError):
