@@ -4,20 +4,61 @@ Matrices here come from constraint systems on boxes of lattice cells and
 from residue-coefficient tables; entries always live in {0, ..., p-1}.
 numpy is imported inside the functions, so only the commands that
 eliminate (measure, experiment) pay for loading it.
+
+Every product of two entries must fit in int64, so p is limited to
+(p - 1)^2 < 2^63; ``check_modulus`` refuses larger primes before any
+arithmetic, and ``matmul`` keeps longer sums of products exact.
 """
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     import numpy as np
+
+INT64_LIMIT = 2 ** 63
+FLOAT64_EXACT = 2 ** 53  # float64 holds every integer below this exactly
+MAX_MODULUS = isqrt(INT64_LIMIT - 1) + 1  # largest p with (p - 1)^2 < 2^63
+
+
+def check_modulus(p: int) -> None:
+    """Refuse a modulus whose entry products overflow int64."""
+    if p > MAX_MODULUS:
+        raise ValueError(
+            f"p = {p} is too large for int64 arithmetic over F_p, "
+            f"which needs (p - 1)^2 < 2^63, i.e. p <= {MAX_MODULUS}"
+        )
+
+
+def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Exact (a @ b) mod p for entries in {0, ..., p-1}, as int64.
+
+    A sum of n products is below n (p - 1)^2.  While that is under 2^53
+    one float64 product is exact; otherwise int64 products over slices of
+    the inner dimension short enough not to overflow are reduced and
+    summed.
+    """
+    import numpy as np
+
+    check_modulus(p)
+    inner = a.shape[-1]
+    bound = (p - 1) ** 2
+    if inner * bound < FLOAT64_EXACT:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
+    step = (INT64_LIMIT - 1) // bound
+    out = np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
+    for s in range(0, inner, step):
+        out = (out + (a[..., s:s + step] @ b[s:s + step]) % p) % p
+    return out
 
 
 def rref(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form mod p; returns (R, pivot column list)."""
     import numpy as np
 
+    check_modulus(p)
     m = np.array(matrix, dtype=np.int64, copy=True) % p
     rows, cols = m.shape
     pivots: list[int] = []

@@ -11,12 +11,17 @@ Two computation paths are provided and cross-checked:
   polynomials sum lambda_w u^w lying in the ideal <f>.  The projected
   dimension is therefore the rank of the window monomials' residues, a
   few small quotient-ring reductions.  Total and exact for any window.
-* ``box``    -- the literal finite-window relaxation: solve the linear
-  system on a surrounding box, project its kernel onto the window, and
-  grow the box margin until the projected dimension stops dropping for
-  two consecutive steps.  Dimensions are monotone non-increasing in the
-  margin, so this stabilizes, but the stopping rule is a heuristic and
-  the result carries the margin used and a ``stabilized`` flag.
+* ``box``    -- the literal finite-window relaxation: the relations of f
+  on a surrounding box, kept as one reduced echelon form whose columns
+  run newest ring first and window cells last.  Growing the box by one
+  ring eliminates only the new translates' rows against the kept form;
+  the rows with a window pivot span the annihilator of the projection
+  onto the window, which gives the projected dimension and the
+  consistency test.  The margin grows until that dimension stops
+  dropping for two consecutive steps.  Dimensions are monotone
+  non-increasing in the margin, so this stabilizes, but the stopping
+  rule is a heuristic and the result carries the margin used and a
+  ``stabilized`` flag.
 
 ``brute_force_measure`` enumerates every configuration on a small box
 and serves as an independent oracle for both paths.
@@ -28,6 +33,7 @@ this module does not load it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
@@ -101,32 +107,59 @@ def _check_modulus(f: LaurentPoly) -> None:
         raise TrivialQuotientError("shift space needs a non-monomial relation")
 
 
-def _box_cells(box: Box, dim: int) -> list[ExponentVec]:
+def _box_shape(box: Box, dim: int) -> tuple[int, ...]:
     if len(box) != dim:
         raise ValueError(f"box has {len(box)} axes, polynomial has {dim}")
     for lo, hi in box:
         if lo > hi:
             raise ValueError(f"empty axis range ({lo}, {hi})")
+    return tuple(hi - lo + 1 for lo, hi in box)
+
+
+def _box_cells(box: Box, dim: int) -> list[ExponentVec]:
+    _box_shape(box, dim)
     return list(itertools.product(*(range(lo, hi + 1) for lo, hi in box)))
 
 
-def _constraint_matrix(f: LaurentPoly, box: Box, cells: list[ExponentVec]) -> np.ndarray:
-    """One row per translate m with m + S(f) inside the box."""
+def _check_cell_budget(n_cells: int) -> None:
+    if n_cells > cell_budget():
+        raise BudgetExceededError(f"box has {n_cells} cells, budget is {cell_budget()}")
+
+
+def _relation_cells(
+    f: LaurentPoly, box: Box, ring_only: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cells of the relations of f contained in the box, and f's coefficients.
+
+    Entry (i, j) is the lexicographic index in the box of m_i + n_j, for
+    the translates m_i with m_i + S(f) inside the box (in lexicographic
+    order) and the terms n_j of f.  With ``ring_only`` the translates
+    that also fit the box shrunk by one cell per side are left out.
+    """
     import numpy as np
 
-    index = {c: i for i, c in enumerate(cells)}
-    smin = f.min_exponents()
-    smax = f.max_exponents()
-    spans = [range(lo - a, hi - b + 1) for (lo, hi), a, b in zip(box, smin, smax)]
-    rows = []
-    for m in itertools.product(*spans):
-        row = np.zeros(len(cells), dtype=np.int64)
-        for n, c in f.terms.items():
-            row[index[tuple(a + b for a, b in zip(m, n))]] = c
-        rows.append(row)
-    if not rows:
-        return np.zeros((0, len(cells)), dtype=np.int64)
-    return np.array(rows, dtype=np.int64)
+    shape = tuple(hi - lo + 1 for lo, hi in box)
+    exps = np.array(list(f.terms), dtype=np.int64).reshape(len(f.terms), f.dim)
+    coeffs = np.array(list(f.terms.values()), dtype=np.int64) % f.p
+    offsets = exps - exps.min(axis=0)
+    # m + min S(f) - box low corner runs over [0, span) on each axis
+    spans = [size - int(width) for size, width in zip(shape, offsets.max(axis=0))]
+    grid = np.indices([max(s, 0) for s in spans]).reshape(f.dim, -1).T
+    if ring_only:
+        grid = grid[((grid == 0) | (grid == np.array(spans) - 1)).any(axis=1)]
+    cells = grid[:, None, :] + offsets[None, :, :]
+    return np.ravel_multi_index(tuple(np.moveaxis(cells, -1, 0)), shape), coeffs
+
+
+def _constraint_matrix(f: LaurentPoly, box: Box) -> np.ndarray:
+    """One row per translate m with m + S(f) inside the box, cells in lexicographic order."""
+    import numpy as np
+
+    flat, coeffs = _relation_cells(f, box)
+    n_cells = math.prod(hi - lo + 1 for lo, hi in box)
+    matrix = np.zeros((flat.shape[0], n_cells), dtype=np.int64)
+    matrix[np.arange(flat.shape[0])[:, None], flat] = coeffs
+    return matrix
 
 
 def solution_space(f: LaurentPoly, box: Box) -> SolutionSpace:
@@ -134,13 +167,87 @@ def solution_space(f: LaurentPoly, box: Box) -> SolutionSpace:
     _check_modulus(f)
     box = tuple((int(lo), int(hi)) for lo, hi in box)
     cells = _box_cells(box, f.dim)
-    if len(cells) > cell_budget():
-        raise BudgetExceededError(
-            f"box has {len(cells)} cells, budget is {cell_budget()}"
-        )
-    matrix = _constraint_matrix(f, box, cells)
-    basis = gfp.kernel_basis(matrix, f.p)
+    _check_cell_budget(len(cells))
+    basis = gfp.kernel_basis(_constraint_matrix(f, box), f.p)
     return SolutionSpace(box, cells, basis, basis.shape[0])
+
+
+class _BoxEchelon:
+    """Reduced echelon form of the relations of f on a box that grows.
+
+    Columns run newest ring first, then older cells, and the window cells
+    last.  Relations of a smaller box are zero on the ring around it, so
+    the kept form stays reduced when the ring's columns are put in front:
+    growing the box eliminates only the new translates' rows, by one
+    product with the kept rows, one ``gfp.rref`` of that block and one
+    product substituting its pivots back.  The rows whose pivot is a
+    window column span rowspace ∩ F^W, the annihilator of the window
+    projection of the box solutions.
+    """
+
+    def __init__(self, f: LaurentPoly, window: Sequence[ExponentVec], box: Box):
+        import numpy as np
+
+        shape = _box_shape(box, f.dim)
+        n_cells = math.prod(shape)
+        _check_cell_budget(n_cells)
+        for w in window:
+            if len(w) != len(box) or not all(lo <= a <= hi for a, (lo, hi) in zip(w, box)):
+                raise ValueError(f"window point {tuple(w)} outside the box")
+        if len(set(map(tuple, window))) != len(window):
+            raise ValueError("window has repeated points")
+        self.f, self.box, self.n_window = f, box, len(window)
+        flat_window = np.ravel_multi_index(
+            tuple(np.array([[a - lo for a, (lo, _) in zip(w, box)] for w in window]).T), shape
+        )
+        rest = np.ones(n_cells, dtype=bool)
+        rest[flat_window] = False
+        column = np.empty(n_cells, dtype=np.int64)
+        column[rest] = np.arange(n_cells - self.n_window)
+        column[flat_window] = np.arange(n_cells - self.n_window, n_cells)
+        self.column = column.reshape(shape)  # column of each box cell
+        self.rows = np.zeros((0, n_cells), dtype=np.int64)
+        self.pivots = np.zeros(0, dtype=np.int64)
+        self._eliminate(*_relation_cells(f, box))
+
+    def grow(self) -> None:
+        """Widen the box by one cell on every side (state is kept on budget failure)."""
+        import numpy as np
+
+        box = tuple((lo - 1, hi + 1) for lo, hi in self.box)
+        shape = tuple(hi - lo + 1 for lo, hi in box)
+        _check_cell_budget(math.prod(shape))
+        inner = (slice(1, -1),) * len(shape)
+        ring = np.ones(shape, dtype=bool)
+        ring[inner] = False
+        n_ring = int(ring.sum())
+        column = np.empty(shape, dtype=np.int64)
+        column[inner] = self.column + n_ring
+        column[ring] = np.arange(n_ring)
+        self.box, self.column = box, column
+        self.rows = np.hstack([np.zeros((len(self.rows), n_ring), dtype=np.int64), self.rows])
+        self.pivots = self.pivots + n_ring
+        self._eliminate(*_relation_cells(self.f, box, ring_only=True))
+
+    def _eliminate(self, flat: np.ndarray, coeffs: np.ndarray) -> None:
+        import numpy as np
+
+        p = self.f.p
+        block = np.zeros((flat.shape[0], self.column.size), dtype=np.int64)
+        block[np.arange(flat.shape[0])[:, None], self.column.ravel()[flat]] = coeffs
+        block = (block - gfp.matmul(block[:, self.pivots], self.rows, p)) % p
+        block, pivots = gfp.rref(block, p)
+        if not pivots:
+            return
+        block = block[: len(pivots)]
+        self.rows = (self.rows - gfp.matmul(self.rows[:, pivots], block, p)) % p
+        self.rows = np.vstack([block, self.rows])
+        self.pivots = np.concatenate([np.array(pivots, dtype=np.int64), self.pivots])
+
+    def annihilator(self) -> np.ndarray:
+        """Functionals on the window vanishing on every box solution, one per row."""
+        first = self.column.size - self.n_window
+        return self.rows[self.pivots >= first, first:]
 
 
 def box_projected_dimension(
@@ -148,17 +255,13 @@ def box_projected_dimension(
 ) -> tuple[int, np.ndarray]:
     """Projected dimension of the box solution space on the window.
 
-    Also returns the restricted basis matrix (rows span the projection)
-    so callers can run the membership test.
+    Also returns the annihilator of the projection, one functional on
+    the window per row: values are the restriction of a box solution iff
+    every row sums to 0 against them.
     """
-    space = solution_space(f, box)
-    index = {c: i for i, c in enumerate(space.cells)}
-    try:
-        cols = [index[tuple(w)] for w in window]
-    except KeyError as exc:
-        raise ValueError(f"window point {exc.args[0]} outside the box") from exc
-    restricted = space.basis[:, cols]
-    return gfp.rank(restricted, f.p), restricted
+    _check_modulus(f)
+    annihilator = _BoxEchelon(f, window, tuple((int(lo), int(hi)) for lo, hi in box)).annihilator()
+    return len(window) - annihilator.shape[0], annihilator
 
 
 # -- exact (duality) path ----------------------------------------------------
@@ -202,7 +305,7 @@ def _exact_measure(f: LaurentPoly, cyl: CylinderSpec) -> MeasureResult:
     annihilator = gfp.kernel_basis(matrix.T, p)
     dim_proj = n - annihilator.shape[0]
     values = np.array([v % p for v in cyl.values], dtype=np.int64)
-    consistent = not ((annihilator @ values) % p).any() if annihilator.size else True
+    consistent = not gfp.matmul(annihilator, values, p).any()
     exponent = dim_proj if consistent else None
     return MeasureResult(p, exponent, 0, True, "exact")
 
@@ -211,48 +314,38 @@ def _exact_measure(f: LaurentPoly, cyl: CylinderSpec) -> MeasureResult:
 
 
 def _box_measure(f: LaurentPoly, cyl: CylinderSpec, initial_margin: int | None) -> MeasureResult:
-    p = f.p
-    smin, smax = f.min_exponents(), f.max_exponents()
-    diameter = max(b - a for a, b in zip(smin, smax))
-    margin = max(1, diameter) if initial_margin is None else initial_margin
-    wlo = [min(w[i] for w in cyl.window) for i in range(f.dim)]
-    whi = [max(w[i] for w in cyl.window) for i in range(f.dim)]
-
-    def box_at(m: int) -> Box:
-        return tuple((lo - m, hi + m) for lo, hi in zip(wlo, whi))
-
-    dims: list[int] = []
-    restricted = None
-    stable = 0
-    m = margin
-    while True:
-        try:
-            dim_proj, restricted_now = box_projected_dimension(f, cyl.window, box_at(m))
-        except BudgetExceededError:
-            if not dims:
-                raise
-            return _finish_box(f, cyl, dims[-1], restricted, m - 1, False)
-        if dims:
-            if dim_proj > dims[-1]:
-                raise InternalInconsistencyError(
-                    "projected dimension grew with the box margin"
-                )
-            stable = stable + 1 if dim_proj == dims[-1] else 0
-        dims.append(dim_proj)
-        restricted = restricted_now
-        if stable >= 2:
-            return _finish_box(f, cyl, dim_proj, restricted, m, True)
-        m += 1
-
-
-def _finish_box(f, cyl, dim_proj, restricted, margin, stabilized) -> MeasureResult:
     import numpy as np
 
     p = f.p
+    smin, smax = f.min_exponents(), f.max_exponents()
+    diameter = max(b - a for a, b in zip(smin, smax))
+    m = max(1, diameter) if initial_margin is None else initial_margin
+    wlo = [min(w[i] for w in cyl.window) for i in range(f.dim)]
+    whi = [max(w[i] for w in cyl.window) for i in range(f.dim)]
+    echelon = _BoxEchelon(f, cyl.window, tuple((lo - m, hi + m) for lo, hi in zip(wlo, whi)))
+    previous = None
+    stable = 0
+    while True:
+        annihilator = echelon.annihilator()
+        dim_proj = len(cyl.window) - annihilator.shape[0]
+        if previous is not None:
+            if dim_proj > previous:
+                raise InternalInconsistencyError(
+                    "projected dimension grew with the box margin"
+                )
+            stable = stable + 1 if dim_proj == previous else 0
+        previous = dim_proj
+        stabilized = stable >= 2
+        if stabilized:
+            break
+        try:
+            echelon.grow()
+        except BudgetExceededError:
+            break
+        m += 1
     values = np.array([v % p for v in cyl.values], dtype=np.int64)
-    consistent = gfp.in_row_space(restricted, values, p)
-    exponent = dim_proj if consistent else None
-    return MeasureResult(p, exponent, margin, stabilized, "box")
+    consistent = not gfp.matmul(annihilator, values, p).any()
+    return MeasureResult(p, dim_proj if consistent else None, m, stabilized, "box")
 
 
 # -- public operations --------------------------------------------------------
@@ -376,7 +469,7 @@ def brute_force_counts(
     for w in cyl.window:
         if tuple(w) not in index:
             raise ValueError(f"window point {w} outside the box")
-    matrix = _constraint_matrix(f, tuple(box), cells)
+    matrix = _constraint_matrix(f, tuple(box))
     wcols = np.array([index[tuple(w)] for w in cyl.window], dtype=np.int64)
     wvals = np.array([v % p for v in cyl.values], dtype=np.int64)
 

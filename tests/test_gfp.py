@@ -131,3 +131,39 @@ def test_empty_column_matrix():
     matrix = np.zeros((3, 0), dtype=np.int64)
     assert gfp.rank(matrix, 3) == 0
     assert gfp.kernel_basis(matrix, 3).shape == (0, 0)
+
+
+def _reference_product(a, b, p):
+    """(a @ b) mod p in Python integers."""
+    return ((a.astype(object) @ b.astype(object)) % p).tolist()
+
+
+# 2^31 - 1 and the largest prime with (p - 1)^2 < 2^63
+@pytest.mark.parametrize("p", PRIMES + (2147483647, 3037000493))
+def test_matmul_is_exact(p):
+    rng = random.Random(p)
+    for inner in (0, 1, 2, 3, 9):
+        a = _random_matrix(rng, p, 4, inner)
+        b = _random_matrix(rng, p, inner, 5).reshape(inner, 5)
+        a[0] = p - 1  # the largest sums
+        b[:, 0] = p - 1
+        assert gfp.matmul(a, b, p).tolist() == _reference_product(a, b, p)
+        assert gfp.matmul(a, b[:, 1], p).tolist() == _reference_product(a, b[:, 1], p)
+
+
+def test_rref_near_the_bound():
+    p = 3037000493
+    matrix = np.array([[p - 1, p - 2, 3], [p - 3, 1, p - 1], [2, p - 1, p - 2]], dtype=np.int64)
+    r, pivots = gfp.rref(matrix, p)
+    ref_r, ref_pivots = _reference_rref(matrix.tolist(), p)
+    assert (r.tolist(), pivots) == (ref_r, ref_pivots)
+
+
+def test_modulus_over_the_bound_refused():
+    p = 4294967311  # the least prime above 2^32
+    assert gfp.MAX_MODULUS == 3037000500
+    matrix = np.ones((2, 2), dtype=np.int64)
+    for call in (lambda: gfp.rref(matrix, p), lambda: gfp.matmul(matrix, matrix, p)):
+        with pytest.raises(ValueError, match=r"p <= 3037000500"):
+            call()
+    gfp.check_modulus(gfp.MAX_MODULUS)

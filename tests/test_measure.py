@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from polymix import (
@@ -8,12 +9,14 @@ from polymix import (
     CylinderSpec,
     brute_force_measure,
     cylinder_measure,
+    gfp,
     joint_measure,
     make_poly,
     mixing_experiment,
     monomial,
     solution_space,
 )
+from polymix.cli import main
 from polymix.measure import (
     _window_residue_matrix,
     box_projected_dimension,
@@ -21,7 +24,7 @@ from polymix.measure import (
     merge_events,
 )
 
-from conftest import divide_from_scratch, generic_poly
+from conftest import FIXTURES, divide_from_scratch, generic_poly, random_poly
 
 
 def cell(value=0):
@@ -320,3 +323,182 @@ class TestWindowResidues:
         window = [(x, y) for x in range(20) for y in range(20)]
         matrix, _ = _window_residue_matrix(square_f3, window)
         assert matrix.tolist() == _per_monomial_matrix(square_f3, window)
+
+
+def per_margin_box_measure(f, cyl, initial_margin=None):
+    """The box path with a fresh elimination at every margin (test oracle).
+
+    Solves the box from scratch, restricts the kernel basis to the
+    window, ranks it, and tests the values for membership in its row
+    space; same stopping rule and budget behaviour as the box path.
+    Returns (exponent, margin used, stabilized).
+    """
+    smin, smax = f.min_exponents(), f.max_exponents()
+    diameter = max(b - a for a, b in zip(smin, smax))
+    m = max(1, diameter) if initial_margin is None else initial_margin
+    wlo = [min(w[i] for w in cyl.window) for i in range(f.dim)]
+    whi = [max(w[i] for w in cyl.window) for i in range(f.dim)]
+    dims, restricted, stable = [], None, 0
+    while True:
+        try:
+            space = solution_space(f, [(lo - m, hi + m) for lo, hi in zip(wlo, whi)])
+        except BudgetExceededError:
+            if not dims:
+                raise
+            m -= 1
+            stabilized = False
+            break
+        index = {c: i for i, c in enumerate(space.cells)}
+        restricted = space.basis[:, [index[w] for w in cyl.window]]
+        dim = gfp.rank(restricted, f.p)
+        if dims:
+            assert dim <= dims[-1]
+            stable = stable + 1 if dim == dims[-1] else 0
+        dims.append(dim)
+        if stable >= 2:
+            stabilized = True
+            break
+        m += 1
+    values = np.array([v % f.p for v in cyl.values], dtype=np.int64)
+    exponent = dims[-1] if gfp.in_row_space(restricted, values, f.p) else None
+    return exponent, m, stabilized
+
+
+def _random_modulus(rng, p, d):
+    while True:
+        lo, hi = (0, 1) if d == 3 else (-1, 2)
+        f = random_poly(rng, p, d, max_terms=4, lo=lo, hi=hi, nonzero=True)
+        if not f.is_monomial:
+            return f
+
+
+def _random_windows(rng, d):
+    """A rectangle and a scattered set, both allowed negative offsets."""
+    side = 2 if d == 3 else 3
+    corner = [rng.randint(-3, 2) for _ in range(d)]
+    sides = [rng.randint(1, side) for _ in range(d)]
+    rect = [tuple(c + o for c, o in zip(corner, offset))
+            for offset in np.ndindex(*sides)]
+    scattered = {tuple(rng.randint(-3, side - 1) for _ in range(d))
+                 for _ in range(rng.randint(1, 5))}
+    return [rect, sorted(scattered)]
+
+
+class TestGrowingEchelon:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_matches_per_margin_chain_and_exact(self, p, d):
+        rng = random.Random(100 * p + d)
+        for _ in range(4):
+            f = _random_modulus(rng, p, d)
+            for window in _random_windows(rng, d):
+                for values in ([0] * len(window), [rng.randrange(p) for _ in window]):
+                    cyl = CylinderSpec.from_pairs(zip(window, values))
+                    box = cylinder_measure(f, cyl, method="box")
+                    expected = per_margin_box_measure(f, cyl)
+                    assert (box.exponent, box.box_margin_used, box.stabilized) == expected
+                    assert box.stabilized
+                    assert box.exponent == cylinder_measure(f, cyl).exponent
+
+    def test_budget_stops_at_a_later_margin(self, ledrappier, monkeypatch):
+        # margins 1 and 2 fit (16 and 36 cells), margin 3 (64 cells) does not
+        cyl = CylinderSpec.from_pairs(
+            [((0, 0), 1), ((1, 0), 0), ((0, 1), 1), ((1, 1), 1)]
+        )
+        monkeypatch.setenv("POLYMIX_BUDGET", "40")
+        box = cylinder_measure(ledrappier, cyl, method="box")
+        assert (box.box_margin_used, box.stabilized) == (2, False)
+        assert (box.exponent, 2, False) == per_margin_box_measure(ledrappier, cyl)
+        monkeypatch.delenv("POLYMIX_BUDGET")
+        assert box.exponent == cylinder_measure(ledrappier, cyl).exponent
+
+    def test_budget_stops_at_the_first_margin(self, ledrappier, monkeypatch, tmp_path, capsys):
+        window = [(x, y) for x in range(3) for y in range(3)]
+        cyl = CylinderSpec.from_pairs((w, 0) for w in window)
+        monkeypatch.setenv("POLYMIX_BUDGET", "24")  # the first box has 25 cells
+        with pytest.raises(BudgetExceededError):
+            cylinder_measure(ledrappier, cyl, method="box")
+        with pytest.raises(BudgetExceededError):
+            per_margin_box_measure(ledrappier, cyl)
+        path = tmp_path / "cyl.json"
+        path.write_text(f'{{"window": {[list(w) for w in window]}, "values": {[0] * 9}}}')
+        code = main(["measure", str(FIXTURES / "ledrappier.json"), "--cylinder", str(path),
+                     "--method", "box"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+
+    def test_annihilator_decides_consistency_like_brute_force(self, all_fixtures):
+        from itertools import product as iproduct
+
+        rng = random.Random(48)
+        for f in all_fixtures:
+            box = [(-1, 1), (0, 2)]
+            cells = [(x, y) for x in range(-1, 2) for y in range(3)]
+            for _ in range(4):
+                window = sorted(rng.sample(cells, rng.randint(1, 3)))
+                dim, annihilator = box_projected_dimension(f, window, box)
+                assert annihilator.shape == (len(window) - dim, len(window))
+                for values in iproduct(range(f.p), repeat=len(window)):
+                    cyl = CylinderSpec.from_pairs(zip(window, values))
+                    matching, _ = brute_force_counts(f, cyl, box)
+                    consistent = not (annihilator @ np.array(values) % f.p).any()
+                    assert consistent == (matching > 0)
+
+    def test_bad_windows_rejected(self, ledrappier):
+        with pytest.raises(ValueError, match="outside the box"):
+            box_projected_dimension(ledrappier, [(3, 0)], [(0, 2), (0, 2)])
+        with pytest.raises(ValueError, match="repeated points"):
+            box_projected_dimension(ledrappier, [(1, 0), (1, 0)], [(0, 2), (0, 2)])
+
+
+class TestLargePrimes:
+    """F_p arithmetic is exact up to (p - 1)^2 < 2^63 and refused beyond it."""
+
+    @staticmethod
+    def _triangle(p):
+        # 1 - u1 - 2 u2: x(m) = x(m + e1) + 2 x(m + e2)
+        f = make_poly(p, 2, [((0, 0), 1), ((1, 0), p - 1), ((0, 1), p - 2)])
+        a, b = p - 2, p - 1
+        window = [(0, 0), (1, 0), (0, 1)]
+        consistent = CylinderSpec.from_pairs(zip(window, [(a + 2 * b) % p, a, b]))
+        inconsistent = CylinderSpec.from_pairs(zip(window, [(a + 2 * b + 1) % p, a, b]))
+        return f, consistent, inconsistent
+
+    @pytest.mark.parametrize("method", ["exact", "box"])
+    def test_just_under_the_bound(self, method):
+        p = 2147483647
+        f, consistent, inconsistent = self._triangle(p)
+        assert cylinder_measure(f, consistent, method=method).value == Fraction(1, p ** 2)
+        assert cylinder_measure(f, inconsistent, method=method).value == 0
+
+    def test_long_products_stay_exact(self):
+        # window values near p: a sum of six products passes 2^63
+        p = 2147483647
+        f, _, _ = self._triangle(p)
+        values = {(2, 0): p - 1, (2, 1): p - 3, (0, 1): p - 5, (1, 1): p - 7}
+        values[(1, 0)] = (values[(2, 0)] + 2 * values[(1, 1)]) % p
+        values[(0, 0)] = (values[(1, 0)] + 2 * values[(0, 1)]) % p
+        consistent = CylinderSpec.from_pairs(values.items())
+        values[(0, 0)] = (values[(0, 0)] + 1) % p
+        inconsistent = CylinderSpec.from_pairs(values.items())
+        for method in ("exact", "box"):
+            assert cylinder_measure(f, consistent, method=method).value == Fraction(1, p ** 4)
+            assert cylinder_measure(f, inconsistent, method=method).value == 0
+
+    @pytest.mark.parametrize("method", ["exact", "box"])
+    def test_over_the_bound_exits_2(self, method, tmp_path, capsys):
+        p = 4294967311
+        poly = tmp_path / "poly.json"
+        poly.write_text(
+            f'{{"p": {p}, "d": 2, "terms": [{{"e": [0, 0], "c": 1}}, '
+            f'{{"e": [1, 0], "c": {p - 1}}}, {{"e": [0, 1], "c": {p - 2}}}]}}'
+        )
+        for values in ([3, 1, 1], [3, 1, 2]):
+            cyl = tmp_path / "cyl.json"
+            cyl.write_text(f'{{"window": [[0, 0], [1, 0], [0, 1]], "values": {values}}}')
+            code = main(["measure", str(poly), "--cylinder", str(cyl), "--method", method])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert "(p - 1)^2 < 2^63" in captured.err
