@@ -1,17 +1,24 @@
-"""Hard budgets for the expensive operations.
+"""Hard budgets for the expensive operations, checked in one place.
 
-``POLYMIX_BUDGET`` (an integer) overrides every budget at once; when it is
-unset the per-operation defaults below apply.  A value that is not a
-positive integer is a ``ParseError``, read when a budget is first needed.
+Each expensive path calls ``check`` with its budget's name and the size
+it is about to use, before doing the work.  ``POLYMIX_BUDGET`` (an
+integer) overrides every budget at once; when it is unset the defaults
+below apply.  A value that is not a positive integer is a
+``ParseError``, read when a budget is first checked.
 """
 
 import os
 
-from .errors import ParseError
+from .errors import BudgetExceededError, ParseError
 
-DEFAULT_CELL_BUDGET = 10_000        # cells of a constraint box
-DEFAULT_ENUM_BUDGET = 2 ** 22       # configurations enumerated brute-force
-DEFAULT_SEARCH_BUDGET = 10 ** 7     # (shape, coefficient) candidates searched
+# name -> (default limit, what its use counts)
+DEFAULTS = {
+    "cells": (10_000, "cells of a constraint box"),
+    "enumeration": (2 ** 22, "configurations enumerated brute-force"),
+    "search": (10 ** 7, "(shape, coefficient) candidates"),
+    "division": (10 ** 6, "monomials of the box holding f(u^p)"),
+    "detector": (10 ** 4, "root placements over every cap"),
+}
 
 _ENV_VAR = "POLYMIX_BUDGET"
 
@@ -29,13 +36,9 @@ def _override() -> int | None:
     return value
 
 
-def cell_budget() -> int:
-    return _override() or DEFAULT_CELL_BUDGET
-
-
-def enum_budget() -> int:
-    return _override() or DEFAULT_ENUM_BUDGET
-
-
-def search_budget() -> int:
-    return _override() or DEFAULT_SEARCH_BUDGET
+def check(name: str, used: int) -> None:
+    """Raise ``BudgetExceededError`` when ``used`` exceeds the named budget."""
+    default, counts = DEFAULTS[name]
+    limit = _override() or default
+    if used > limit:
+        raise BudgetExceededError(f"{name} budget: {used} {counts}, limit {limit}")

@@ -15,11 +15,13 @@ string where an integer is expected; an option value out of range
 -- a negative --max-k, --K, --radius, --coeff-degree or --tolerance, a NaN
 --tolerance, an --r below 2 -- or a POLYMIX_BUDGET that is not a positive
 integer), 2 degenerate input
-(zero/monomial polynomial or degenerate polytope), 3 budget exceeded,
-4 internal error (a machine check failed), 141 stdout closed before the
-report was written (128 + SIGPIPE, as a shell reports for ``yes | head``).
-The environment variable POLYMIX_BUDGET overrides the
-cell/enumeration/search budgets.
+(zero/monomial polynomial or degenerate polytope), 3 budget exceeded
+(the message names the budget, its use and its limit), 4 internal error
+(a machine check failed), 141 stdout closed before the report was written
+(128 + SIGPIPE, as a shell reports for ``yes | head``).  The environment
+variable POLYMIX_BUDGET overrides every budget of ``budgets``: box cells,
+brute-force configurations, search candidates, the certificate's division
+box and the detector's root placements.
 """
 
 from __future__ import annotations

@@ -14,7 +14,11 @@ class TrivialQuotientError(PolymixError):
 
 
 class BudgetExceededError(PolymixError):
-    """A computation would exceed the configured cell/enumeration budget."""
+    """A computation would exceed one of the budgets of ``budgets``.
+
+    Raised only by ``budgets.check``, before the work starts; the message
+    names the budget, its use and its limit.
+    """
 
 
 class InternalInconsistencyError(PolymixError):

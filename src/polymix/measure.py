@@ -38,8 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from . import gfp
-from .budgets import cell_budget, enum_budget
+from . import budgets, gfp
 from .errors import BudgetExceededError, InternalInconsistencyError, TrivialQuotientError
 from .laurent import ExponentVec, LaurentPoly
 from .quotient import monomial_residue
@@ -121,11 +120,6 @@ def _box_cells(box: Box, dim: int) -> list[ExponentVec]:
     return list(itertools.product(*(range(lo, hi + 1) for lo, hi in box)))
 
 
-def _check_cell_budget(n_cells: int) -> None:
-    if n_cells > cell_budget():
-        raise BudgetExceededError(f"box has {n_cells} cells, budget is {cell_budget()}")
-
-
 def _relation_cells(
     f: LaurentPoly, box: Box, ring_only: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -167,7 +161,7 @@ def solution_space(f: LaurentPoly, box: Box) -> SolutionSpace:
     _check_modulus(f)
     box = tuple((int(lo), int(hi)) for lo, hi in box)
     cells = _box_cells(box, f.dim)
-    _check_cell_budget(len(cells))
+    budgets.check("cells", len(cells))
     basis = gfp.kernel_basis(_constraint_matrix(f, box), f.p)
     return SolutionSpace(box, cells, basis, basis.shape[0])
 
@@ -190,7 +184,7 @@ class _BoxEchelon:
 
         shape = _box_shape(box, f.dim)
         n_cells = math.prod(shape)
-        _check_cell_budget(n_cells)
+        budgets.check("cells", n_cells)
         for w in window:
             if len(w) != len(box) or not all(lo <= a <= hi for a, (lo, hi) in zip(w, box)):
                 raise ValueError(f"window point {tuple(w)} outside the box")
@@ -216,7 +210,7 @@ class _BoxEchelon:
 
         box = tuple((lo - 1, hi + 1) for lo, hi in self.box)
         shape = tuple(hi - lo + 1 for lo, hi in box)
-        _check_cell_budget(math.prod(shape))
+        budgets.check("cells", math.prod(shape))
         inner = (slice(1, -1),) * len(shape)
         ring = np.ones(shape, dtype=bool)
         ring[inner] = False
@@ -313,13 +307,13 @@ def _exact_measure(f: LaurentPoly, cyl: CylinderSpec) -> MeasureResult:
 # -- box (finite relaxation) path --------------------------------------------
 
 
-def _box_measure(f: LaurentPoly, cyl: CylinderSpec, initial_margin: int | None) -> MeasureResult:
+def _box_measure(f: LaurentPoly, cyl: CylinderSpec) -> MeasureResult:
     import numpy as np
 
     p = f.p
     smin, smax = f.min_exponents(), f.max_exponents()
     diameter = max(b - a for a, b in zip(smin, smax))
-    m = max(1, diameter) if initial_margin is None else initial_margin
+    m = max(1, diameter)
     wlo = [min(w[i] for w in cyl.window) for i in range(f.dim)]
     whi = [max(w[i] for w in cyl.window) for i in range(f.dim)]
     echelon = _BoxEchelon(f, cyl.window, tuple((lo - m, hi + m) for lo, hi in zip(wlo, whi)))
@@ -355,7 +349,6 @@ def cylinder_measure(
     f: LaurentPoly,
     cyl: CylinderSpec,
     method: str = "exact",
-    initial_margin: int | None = None,
 ) -> MeasureResult:
     """Haar measure of the event {x restricted to the window = values}."""
     _check_modulus(f)
@@ -365,7 +358,7 @@ def cylinder_measure(
     if method == "exact":
         return _exact_measure(f, cyl)
     if method == "box":
-        return _box_measure(f, cyl, initial_margin)
+        return _box_measure(f, cyl)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -461,10 +454,7 @@ def brute_force_counts(
     cells = _box_cells(tuple((int(a), int(b)) for a, b in box), f.dim)
     n_cells = len(cells)
     n_configs = p ** n_cells
-    if n_configs > enum_budget():
-        raise BudgetExceededError(
-            f"{n_configs} configurations exceed the enumeration budget {enum_budget()}"
-        )
+    budgets.check("enumeration", n_configs)
     index = {c: i for i, c in enumerate(cells)}
     for w in cyl.window:
         if tuple(w) not in index:

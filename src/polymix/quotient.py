@@ -24,6 +24,10 @@ squares u_i^(2^j) and the monomial residues already computed.  Every later
 call with the same f (one query holds one f) reuses them; nothing is kept
 at module level, so the tables go when f does.
 
+``_divide`` is the one division loop.  Every residue comes from it, and
+the certificate of ``mixing`` trusts it alone: that f(u^p) leaves
+remainder zero on division by f is the whole proof.
+
 ``monomial_residue`` is the one routine that derives monomial residues:
 from a kept neighbour u^(e - e_i) in one short division when it can, by
 square-and-multiply on the axis squares otherwise.  ``measure`` reads a
@@ -39,7 +43,7 @@ from dataclasses import dataclass, field as dc_field
 from operator import add, ge, neg, sub
 
 from .errors import TrivialQuotientError
-from .laurent import ExponentVec, LaurentPoly, _raw, frobenius_power, monomial, one
+from .laurent import ExponentVec, LaurentPoly, _raw, monomial, one
 
 __all__ = [
     "Residue",
@@ -52,7 +56,6 @@ __all__ = [
     "residue_mul",
     "monomial_residue",
     "power_residue",
-    "frobenius_residue",
 ]
 
 
@@ -273,20 +276,3 @@ def monomial_residue(exps: ExponentVec, f: LaurentPoly) -> LaurentPoly:
     m.monomials[exps] = result
     return result
 
-
-def frobenius_residue(g: LaurentPoly, k: int, f: LaurentPoly) -> LaurentPoly:
-    """Residue of g**(p^k), via k reduce-then-Frobenius rounds.
-
-    Valid because (a + qf)^p = a^p + (q^p f^{p-1}) f in characteristic p,
-    so reducing between successive p-th powers never changes the coset.
-    Each round is term surgery plus one division.  Carried round by round
-    over the support monomials, this is the residue walk that checks the
-    identity certificates of ``mixing`` independently; its residues grow
-    like p^k for a generic f.
-    """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    r = nf(g, f)
-    for _ in range(k):
-        r = nf(frobenius_power(r, 1), f)
-    return r

@@ -62,19 +62,17 @@ def make_skeleton(dim: int, positions: Sequence[Sequence], edges: Sequence[Seque
     )
 
 
-def skeleton_from_polytope(poly: LatticePolytope, intrinsic: bool = True) -> Skeleton:
-    """1-skeleton of a lattice polytope.
+def skeleton_from_polytope(poly: LatticePolytope) -> Skeleton:
+    """1-skeleton of a lattice polytope in its face-computation coordinates.
 
-    With ``intrinsic`` the positions are the face-computation coordinates
-    (dimension = affine dimension), which is what the tightness verdict
-    of a possibly degenerate Newton polytope needs; tightness is invariant
-    under the unimodular change of coordinates.
+    Those coordinates have the affine dimension, which is what the
+    tightness verdict of a possibly degenerate Newton polytope needs;
+    tightness is invariant under the unimodular change of coordinates.
     """
     if not poly.edges:
         raise ValueError("polytope has no edges; skeleton undefined")
-    positions = poly.face_vertices if intrinsic else poly.vertices
-    dim = len(positions[0])
-    return make_skeleton(dim, positions, poly.edges)
+    positions = poly.face_vertices
+    return make_skeleton(len(positions[0]), positions, poly.edges)
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import comb
+from operator import sub
 from typing import Sequence
 
+from . import budgets
 from .lattice import complete_to_unimodular, int_det, is_primitive, primitive
 from .laurent import LaurentPoly
 from .polytope import hull
@@ -91,7 +94,6 @@ class RedrawMatch:
     perturbations: tuple[IntVec, ...]
     K: int
     homothety: tuple[Fraction, tuple[Fraction, ...]] | None
-    tuple_index: int | None = None
 
     @property
     def snapped(self) -> tuple[IntVec, ...]:
@@ -153,6 +155,27 @@ def _homothety_of(
     return scale, t
 
 
+def _odd_power_sum(K: int, d: int) -> int:
+    """sum over c = 0..K of (2c + 1)^d, in closed form so that a huge K costs nothing."""
+
+    def power_sum(n: int) -> int:
+        # sum_{i=1}^{n} i^j for j = 0..d, from (n+1)^(j+1) - 1 = sum_i C(j+1, i) S_i(n)
+        sums: list[int] = []
+        for j in range(d + 1):
+            rest = sum(comb(j + 1, i) * s for i, s in enumerate(sums))
+            sums.append(((n + 1) ** (j + 1) - 1 - rest) // (j + 1))
+        return sums[d]
+
+    return power_sum(2 * K + 1) - 2 ** d * power_sum(K)
+
+
+def _is_positive_multiple(diff: IntVec, d0: IntVec) -> bool:
+    """Is diff = s * d0 for an integer s >= 1?  (d0 is a nonzero edge direction.)"""
+    x, y = next((x, y) for x, y in zip(diff, d0) if y)
+    s = x // y
+    return s >= 1 and all(s * b == a for a, b in zip(diff, d0))
+
+
 def detect_redrawing(
     f: LaurentPoly,
     points: Sequence[Sequence[int]],
@@ -165,7 +188,9 @@ def detect_redrawing(
     sup-norm at most K so that every edge of N(f) is realized by a
     perturbed point pair parallel to it (positively oriented).  Caps are
     tried in increasing order, so the returned K is minimal; the search
-    inside a cap is deterministic.
+    inside a cap is deterministic.  The ``detector`` budget bounds the
+    root placements over every cap, each tuple point moved by each
+    perturbation, before the first cap is searched.
     """
     if tolerance_K < 0:
         raise ValueError("tolerance must be >= 0")
@@ -186,14 +211,9 @@ def detect_redrawing(
         adjacency[b].append(a)
     order = [0]
     parent: dict[int, int] = {}
-    seen = {0}
-    qpos = 0
-    while qpos < len(order):
-        cur = order[qpos]
-        qpos += 1
+    for cur in order:
         for nxt in sorted(adjacency[cur]):
-            if nxt not in seen:
-                seen.add(nxt)
+            if nxt != 0 and nxt not in parent:
                 parent[nxt] = cur
                 order.append(nxt)
 
@@ -202,73 +222,60 @@ def detect_redrawing(
         for a, b in poly.edges
     }
     dirs.update({(b, a): tuple(-x for x in w) for (a, b), w in list(dirs.items())})
+    # each edge off the tree closes a cycle; it is checked when the later
+    # of its two vertices in ``order`` is placed
+    rank = {vx: i for i, vx in enumerate(order)}
+    closing: dict[int, list[tuple[int, IntVec]]] = {vx: [] for vx in range(v)}
+    for a, b in poly.edges:
+        if parent.get(b) != a and parent.get(a) != b:
+            first, last = sorted((a, b), key=rank.__getitem__)
+            closing[last].append((first, dirs[(first, last)]))
 
-    def box(cap: int):
-        deltas = product(range(-cap, cap + 1), repeat=poly.dim)
-        return sorted(deltas, key=lambda d: (max(abs(x) for x in d), d))
+    budgets.check("detector", len(pts) * _odd_power_sum(tolerance_K, poly.dim))
 
     def search(cap: int) -> tuple[list[int], list[IntVec]] | None:
-        assigned: list[int | None] = [None] * v
-        position: list[IntVec | None] = [None] * v
+        assigned: list[int] = [0] * v
+        position: list[IntVec] = [()] * v
         used: set[int] = set()
+        box = sorted(
+            product(range(-cap, cap + 1), repeat=poly.dim),
+            key=lambda d: (max(abs(x) for x in d), d),
+        )
 
-        def ok_nontree(idx_v: int) -> bool:
-            for a, b in poly.edges:
-                if assigned[a] is None or assigned[b] is None:
-                    continue
-                if idx_v not in (a, b) or parent.get(b) == a or parent.get(a) == b:
-                    continue
-                diff = tuple(x - y for x, y in zip(position[b], position[a]))
-                d0 = dirs[(a, b)]
-                ratios = {x // y for x, y in zip(diff, d0) if y != 0}
-                if any(x != 0 for x, y in zip(diff, d0) if y == 0):
-                    return False
-                if len(ratios) != 1:
-                    return False
-                s = ratios.pop()
-                if s < 1 or tuple(s * y for y in d0) != diff:
-                    return False
-            return True
+        def candidates(vx: int):
+            if vx == order[0]:
+                return (
+                    (t, tuple(a + b for a, b in zip(pt, delta)))
+                    for t, pt in enumerate(pts)
+                    for delta in box
+                )
+            qa, d0 = position[parent[vx]], dirs[(parent[vx], vx)]
+            # caps are tried in increasing order, so K stays minimal;
+            # within a cap the smallest positive multiple wins
+            return (
+                (t, tuple(a + s * b for a, b in zip(qa, d0)))
+                for t, pt in enumerate(pts)
+                if t not in used
+                for s in _positive_step(qa, pt, d0, cap)
+            )
 
         def place(depth: int) -> bool:
             if depth == v:
                 return True
             vx = order[depth]
-            if depth == 0:
-                for t in range(len(pts)):
-                    for delta in box(cap):
-                        assigned[vx] = t
-                        position[vx] = tuple(a + b for a, b in zip(pts[t], delta))
-                        used.add(t)
-                        if place(depth + 1):
-                            return True
-                        used.discard(t)
-                        assigned[vx] = None
-                        position[vx] = None
-                return False
-            par = parent[vx]
-            d0 = dirs[(par, vx)]
-            qa = position[par]
-            for t in range(len(pts)):
-                if t in used:
-                    continue
-                # caps are tried in increasing order, so K stays minimal;
-                # within a cap the smallest positive multiple wins
-                for s in _positive_step(qa, pts[t], d0, cap):
-                    assigned[vx] = t
-                    position[vx] = tuple(a + s * b for a, b in zip(qa, d0))
-                    if ok_nontree(vx):
-                        used.add(t)
-                        if place(depth + 1):
-                            return True
-                        used.discard(t)
-                    assigned[vx] = None
-                    position[vx] = None
+            for t, q in candidates(vx):
+                if all(
+                    _is_positive_multiple(tuple(map(sub, q, position[w])), d0)
+                    for w, d0 in closing[vx]
+                ):
+                    assigned[vx], position[vx] = t, q
+                    used.add(t)
+                    if place(depth + 1):
+                        return True
+                    used.discard(t)
             return False
 
-        if place(0):
-            return [int(x) for x in assigned], [tuple(p) for p in position]
-        return None
+        return (assigned, position) if place(0) else None
 
     for cap in range(tolerance_K + 1):
         result = search(cap)

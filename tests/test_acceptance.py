@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 All tolerances are exact (zero tolerance) except the stated 1e-9
-relative tolerance of the floating-point tightness path and the four
+relative tolerance of the floating-point tightness path and the five
 wall-clock limits.
 """
 
@@ -27,6 +27,7 @@ from polymix import (
     snap_to_homothety,
 )
 from polymix.cli import main
+from polymix.jsonio import load_poly
 from polymix.measure import box_projected_dimension, brute_force_counts
 from polymix.redraw import constraint_rows
 
@@ -256,3 +257,13 @@ def test_criterion_11_polynomial_coefficient_search(capsys):
     with capsys.disabled():
         report(11, f"search --r 2 --radius 1 --coeff-degree 1 on the F_3 square in {elapsed:.3f}s",
                ok)
+
+
+def test_criterion_12_generic_f101_certificate():
+    # the dilated support relation at p = 101, proved by one division
+    f = load_poly(str(FIXTURES / "generic_f101.json"))
+    start = time.perf_counter()
+    cert = frobenius_certificate(f, 12)
+    elapsed = time.perf_counter() - start
+    ok = cert.verified_k == tuple(range(13)) and cert.frobenius_family and elapsed < 0.5
+    report(12, f"certificate for k<=12 on a generic 5-term F_101 polynomial in {elapsed:.3f}s", ok)

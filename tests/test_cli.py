@@ -231,6 +231,49 @@ class TestSubcommands:
         assert captured.out == ""
         assert captured.err.startswith("parse error: POLYMIX_BUDGET")
 
+    @pytest.mark.parametrize(
+        "budget, env, argv, used, limit",
+        [
+            ("cells", "4", ["measure", LED, "--cylinder", CELL, "--method", "box"], 9, 4),
+            ("search", None, ["search", LED, "--r", "3", "--radius", "12"],
+             40_495_000, 10 ** 7),
+            ("division", "8", ["certify", LED, "--max-k", "1"], 9, 8),
+            ("division", None, ["certify", "P10007", "--max-k", "12"], 10008 ** 2, 10 ** 6),
+            ("detector", "29", ["detect", LED, "--tuple", "[[0,0],[17,0],[0,16]]", "--K", "1"],
+             30, 29),
+            # 3 points times the odd squares up to 2001
+            ("detector", None, ["detect", LED, "--tuple", "[[0,0],[1000,0],[0,3]]",
+                                "--K", "1000"], 1001 * 2001 * 2003, 10 ** 4),
+        ],
+        ids=["cells", "search", "division", "division_p10007", "detector", "detector_K1000"],
+    )
+    def test_named_budget_exits_3(self, capsys, monkeypatch, tmp_path, budget, env, argv,
+                                  used, limit):
+        if env is None:
+            monkeypatch.delenv("POLYMIX_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("POLYMIX_BUDGET", env)
+        path = tmp_path / "p10007.json"  # Ledrappier's support over F_10007
+        path.write_text((FIXTURES / "ledrappier.json").read_text().replace('"p": 2', '"p": 10007'))
+        code = main([str(path) if a == "P10007" else a for a in argv])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        lead, rest = captured.err.split(": ", 1)
+        assert lead == "budget exceeded"
+        assert rest.startswith(f"{budget} budget: {used} ")
+        assert rest.endswith(f", limit {limit}\n")
+
+    def test_only_budgets_raises_budget_exceeded(self):
+        raisers = []
+        for path in sorted((SRC / "polymix").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    if getattr(exc, "id", None) == "BudgetExceededError":
+                        raisers.append(path.name)
+        assert raisers == ["budgets.py"]
+
     @pytest.mark.parametrize("command", ["certify", "analyze"])
     def test_negative_max_k_exits_1(self, capsys, command):
         code = main([command, LED, "--max-k", "-1"])

@@ -186,7 +186,9 @@ class TestBruteForce:
         assert res.value == 0
 
     def test_budget_enforced(self, ledrappier):
-        with pytest.raises(BudgetExceededError):
+        # 2^25 configurations of the 25-cell box
+        with pytest.raises(BudgetExceededError,
+                           match=r"^enumeration budget: 33554432 .*, limit 4194304$"):
             brute_force_counts(ledrappier, cell(0), [(0, 4), (0, 4)])
 
     def test_oracle_agrees_with_rank_dimensions(self, all_fixtures):

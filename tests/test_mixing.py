@@ -1,5 +1,7 @@
+import heapq
 import random
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,12 +20,12 @@ from polymix import (
     search_relations,
     zero,
 )
+from polymix import laurent, quotient
 from polymix.cli import main
 from polymix.laurent import frobenius_power
 from polymix.mixing import relation_value
 from polymix.jsonio import load_poly
 from polymix.quotient import (
-    frobenius_residue,
     leading_term,
     monomial_residue,
     nf,
@@ -124,6 +126,21 @@ class TestFrobeniusCertificate:
             frobenius_certificate(monomial(2, 2, (1, 0)), 3)
 
 
+def frobenius_residue(g, k, f):
+    """Residue of g**(p^k), via k reduce-then-Frobenius rounds.
+
+    Valid because (a + qf)^p = a^p + (q^p f^{p-1}) f in characteristic p,
+    so reducing between successive p-th powers never changes the coset.
+    Each round is term surgery plus one division; carried over the
+    support monomials it is the residue walk below.  Its residues grow
+    like p^k for a generic f.
+    """
+    r = nf(g, f)
+    for _ in range(k):
+        r = nf(frobenius_power(r, 1), f)
+    return r
+
+
 def residue_walk(f, k_max):
     """Per-k verdicts of the k-round residue walk, independent of the identity.
 
@@ -165,6 +182,32 @@ def _cross_check_cases():
     return cases
 
 
+def product_identity_holds(f, k):
+    """Product identity oracle: fhat^(p^k) by products is fhat(u^(p^k)), which lies in <f>.
+
+    ``laurent.frobenius_power`` is looked up at call time so that the
+    mutation tests can replace it.
+    """
+    fhat, _ = normalize(f)
+    dilated = laurent.frobenius_power(fhat, k)
+    return poly_pow(fhat, f.p ** k) == dilated and nf(dilated, f).is_zero
+
+
+def _small_power_cases():
+    rng = random.Random(56)
+    return [(generic_poly(rng, p, 4, span=2), k) for p, k in ((2, 3), (3, 2), (5, 1), (7, 1))]
+
+
+class TestResidueWalk:
+    def test_frobenius_residue_matches_division(self, all_fixtures):
+        rng = random.Random(17)
+        for f in all_fixtures:
+            for _ in range(8):
+                g = random_poly(rng, f.p, 2, max_terms=3, lo=0, hi=2, nonzero=True)
+                for k in (0, 1, 2):
+                    assert frobenius_residue(g, k, f) == nf(poly_pow(g, f.p ** k), f)
+
+
 class TestIdentityCertificate:
     @pytest.mark.parametrize("f, k_max", _cross_check_cases())
     def test_agrees_with_residue_walk(self, f, k_max):
@@ -177,13 +220,16 @@ class TestIdentityCertificate:
 
     def test_substitution_step_on_small_powers(self):
         # the step from k = 1 to every k: fhat^(p^k) is fhat(u^(p^k))
-        rng = random.Random(56)
-        for p, k in ((2, 3), (3, 2), (5, 1), (7, 1)):
-            f = generic_poly(rng, p, 4, span=2)
-            fhat, _ = normalize(f)
-            dilated = frobenius_power(fhat, k)
-            assert poly_pow(fhat, p ** k) == dilated
-            assert nf(dilated, f).is_zero
+        for f, k in _small_power_cases():
+            assert product_identity_holds(f, k)
+
+    @pytest.mark.parametrize("p", [11, 13, 31])
+    def test_division_certificate_agrees_with_product_identity(self, p):
+        rng = random.Random(57 + p)
+        for nterms in (3, 5):
+            f = generic_poly(rng, p, nterms)
+            assert frobenius_certificate(f, 6).verified_k == tuple(range(7))
+            assert product_identity_holds(f, 1)
 
     def test_generic_f7_reaches_k12(self):
         # the residue walk would need minutes for this polynomial at k = 12
@@ -211,22 +257,60 @@ def _dilate_and_shift(g, k):
     return frobenius_power(g, k).shift((0,) * (g.dim - 1) + (1,)) if k else g
 
 
-@pytest.mark.parametrize(
+_DIVIDE = quotient._divide
+
+
+def _divide_dropping_a_tail_term(work, m):
+    short = SimpleNamespace(p=m.p, lt=m.lt, lt_inv=m.lt_inv, tail=m.tail[1:])
+    return _DIVIDE(work, short)
+
+
+# a division that never revisits the terms its steps create
+_HEAPQ_LOSING_PUSHES = SimpleNamespace(
+    heapify=heapq.heapify, heappop=heapq.heappop, heappush=lambda heap, item: None
+)
+
+
+_DIVIDE_MUTANTS = pytest.mark.parametrize(
     "target, mutant",
     [
-        ("polymix.laurent.LaurentPoly.__mul__", _dropping_mul(LaurentPoly.__mul__)),
-        ("polymix.mixing.frobenius_power", _dilate_by_p_squared),
-        ("polymix.mixing.frobenius_power", _dilate_and_shift),
+        ("polymix.quotient._divide", _divide_dropping_a_tail_term),
+        ("polymix.quotient.heapq", _HEAPQ_LOSING_PUSHES),
     ],
-    ids=["mul_drops_a_term", "dilates_by_p_squared", "dilation_shifted"],
+    ids=["divide_drops_a_tail_term", "divide_loses_new_terms"],
 )
+
+
 class TestCertificateMutations:
+    """Each mutant is caught by the check that trusts the mutated code.
+
+    The certificate rests on ``quotient._divide`` alone, so its mutants
+    must fail it; the product and dilation mutants must fail the product
+    identity oracle.
+    """
+
+    @pytest.mark.parametrize(
+        "target, mutant",
+        [
+            ("polymix.laurent.LaurentPoly.__mul__", _dropping_mul(LaurentPoly.__mul__)),
+            ("polymix.laurent.frobenius_power", _dilate_by_p_squared),
+            ("polymix.laurent.frobenius_power", _dilate_and_shift),
+        ],
+        ids=["mul_drops_a_term", "dilates_by_p_squared", "dilation_shifted"],
+    )
+    def test_product_identity_oracle_fails(self, monkeypatch, target, mutant):
+        monkeypatch.setattr(target, mutant)
+        for f, k in _small_power_cases():
+            assert not product_identity_holds(f, k)
+
+    @_DIVIDE_MUTANTS
     def test_certificate_raises(self, monkeypatch, ledrappier, square_f3, target, mutant):
         monkeypatch.setattr(target, mutant)
         for f in (ledrappier, square_f3):
             with pytest.raises(InternalInconsistencyError):
                 frobenius_certificate(f, 3)
 
+    @_DIVIDE_MUTANTS
     def test_certify_exits_4(self, monkeypatch, capsys, target, mutant):
         monkeypatch.setattr(target, mutant)
         code = main(["certify", str(FIXTURES / "generic_f7.json"), "--max-k", "2"])

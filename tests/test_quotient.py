@@ -19,7 +19,6 @@ from polymix import (
 )
 from polymix import quotient
 from polymix.quotient import (
-    frobenius_residue,
     grlex_key,
     leading_term,
     monomial_residue,
@@ -240,14 +239,6 @@ class TestResidueShortcuts:
                 g = random_poly(rng, f.p, 2, max_terms=3, lo=0, hi=2, nonzero=True)
                 n = rng.randint(0, 6)
                 assert power_residue(g, n, f) == nf(poly_pow(g, n), f)
-
-    def test_frobenius_residue_matches_division(self, all_fixtures):
-        rng = random.Random(17)
-        for f in all_fixtures:
-            for _ in range(8):
-                g = random_poly(rng, f.p, 2, max_terms=3, lo=0, hi=2, nonzero=True)
-                for k in (0, 1, 2):
-                    assert frobenius_residue(g, k, f) == nf(poly_pow(g, f.p ** k), f)
 
     def test_huge_monomial_residue(self, ledrappier):
         # u2^(2^12) = (1 + u1)^(2^12) = 1 + u1^4096 in the quotient

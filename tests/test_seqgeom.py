@@ -14,6 +14,7 @@ from polymix import (
     snap_to_homothety,
 )
 from polymix.lattice import int_det, is_primitive
+from polymix.seqgeom import _odd_power_sum
 
 
 def frame_matrix(frame):
@@ -209,6 +210,13 @@ class TestDetectRedrawing:
         f = make_poly(2, 2, [((0, 0), 1), ((1, 1), 1), ((2, 2), 1)])
         with pytest.raises(ValueError):
             detect_redrawing(f, [(0, 0), (1, 1), (2, 2)], 0)
+
+
+    def test_budget_counts_root_placements_in_closed_form(self):
+        # the detector budget's count: every perturbation of sup-norm c <= K
+        for d in range(1, 6):
+            for K in (0, 1, 2, 7, 30):
+                assert _odd_power_sum(K, d) == sum((2 * c + 1) ** d for c in range(K + 1))
 
 
 class TestSnapToHomothety:
