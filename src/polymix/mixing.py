@@ -5,11 +5,11 @@ vertices, the order of mixing M and the shape order S satisfy
 v - 1 <= M <= S <= |S(f)| - 1; when the polytope is tight the two orders
 agree.  The support itself is always a non-mixing shape: dilating by p^k
 turns f into its p^k-th power, which still lies in <f>.  The certificate
-machine-checks the two facts this rests on, whatever the largest k, by
-one division each: the normalized f and its Frobenius dilation f(u^p)
-both reduce to zero modulo f.  Every larger k follows by substitution,
-so an arithmetic bug in the division fails the certificate rather than
-passing silently.
+machine-checks the two facts this rests on, whatever the largest k: the
+normalized f reduces to zero modulo f, and f(u^p) divided by f leaves no
+remainder and a quotient that multiplies back to the dilated support.
+Every larger k follows by substitution, so a bug in the division, the
+product or the dilation fails the certificate, never passing silently.
 
 Irreducibility of f is an assumption of the bounds and is *asserted by
 the caller*, never verified; reports carry a warning to that effect.
@@ -23,9 +23,9 @@ from math import comb, prod
 from operator import add, sub
 from typing import Callable, Iterable, Sequence
 
-from . import budgets
+from . import budgets, quotient
 from .errors import InternalInconsistencyError
-from .laurent import ExponentVec, LaurentPoly, frobenius_power, zero
+from .laurent import ExponentVec, LaurentPoly, _raw, frobenius_power, zero
 from .polytope import LatticePolytope, hull
 from .quotient import leading_term, monomial_residue, nf, normalize
 from .redraw import redraw_space, skeleton_from_polytope
@@ -94,8 +94,8 @@ def frobenius_certificate(f: LaurentPoly, k_max: int) -> ShapeCertificate:
     it vanishes modulo f for every k:
 
     - k = 0: fhat reduces to zero modulo f;
-    - k = 1: ``frobenius_power(fhat, 1)`` = fhat(u^p) reduces to zero
-      modulo f, so fhat(u^p) = fhat g for a polynomial g.
+    - k = 1: ``frobenius_power(fhat, 1)`` divided by f leaves remainder
+      zero and a quotient g with fhat g the relation read off the shape.
 
     Substituting u -> u^(p^(k-1)) is a ring endomorphism, so
     fhat(u^(p^k)) = fhat(u^(p^(k-1))) g(u^(p^(k-1))), a multiple of f by
@@ -110,16 +110,21 @@ def frobenius_certificate(f: LaurentPoly, k_max: int) -> ShapeCertificate:
         raise ValueError("k_max must be >= 0")
     shape = tuple(sorted(f.terms))
     coeffs = tuple(f.terms[n] for n in shape)
-    fhat, _ = normalize(f)
+    fhat, base = normalize(f)
     if not nf(fhat, f).is_zero:
         raise InternalInconsistencyError(
             "dilated support relation failed to vanish at k=0"
         )
     if k_max > 0:
         budgets.check("division", prod(f.p * w + 1 for w in fhat.max_exponents()))
-        if not nf(frobenius_power(fhat, 1), f).is_zero:
+        g: dict[ExponentVec, int] = {}
+        dilated = frobenius_power(fhat, 1).terms
+        remainder = quotient._divide(dict(dilated), quotient._prepared(f), g)
+        relation = {tuple(f.p * (x - b) for x, b in zip(n, base)): c for n, c in f.terms.items()}
+        if remainder or (fhat * _raw(f.field, f.dim, g)).terms != relation:
             raise InternalInconsistencyError(
-                "f(u^p) does not reduce to zero: the dilated support relation is unproved"
+                "f(u^p) is not f times its division quotient: "
+                "the dilated support relation is unproved"
             )
     return ShapeCertificate(shape, coeffs, tuple(range(k_max + 1)), True)
 

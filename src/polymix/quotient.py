@@ -25,8 +25,9 @@ call with the same f (one query holds one f) reuses them; nothing is kept
 at module level, so the tables go when f does.
 
 ``_divide`` is the one division loop.  Every residue comes from it, and
-the certificate of ``mixing`` trusts it alone: that f(u^p) leaves
-remainder zero on division by f is the whole proof.
+it can also keep the quotient: the certificate of ``mixing`` divides
+f(u^p) by f and multiplies the quotient back, so it does not rest on the
+division alone.
 
 ``monomial_residue`` is the one routine that derives monomial residues:
 from a kept neighbour u^(e - e_i) in one short division when it can, by
@@ -130,14 +131,15 @@ def _prepared(f: LaurentPoly) -> _Modulus:
     return prepared
 
 
-def _divide(work: dict[ExponentVec, int], m: _Modulus) -> dict[ExponentVec, int]:
+def _divide(work: dict[ExponentVec, int], m: _Modulus, quotient=None) -> dict[ExponentVec, int]:
     """Remainder of division by the normalized modulus; consumes ``work``.
 
     Only terms divisible by the leading term enter the heap, largest
     first.  Replacing one introduces only strictly smaller terms, so a
     lazy heap with stale entries is enough, and the terms never divisible
     are left in place as the remainder.  The remainder is unique (a single
-    divisor is a Groebner basis), whatever the order of the steps.
+    divisor is a Groebner basis), whatever the order of the steps.  Each
+    step's quotient term goes into the dict ``quotient`` when one is given.
     """
     p, lt, lt_inv, tail = m.p, m.lt, m.lt_inv, m.tail
     heap = [(_heapkey(e), e) for e in work if all(map(ge, e, lt))]
@@ -149,6 +151,8 @@ def _divide(work: dict[ExponentVec, int], m: _Modulus) -> dict[ExponentVec, int]
             continue  # stale entry
         q = (c * lt_inv) % p
         base = tuple(map(sub, e, lt))
+        if quotient is not None:
+            quotient[base] = q
         for fe, fc in tail:
             te = tuple(map(add, base, fe))
             old = work.get(te)

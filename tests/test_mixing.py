@@ -260,9 +260,9 @@ def _dilate_and_shift(g, k):
 _DIVIDE = quotient._divide
 
 
-def _divide_dropping_a_tail_term(work, m):
+def _divide_dropping_a_tail_term(work, m, quotient=None):
     short = SimpleNamespace(p=m.p, lt=m.lt, lt_inv=m.lt_inv, tail=m.tail[1:])
-    return _DIVIDE(work, short)
+    return _DIVIDE(work, short, quotient)
 
 
 # a division that never revisits the terms its steps create
@@ -271,22 +271,31 @@ _HEAPQ_LOSING_PUSHES = SimpleNamespace(
 )
 
 
-_DIVIDE_MUTANTS = pytest.mark.parametrize(
+_CERTIFICATE_MUTANTS = pytest.mark.parametrize(
     "target, mutant",
     [
+        ("polymix.laurent.LaurentPoly.__mul__", _dropping_mul(LaurentPoly.__mul__)),
+        ("polymix.mixing.frobenius_power", _dilate_by_p_squared),
+        ("polymix.mixing.frobenius_power", _dilate_and_shift),
         ("polymix.quotient._divide", _divide_dropping_a_tail_term),
         ("polymix.quotient.heapq", _HEAPQ_LOSING_PUSHES),
     ],
-    ids=["divide_drops_a_tail_term", "divide_loses_new_terms"],
+    ids=[
+        "mul_drops_a_term",
+        "dilates_by_p_squared",
+        "dilation_shifted",
+        "divide_drops_a_tail_term",
+        "divide_loses_new_terms",
+    ],
 )
 
 
 class TestCertificateMutations:
-    """Each mutant is caught by the check that trusts the mutated code.
+    """Each mutant fails the certificate and the product identity oracle.
 
-    The certificate rests on ``quotient._divide`` alone, so its mutants
-    must fail it; the product and dilation mutants must fail the product
-    identity oracle.
+    The certificate divides f(u^p) by f and multiplies the quotient back
+    into the relation read off the shape, so a wrong division, product or
+    dilation makes it raise.
     """
 
     @pytest.mark.parametrize(
@@ -303,14 +312,14 @@ class TestCertificateMutations:
         for f, k in _small_power_cases():
             assert not product_identity_holds(f, k)
 
-    @_DIVIDE_MUTANTS
+    @_CERTIFICATE_MUTANTS
     def test_certificate_raises(self, monkeypatch, ledrappier, square_f3, target, mutant):
         monkeypatch.setattr(target, mutant)
         for f in (ledrappier, square_f3):
             with pytest.raises(InternalInconsistencyError):
                 frobenius_certificate(f, 3)
 
-    @_DIVIDE_MUTANTS
+    @_CERTIFICATE_MUTANTS
     def test_certify_exits_4(self, monkeypatch, capsys, target, mutant):
         monkeypatch.setattr(target, mutant)
         code = main(["certify", str(FIXTURES / "generic_f7.json"), "--max-k", "2"])
