@@ -1,6 +1,9 @@
 """Exact mixing analysis for algebraic Z^d-actions defined by a Laurent
 polynomial over a prime field."""
 
+# no package path uses the exact LP; it is imported with the package because
+# perfbench/tracing.py wraps exactlp.in_convex_hull as it wraps every layer
+from . import exactlp  # noqa: F401
 from .errors import (
     BudgetExceededError,
     InternalInconsistencyError,
@@ -40,7 +43,7 @@ from .mixing import (
     mixing_bounds,
     search_relations,
 )
-from .polytope import LatticePolytope, hull, is_vertex, outward_normal, point_in_hull
+from .polytope import LatticePolytope, hull, outward_normal
 from .quotient import Residue, is_zero_mod, normalize, reduce
 from .redraw import RedrawSpace, Skeleton, is_tight, make_skeleton, redraw_space, skeleton_from_polytope
 from .seqgeom import (
@@ -86,7 +89,6 @@ __all__ = [
     "frobenius_rule",
     "hull",
     "is_tight",
-    "is_vertex",
     "is_zero_mod",
     "joint_measure",
     "make_poly",
@@ -99,7 +101,6 @@ __all__ = [
     "normalize",
     "one",
     "outward_normal",
-    "point_in_hull",
     "poly_pow",
     "reduce",
     "redraw_space",

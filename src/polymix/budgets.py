@@ -1,7 +1,9 @@
 """Hard budgets for the expensive operations, checked in one place.
 
 Each expensive path calls ``check`` with its budget's name and the size
-it is about to use, before doing the work.  ``POLYMIX_BUDGET`` (an
+it is about to use, before doing the work; where that size is not known
+up front (the detector's placements, the hull's visibility tests) it
+calls ``check`` again as its running count grows.  ``POLYMIX_BUDGET`` (an
 integer) overrides every budget at once; when it is unset the defaults
 below apply.  A value that is not a positive integer is a
 ``ParseError``, read when a budget is first checked.
@@ -17,7 +19,8 @@ DEFAULTS = {
     "enumeration": (2 ** 22, "configurations enumerated brute-force"),
     "search": (10 ** 7, "(shape, coefficient) candidates"),
     "division": (10 ** 6, "monomials of the box holding f(u^p)"),
-    "detector": (10 ** 4, "root placements over every cap"),
+    "detector": (10 ** 4, "placements tried over every cap"),
+    "hull": (10 ** 5, "facet visibility tests of beneath-beyond"),
 }
 
 _ENV_VAR = "POLYMIX_BUDGET"

@@ -19,9 +19,11 @@ integer), 2 degenerate input
 (the message names the budget, its use and its limit), 4 internal error
 (a machine check failed), 141 stdout closed before the report was written
 (128 + SIGPIPE, as a shell reports for ``yes | head``).  The environment
-variable POLYMIX_BUDGET overrides every budget of ``budgets``: box cells,
-brute-force configurations, search candidates, the certificate's division
-box and the detector's root placements.
+variable POLYMIX_BUDGET overrides every budget of ``budgets``: ``cells``
+(box cells), ``enumeration`` (brute-force configurations), ``search``
+(search candidates), ``division`` (the certificate's division box),
+``detector`` (the detector's placements) and ``hull`` (the facet
+visibility tests of a convex hull).
 """
 
 from __future__ import annotations

@@ -3,9 +3,8 @@
 Phase-1 simplex with Bland's rule in integer-preserving form, sized for
 convex-combination membership queries on a few dozen points.  No
 floating point and no fractions: every tableau entry stays an integer.
-The hull itself does not use it: it serves ``polytope.is_vertex``/
-``point_in_hull`` and the tests as an oracle independent of the integer
-beneath-beyond hull.
+The hull itself does not use it: it serves the tests as an oracle
+independent of the integer beneath-beyond hull.
 """
 
 from __future__ import annotations

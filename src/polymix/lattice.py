@@ -2,7 +2,8 @@
 
 Small exact helpers shared by the polytope and frame-construction code:
 primitivity, Hermite-style column reduction with a tracked unimodular
-transform, completion of a primitive vector to a basis of Z^d, and exact
+transform (the one unimodular reduction here: completing a primitive
+vector to a basis of Z^d inverts the transform it gives), and exact
 determinants and ranks of small integer (or rational) matrices.
 """
 
@@ -155,38 +156,21 @@ def complete_to_unimodular(v: IntVec) -> list[list[int]]:
     """Extend a primitive vector to a basis of Z^d.
 
     Returns a row-major matrix M with |det M| = 1 whose first *column*
-    is v.  Built by reducing v to e_1 with elementary row operations and
-    accumulating their inverses.
+    is v.  ``column_reduce([v], d)`` gives a unimodular V with
+    v @ V = (e, 0, ..., 0), e = +-1, so v is e times the first row of
+    V^-1 = det V * adj V; M is that inverse transposed, its first column
+    multiplied by e.
     """
     if not is_primitive(v):
         raise ValueError(f"{v} is not primitive")
     d = len(v)
-    w = list(v)
-    m = [[int(i == j) for j in range(d)] for i in range(d)]  # columns tracked below
+    vcols, _ = column_reduce([v], d)
+    det = int_det(vcols)  # of V transposed, the same
+    e = apply_columns(vcols, v, 1)[0]
 
-    def col_add(dst: int, src: int, q: int) -> None:
-        for i in range(d):
-            m[i][dst] += q * m[i][src]
+    def inverse(j: int, i: int) -> int:
+        """V^-1[j][i] = det V * (-1)^(i+j) * det(V without row i and column j)."""
+        minor = [col[:i] + col[i + 1:] for n, col in enumerate(vcols) if n != j]
+        return det * (-1) ** (i + j) * int_det(minor)
 
-    # w_b -= q * w_a pairs with column_a += q * column_b on the inverse
-    while True:
-        nz = [i for i in range(d) if w[i] != 0]
-        if len(nz) == 1:
-            break
-        nz.sort(key=lambda i: abs(w[i]))
-        a = nz[0]
-        for b in nz[1:]:
-            q = w[b] // w[a]
-            w[b] -= q * w[a]
-            col_add(a, b, q)
-    t = next(i for i in range(d) if w[i] != 0)
-    if w[t] < 0:
-        w[t] = -w[t]
-        for i in range(d):
-            m[i][t] = -m[i][t]
-    if t != 0:
-        w[0], w[t] = w[t], w[0]
-        for i in range(d):
-            m[i][0], m[i][t] = m[i][t], m[i][0]
-    assert w[0] == 1 and all(x == 0 for x in w[1:])
-    return m
+    return [[inverse(j, i) * (e if j == 0 else 1) for j in range(d)] for i in range(d)]

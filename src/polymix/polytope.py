@@ -2,9 +2,12 @@
 
 Vertices and facet planes are computed in every dimension by one integer
 beneath-beyond hull (orientation signs of integer cofactor normals, no
-division).  The faces are read off the facet planes by one rule in every
-affine dimension k: two vertices span an edge exactly when the inward
-normals of the facets containing both have rank k - 1, and an edge's
+division), whose facet visibility tests the ``hull`` budget bounds.  The
+faces are read off the facet-vertex incidences by one closure rule in
+every affine dimension: a set of points spans a face exactly when it
+equals the set of points on every facet that contains it (every point,
+when no facet does), so a corner is a vertex when its closure is itself
+and two vertices span an edge when their closure is the pair.  An edge's
 outward normal is the primitive sum of the outward normals of the facets
 through it.  Supports whose affine hull is lower-dimensional are mapped
 onto Z^k by a unimodular column reduction, the faces are computed there,
@@ -20,8 +23,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Sequence
 
+from . import budgets
 from .errors import InternalInconsistencyError
-from .exactlp import in_convex_hull
 from .lattice import (
     apply_columns,
     column_reduce,
@@ -54,24 +57,6 @@ class LatticePolytope:
     @property
     def vertex_count(self) -> int:
         return len(self.vertices)
-
-
-def is_vertex(q: Sequence[int], points: Iterable[Sequence[int]]) -> bool:
-    """Is q an extreme point of the set?  Requires q to be a member.
-
-    Decided exactly: q is a vertex iff it is not a convex combination of
-    the remaining points (a rational feasibility LP).
-    """
-    q = tuple(q)
-    pts = {tuple(s) for s in points}
-    if q not in pts:
-        raise ValueError(f"{q} is not a member of the point set")
-    return not in_convex_hull(q, sorted(pts - {q}))
-
-
-def point_in_hull(q: Sequence[int], points: Iterable[Sequence[int]]) -> bool:
-    """Exact containment of q in the convex hull of the points."""
-    return in_convex_hull(tuple(q), sorted({tuple(s) for s in points}))
 
 
 def _dot(a, b) -> int:
@@ -107,8 +92,8 @@ def _beneath_beyond(
     is not a vertex; the visible facets are replaced by cones from the
     point over their horizon ridges.  Facet simplices are then grouped by
     (primitive inward normal, offset); a corner of the triangulation is a
-    vertex exactly when the normals of its facets have rank k.  Returns
-    the sorted vertices and, per facet plane, the vertices lying on it.
+    vertex exactly when its closure is itself.  Returns the sorted
+    vertices and, per facet plane, the vertices lying on it.
     """
     k = len(pts[0])
     simplex = [pts[0]]
@@ -132,9 +117,12 @@ def _beneath_beyond(
     for i in range(k + 1):
         add(simplex[:i] + simplex[i + 1:])
     placed = set(simplex)
+    visibility_tests = 0
     for q in pts:
         if q in placed:
             continue
+        visibility_tests += len(facets)
+        budgets.check("hull", visibility_tests)
         visible = [c for c, (normal, offset) in facets.items() if _dot(normal, q) < offset]
         ridges: dict[tuple[IntVec, ...], int] = {}
         for c in visible:
@@ -147,14 +135,32 @@ def _beneath_beyond(
                 add(ridge + (q,))
 
     planes: dict[tuple[IntVec, int], set[IntVec]] = {}
-    normals_at: dict[IntVec, set[IntVec]] = {}
     for corners, plane in facets.items():
         planes.setdefault(plane, set()).update(corners)
-        for c in corners:
-            normals_at.setdefault(c, set()).add(plane[0])
-    vertices = sorted(c for c, normals in normals_at.items() if int_rank(list(normals)) == k)
+    members = list(planes.values())
+    through = _incidences(members)
+    vertices = sorted(c for c in through if _closure({c}, through, members) == {c})
     keep = set(vertices)
-    return vertices, {plane: members & keep for plane, members in planes.items()}
+    return vertices, {plane: on & keep for plane, on in planes.items()}
+
+
+def _incidences(members: list[set]) -> dict:
+    """For each point, the indices of the facets (vertex sets) containing it."""
+    through: dict = {}
+    for n, on in enumerate(members):
+        for c in on:
+            through.setdefault(c, set()).add(n)
+    return through
+
+
+def _closure(face: set, through: dict, members: list[set]) -> set:
+    """The smallest face containing ``face``, as a set of points.
+
+    It is the set of points on every facet that contains ``face``, or
+    every point when no facet does (Ziegler, Lectures on Polytopes, 2.2).
+    """
+    shared = set.intersection(*(through[c] for c in face))
+    return set.intersection(*(members[n] for n in shared)) if shared else set(through)
 
 
 def _counter_clockwise(
@@ -183,9 +189,8 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
     face-computation coordinates: sorted, except in affine dimension 2,
     where they run counter-clockwise from the lexicographic minimum.
     Facets and edges (index pairs into the vertex list) are produced in
-    every affine dimension k: a pair is an edge when the facets through
-    both have normals of rank k - 1, so only pairs sharing at least k - 1
-    facets are ranked.
+    every affine dimension: a pair is an edge when its closure, the
+    vertices on every facet through both, is the pair itself.
     """
     pts = sorted({tuple(int(x) for x in s) for s in points})
     if not pts:
@@ -216,15 +221,13 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
         Facet(tuple(sorted(index[v] for v in members)), normal, offset)
         for (normal, offset), members in sorted(planes.items())
     ]
-    through: list[set[int]] = [set() for _ in face_verts]  # facets at each vertex
-    for n, f in enumerate(facets):
-        for i in f.vertex_indices:
-            through[i].add(n)
-    edges = []
-    for i, j in combinations(range(len(face_verts)), 2):
-        shared = through[i] & through[j]
-        if len(shared) >= k - 1 and int_rank([facets[n].inward_normal for n in shared]) == k - 1:
-            edges.append((i, j))
+    members = [set(f.vertex_indices) for f in facets]
+    through = _incidences(members)
+    edges = [
+        (i, j)
+        for i, j in combinations(range(len(face_verts)), 2)
+        if _closure({i, j}, through, members) == {i, j}
+    ]
     if k == 3 and len(face_verts) - len(edges) + len(facets) != 2:
         raise InternalInconsistencyError("Euler check failed on 3-dimensional hull")
 

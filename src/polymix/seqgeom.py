@@ -189,8 +189,9 @@ def detect_redrawing(
     perturbed point pair parallel to it (positively oriented).  Caps are
     tried in increasing order, so the returned K is minimal; the search
     inside a cap is deterministic.  The ``detector`` budget bounds the
-    root placements over every cap, each tuple point moved by each
-    perturbation, before the first cap is searched.
+    placements tried over every cap, root and child, as they are tried;
+    the root placements alone, each tuple point moved by each
+    perturbation, are checked in closed form before the first cap.
     """
     if tolerance_K < 0:
         raise ValueError("tolerance must be >= 0")
@@ -232,6 +233,7 @@ def detect_redrawing(
             closing[last].append((first, dirs[(first, last)]))
 
     budgets.check("detector", len(pts) * _odd_power_sum(tolerance_K, poly.dim))
+    tried = 0
 
     def search(cap: int) -> tuple[list[int], list[IntVec]] | None:
         assigned: list[int] = [0] * v
@@ -260,10 +262,13 @@ def detect_redrawing(
             )
 
         def place(depth: int) -> bool:
+            nonlocal tried
             if depth == v:
                 return True
             vx = order[depth]
             for t, q in candidates(vx):
+                tried += 1
+                budgets.check("detector", tried)
                 if all(
                     _is_positive_multiple(tuple(map(sub, q, position[w])), d0)
                     for w, d0 in closing[vx]

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -244,8 +245,13 @@ class TestSubcommands:
             # 3 points times the odd squares up to 2001
             ("detector", None, ["detect", LED, "--tuple", "[[0,0],[1000,0],[0,3]]",
                                 "--K", "1000"], 1001 * 2001 * 2003, 10 ** 4),
+            # only 495 root placements at K = 4, but every child placement counts too
+            ("detector", None, ["detect", LED, "--tuple", "[[0,0],[1000,0],[0,3]]",
+                                "--K", "4"], 10 ** 4 + 1, 10 ** 4),
+            ("hull", None, ["bounds", "CLOUD5"], 101_440, 10 ** 5),
         ],
-        ids=["cells", "search", "division", "division_p10007", "detector", "detector_K1000"],
+        ids=["cells", "search", "division", "division_p10007", "detector", "detector_K1000",
+             "detector_placements", "hull"],
     )
     def test_named_budget_exits_3(self, capsys, monkeypatch, tmp_path, budget, env, argv,
                                   used, limit):
@@ -253,9 +259,16 @@ class TestSubcommands:
             monkeypatch.delenv("POLYMIX_BUDGET", raising=False)
         else:
             monkeypatch.setenv("POLYMIX_BUDGET", env)
-        path = tmp_path / "p10007.json"  # Ledrappier's support over F_10007
-        path.write_text((FIXTURES / "ledrappier.json").read_text().replace('"p": 2', '"p": 10007'))
-        code = main([str(path) if a == "P10007" else a for a in argv])
+        files = {"P10007": tmp_path / "p10007.json", "CLOUD5": tmp_path / "cloud5.json"}
+        # Ledrappier's support over F_10007
+        files["P10007"].write_text(
+            (FIXTURES / "ledrappier.json").read_text().replace('"p": 2', '"p": 10007'))
+        # 2,000 random points of [0, 30]^5
+        rng = random.Random(5)
+        cloud = sorted({tuple(rng.randint(0, 30) for _ in range(5)) for _ in range(2000)})
+        files["CLOUD5"].write_text(
+            json.dumps({"p": 2, "d": 5, "terms": [{"e": list(e), "c": 1} for e in cloud]}))
+        code = main([str(files[a]) if a in files else a for a in argv])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
@@ -273,6 +286,25 @@ class TestSubcommands:
                     if getattr(exc, "id", None) == "BudgetExceededError":
                         raisers.append(path.name)
         assert raisers == ["budgets.py"]
+
+    def test_budget_names_are_declared_used_and_documented(self):
+        # every name passed to budgets.check is a budget, and every budget is
+        # checked somewhere in src/ and named in the cli docstring and the README
+        import polymix.budgets
+        import polymix.cli
+
+        checked = set()
+        for path in sorted((SRC / "polymix").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "check"
+                        and getattr(node.func.value, "id", None) == "budgets"):
+                    checked.add(ast.literal_eval(node.args[0]))
+        assert checked == set(polymix.budgets.DEFAULTS)
+        readme = (SRC.parent / "README.md").read_text()
+        for name in polymix.budgets.DEFAULTS:
+            assert f"``{name}``" in polymix.cli.__doc__
+            assert f"`{name}`" in readme
 
     @pytest.mark.parametrize("command", ["certify", "analyze"])
     def test_negative_max_k_exits_1(self, capsys, command):

@@ -178,6 +178,17 @@ class TestCompleteToUnimodular:
             assert tuple(m[i][0] for i in range(d)) == v
             assert abs(int_det([row[:] for row in m])) == 1
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_entries_up_to_a_million(self, d):
+        rng = random.Random(95 + d)
+        for n in range(30):
+            v = [rng.choice((0, rng.randint(-10 ** 6, 10 ** 6))) for _ in range(d)]
+            v[n % d] = v[n % d] or rng.choice((-1, 1))
+            v = primitive(v)
+            m = complete_to_unimodular(v)
+            assert tuple(m[i][0] for i in range(d)) == v
+            assert abs(int_det([row[:] for row in m])) == 1
+
     def test_rejects_imprimitive(self):
         with pytest.raises(ValueError):
             complete_to_unimodular((2, 2))

@@ -4,10 +4,25 @@ from itertools import combinations, product
 
 import pytest
 
-from polymix import hull, is_vertex, outward_normal, point_in_hull
-from polymix.exactlp import equality_feasible
-from polymix.lattice import content, int_det, primitive
+from polymix import hull, outward_normal, polytope
+from polymix.errors import InternalInconsistencyError
+from polymix.exactlp import equality_feasible, in_convex_hull
+from polymix.lattice import apply_columns, content, int_det, int_rank, primitive
 from polymix.polytope import Facet
+
+
+def is_vertex(q, points) -> bool:
+    """LP oracle: is the member q of the set not a convex combination of the others?"""
+    q = tuple(q)
+    pts = {tuple(s) for s in points}
+    if q not in pts:
+        raise ValueError(f"{q} is not a member of the point set")
+    return not in_convex_hull(q, sorted(pts - {q}))
+
+
+def point_in_hull(q, points) -> bool:
+    """LP oracle: exact containment of q in the convex hull of the points."""
+    return in_convex_hull(tuple(q), sorted({tuple(s) for s in points}))
 
 
 def dot(a, b):
@@ -436,3 +451,106 @@ class TestInvariants:
             if len(set(f.vertex_indices) & set(g.vertex_indices)) == 2
         }
         assert pairs == set(poly.edges)
+
+
+def faces_by_rank(poly, pts):
+    """Rank oracle for the face rule: vertices (face coordinates) and edges.
+
+    A point of the set is a vertex when the inward normals of the facets
+    through it have rank k; two vertices span an edge when the normals of
+    the facets through both have rank k - 1 (rank 0 for no facet).
+    """
+    k = poly.affine_dim
+    pts = sorted(set(pts))
+    if poly._proj_cols is not None:  # the hull's own projection, from the least point
+        pts = [apply_columns(poly._proj_cols, sub(p, pts[0]), k) for p in pts]
+    vertices = sorted(
+        q for q in pts
+        if int_rank([f.inward_normal for f in poly.facets if dot(f.inward_normal, q) == f.offset])
+        == k
+    )
+    edges = [
+        (i, j)
+        for i, j in combinations(range(poly.vertex_count), 2)
+        if int_rank([f.inward_normal for f in poly.facets
+                     if i in f.vertex_indices and j in f.vertex_indices]) == k - 1
+    ]
+    return vertices, edges
+
+
+def random_point_sets(rng: random.Random, count: int) -> list:
+    """Point sets in Z^1..Z^5: generic, on a lower-dimensional lattice,
+    corners with midpoints (points on edges and facets), and grid pieces."""
+    sets = []
+    for n in range(count):
+        d = rng.randint(1, 5)
+        if n % 4 == 0:
+            side = rng.randint(1, 4)
+            pts = {tuple(rng.randint(0, side) for _ in range(d))
+                   for _ in range(rng.randint(2, d + 8))}
+        elif n % 4 == 1:
+            k = rng.randint(1, max(1, d - 1))
+            basis = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(k)]
+            pts = set()
+            for _ in range(rng.randint(2, k + 6)):
+                c = [rng.randint(0, 3) for _ in range(k)]
+                pts.add(tuple(sum(c[j] * basis[j][i] for j in range(k)) for i in range(d)))
+        elif n % 4 == 2:
+            corners = [tuple(2 * rng.randint(0, 2) for _ in range(d)) for _ in range(d + 3)]
+            pts = set(corners) | {tuple((a + b) // 2 for a, b in zip(*rng.sample(corners, 2)))
+                                  for _ in range(6)}
+        else:
+            grid = list(product(range(rng.randint(2, 3)), repeat=d))
+            pts = set(rng.sample(grid, rng.randint(2, min(len(grid), 16))))
+        sets.append(sorted(pts))
+    return sets
+
+
+CLOSURE = polytope._closure  # the rule under test, kept before a mutant replaces it
+
+
+def closure_skipping_a_facet(face, through, members):
+    shared = sorted(set.intersection(*(through[c] for c in face)))[1:]
+    return set.intersection(*(members[n] for n in shared)) if shared else set(through)
+
+
+def closure_missing_two_points(face, through, members):
+    # one extra point is never a closure (a corner's holds itself and two or
+    # more vertices, a pair that is no edge lies in a face with four or more),
+    # so it takes two to pass a point on an edge as a vertex or a square's
+    # diagonal as an edge
+    full = CLOSURE(face, through, members)
+    return face if len(full) <= len(face) + 2 else full
+
+
+class TestFaceRuleAgainstRanks:
+    SETS = random_point_sets(random.Random(31), 1200)
+
+    @staticmethod
+    def agrees(poly, pts) -> bool:
+        if poly.affine_dim == 0:
+            return poly.vertices == pts
+        vertices, edges = faces_by_rank(poly, pts)
+        return sorted(poly.face_vertices) == vertices and poly.edges == edges
+
+    def test_incidence_rule_matches_rank_rule(self):
+        dims = {}
+        for pts in self.SETS:
+            poly = hull(pts)
+            assert self.agrees(poly, pts), pts
+            dims[poly.affine_dim] = dims.get(poly.affine_dim, 0) + 1
+        assert all(dims.get(k, 0) >= 100 for k in range(1, 6)), dims
+
+    @pytest.mark.parametrize(
+        "mutant", [closure_skipping_a_facet, closure_missing_two_points],
+        ids=["skips_a_facet", "misses_two_points"],
+    )
+    def test_mutated_face_rule_is_caught(self, monkeypatch, mutant):
+        monkeypatch.setattr(polytope, "_closure", mutant)
+        caught = 0
+        for pts in self.SETS[:400]:
+            try:
+                caught += not self.agrees(hull(pts), pts)
+            except (InternalInconsistencyError, KeyError, ValueError):
+                caught += 1  # the hull's own checks may see it first
+        assert caught
