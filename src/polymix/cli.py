@@ -11,19 +11,22 @@
 
 All output is canonical JSON on stdout.  Exit codes: 0 success, 1 parse
 error (malformed input file or inline JSON, such as `true`, a float or a
-string where an integer is expected; an option value out of range
+string where an integer is expected, or a NaN or infinite skeleton
+vertex entry; an option value out of range
 -- a negative --max-k, --K, --radius, --coeff-degree or --tolerance, a NaN
 --tolerance, an --r below 2 -- or a POLYMIX_BUDGET that is not a positive
 integer), 2 degenerate input
-(zero/monomial polynomial or degenerate polytope), 3 budget exceeded
+(zero/monomial polynomial, degenerate polytope, or a float skeleton whose
+edge directions leave float range), 3 budget exceeded
 (the message names the budget, its use and its limit), 4 internal error
 (a machine check failed), 141 stdout closed before the report was written
 (128 + SIGPIPE, as a shell reports for ``yes | head``).  The environment
 variable POLYMIX_BUDGET overrides every budget of ``budgets``: ``cells``
 (box cells), ``enumeration`` (brute-force configurations), ``search``
 (search candidates), ``division`` (the certificate's division box),
-``detector`` (the detector's placements) and ``hull`` (the facet
-visibility tests of a convex hull).
+``detector`` (the detector's placements), ``hull`` (the facet
+visibility tests of a convex hull) and ``redraw`` (the cells of the rank
+system of a skeleton's redrawings).
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ SRC = FIXTURES.parent / "src"
 LED = str(FIXTURES / "ledrappier.json")
 QUAD = str(FIXTURES / "quad.json")
 CUBE = str(FIXTURES / "cube_skeleton.json")
+ICOSA = str(FIXTURES / "icosahedron_skeleton.json")
 CELL = str(FIXTURES / "single_cell_cylinder.json")
 MONO = str(FIXTURES / "monomial.json")
 
@@ -249,9 +250,13 @@ class TestSubcommands:
             ("detector", None, ["detect", LED, "--tuple", "[[0,0],[1000,0],[0,3]]",
                                 "--K", "4"], 10 ** 4 + 1, 10 ** 4),
             ("hull", None, ["bounds", "CLOUD5"], 101_440, 10 ** 5),
+            # (d - 1) rows per cycle, 32^2 cycles, over the 33^2 - 1 tree edges
+            ("redraw", None, ["tightness", "GRID33"], 1024 * 1088, 10 ** 6),
+            # (d - 1) rows per edge, 30 edges, over 3 * 12 vertex coordinates
+            ("redraw", "2159", ["tightness", ICOSA], 2160, 2159),
         ],
         ids=["cells", "search", "division", "division_p10007", "detector", "detector_K1000",
-             "detector_placements", "hull"],
+             "detector_placements", "hull", "redraw", "redraw_float"],
     )
     def test_named_budget_exits_3(self, capsys, monkeypatch, tmp_path, budget, env, argv,
                                   used, limit):
@@ -259,7 +264,8 @@ class TestSubcommands:
             monkeypatch.delenv("POLYMIX_BUDGET", raising=False)
         else:
             monkeypatch.setenv("POLYMIX_BUDGET", env)
-        files = {"P10007": tmp_path / "p10007.json", "CLOUD5": tmp_path / "cloud5.json"}
+        files = {"P10007": tmp_path / "p10007.json", "CLOUD5": tmp_path / "cloud5.json",
+                 "GRID33": tmp_path / "grid33.json"}
         # Ledrappier's support over F_10007
         files["P10007"].write_text(
             (FIXTURES / "ledrappier.json").read_text().replace('"p": 2', '"p": 10007'))
@@ -268,6 +274,11 @@ class TestSubcommands:
         cloud = sorted({tuple(rng.randint(0, 30) for _ in range(5)) for _ in range(2000)})
         files["CLOUD5"].write_text(
             json.dumps({"p": 2, "d": 5, "terms": [{"e": list(e), "c": 1} for e in cloud]}))
+        # the 33 x 33 grid graph: no triangle, so every edge has a scale of its own
+        grid = [[x, y] for x in range(33) for y in range(33)]
+        files["GRID33"].write_text(json.dumps({"dim": 2, "vertices": grid, "edges": [
+            [i, j] for i, j in ((i, i + 33) for i in range(33 * 32))] + [
+            [i, i + 1] for i in range(33 * 33) if i % 33 != 32]}))
         code = main([str(files[a]) if a in files else a for a in argv])
         captured = capsys.readouterr()
         assert code == 3
@@ -384,6 +395,29 @@ class TestSubcommands:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("parse error: window point")
+
+    @pytest.mark.parametrize(
+        "vertex, code, message",
+        [
+            ("[Infinity, 0]", 1, "parse error: bad skeleton file"),
+            ("[NaN, 0]", 1, "parse error: bad skeleton file"),
+            # finite entries whose difference overflows to -inf
+            ("[-1e308, 1]", 2, "degenerate input: an edge direction is not finite"),
+            # an integer beside a float that no float can hold
+            ("[1" + "0" * 400 + ", 0.5]", 2, "degenerate input: a vertex entry is too large"),
+        ],
+        ids=["infinity", "nan", "overflowing_direction", "huge_integer"],
+    )
+    def test_non_finite_skeleton_exits_without_output(self, capfd, tmp_path, vertex, code,
+                                                      message):
+        path = tmp_path / "skeleton.json"
+        path.write_text(
+            '{"dim": 2, "vertices": [[0, 0], [1e308, 0], %s], "edges": [[0, 1], [1, 2], [2, 0]]}'
+            % vertex)
+        assert main(["tightness", str(path)]) == code
+        captured = capfd.readouterr()  # LAPACK would write to file descriptor 1
+        assert captured.out == ""
+        assert captured.err.startswith(message)
 
     @pytest.mark.parametrize(
         "change",
