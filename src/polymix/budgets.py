@@ -21,7 +21,7 @@ DEFAULTS = {
     "division": (10 ** 6, "monomials of the box holding f(u^p)"),
     "detector": (10 ** 4, "placements tried over every cap"),
     "hull": (10 ** 5, "facet visibility tests of beneath-beyond"),
-    "redraw": (10 ** 6, "cells of the redrawing rank system"),
+    "redraw": (10 ** 6, "triangle-scan neighbour tests or rank-system cells of a redrawing"),
 }
 
 _ENV_VAR = "POLYMIX_BUDGET"

@@ -25,8 +25,9 @@ variable POLYMIX_BUDGET overrides every budget of ``budgets``: ``cells``
 (box cells), ``enumeration`` (brute-force configurations), ``search``
 (search candidates), ``division`` (the certificate's division box),
 ``detector`` (the detector's placements), ``hull`` (the facet
-visibility tests of a convex hull) and ``redraw`` (the cells of the rank
-system of a skeleton's redrawings).
+visibility tests of a convex hull) and ``redraw`` (the neighbour tests
+of the triangle scan and the cells of the rank system of a skeleton's
+redrawings, each checked on its own).
 """
 
 from __future__ import annotations

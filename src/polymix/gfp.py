@@ -1,25 +1,31 @@
-"""Dense linear algebra over F_p on numpy int64 matrices.
+"""Linear algebra over F_p: one sparse echelon and a dense reference.
 
-Matrices here come from constraint systems on boxes of lattice cells and
-from residue-coefficient tables; entries always live in {0, ..., p-1}.
-numpy is imported inside the functions, so only the commands that
-eliminate (measure, experiment) pay for loading it.
+``insert_row`` is the elimination every measure runs on.  A row is a
+dict from a sortable key to a coefficient in {1, ..., p-1}, and an
+echelon is a dict ``{lead: row}`` holding each kept row under its least
+key, scaled to 1 there.  Inserting a row reduces it against the kept rows
+smallest key first and keeps whatever is left, so the rank of the rows
+inserted is the number of kept rows and the leads are the least keys of
+their span.  It uses Python integers and does not load numpy.
 
-Every product of two entries must fit in int64, so p is limited to
-(p - 1)^2 < 2^63; ``check_modulus`` refuses larger primes before any
-arithmetic, and ``matmul`` keeps longer sums of products exact.
+``rref``, ``rank``, ``kernel_basis`` and ``in_row_space`` are dense
+eliminations on numpy int64 matrices with entries in {0, ..., p-1}.
+They serve the library's box solution spaces and the tests as an
+independent reference; numpy is imported inside them.  Every product of
+two entries must fit in int64, so p is limited to (p - 1)^2 < 2^63, and
+``check_modulus`` refuses larger primes before any arithmetic.
 """
 
 from __future__ import annotations
 
+import heapq
 from math import isqrt
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Hashable
 
 if TYPE_CHECKING:
     import numpy as np
 
 INT64_LIMIT = 2 ** 63
-FLOAT64_EXACT = 2 ** 53  # float64 holds every integer below this exactly
 MAX_MODULUS = isqrt(INT64_LIMIT - 1) + 1  # largest p with (p - 1)^2 < 2^63
 
 
@@ -32,26 +38,38 @@ def check_modulus(p: int) -> None:
         )
 
 
-def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) mod p for entries in {0, ..., p-1}, as int64.
+def insert_row(echelon: dict, row: dict, p: int) -> Hashable | None:
+    """Reduce ``row`` against the echelon and keep what is left; consumes ``row``.
 
-    A sum of n products is below n (p - 1)^2.  While that is under 2^53
-    one float64 product is exact; otherwise int64 products over slices of
-    the inner dimension short enough not to overflow are reduced and
-    summed.
+    Keys are taken off a heap smallest first.  A key that leads a kept
+    row is cleared by subtracting that row, which has no key below its
+    lead, so only larger keys are added and pushed.  The first key that
+    leads no kept row is the least key left: the row, scaled to 1 there,
+    is kept under it and that key is returned.  A row reduced to nothing
+    returns None.
     """
-    import numpy as np
-
-    check_modulus(p)
-    inner = a.shape[-1]
-    bound = (p - 1) ** 2
-    if inner * bound < FLOAT64_EXACT:
-        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
-    step = (INT64_LIMIT - 1) // bound
-    out = np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
-    for s in range(0, inner, step):
-        out = (out + (a[..., s:s + step] @ b[s:s + step]) % p) % p
-    return out
+    heap = list(row)
+    heapq.heapify(heap)
+    while heap:
+        key = heapq.heappop(heap)
+        c = row.get(key)
+        if c is None:
+            continue  # cleared since it was pushed
+        kept = echelon.get(key)
+        if kept is None:
+            inv = pow(c, p - 2, p)
+            echelon[key] = {k: v * inv % p for k, v in row.items()}
+            return key
+        for k, v in kept.items():
+            old = row.get(k)
+            nc = ((old or 0) - c * v) % p
+            if nc:
+                if old is None:
+                    heapq.heappush(heap, k)
+                row[k] = nc
+            elif old is not None:
+                del row[k]
+    return None
 
 
 def rref(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:

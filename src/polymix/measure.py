@@ -4,30 +4,32 @@ The configurations x: Z^d -> F_p satisfying sum_n c_{f,n} x(m+n) = 0 for
 every m form a compact group X; cylinder events fix the values on a
 finite window W.  Their Haar measure is always 0 or p^{-m}.
 
-Two computation paths are provided and cross-checked:
+Both computation paths insert sparse rows into one F_p echelon,
+``gfp.insert_row``, and are cross-checked:
 
 * ``exact``  -- the measure-zero/p^{-m} split comes from the projection
   of X onto F_p^W, whose annihilator consists exactly of the window
   polynomials sum lambda_w u^w lying in the ideal <f>.  The projected
   dimension is therefore the rank of the window monomials' residues, a
-  few small quotient-ring reductions.  Total and exact for any window.
+  few small quotient-ring reductions, and the values are consistent
+  unless the rank grows when they are put beside the residues.  Total
+  and exact for any window.
 * ``box``    -- the literal finite-window relaxation: the relations of f
-  on a surrounding box, kept as one reduced echelon form whose columns
-  run newest ring first and window cells last.  Growing the box by one
-  ring eliminates only the new translates' rows against the kept form;
-  the rows with a window pivot span the annihilator of the projection
-  onto the window, which gives the projected dimension and the
-  consistency test.  The margin grows until that dimension stops
-  dropping for two consecutive steps.  Dimensions are monotone
-  non-increasing in the margin, so this stabilizes, but the stopping
-  rule is a heuristic and the result carries the margin used and a
-  ``stabilized`` flag.
+  on a surrounding box, keyed so that window cells come last.  Growing
+  the box by one ring inserts only the new translates' relations into
+  the kept echelon; the rows led by a window cell span the annihilator
+  of the projection onto the window, which gives the projected
+  dimension and the consistency test.  The margin grows until that
+  dimension stops dropping for two consecutive steps.  Dimensions are
+  monotone non-increasing in the margin, so this stabilizes, but the
+  stopping rule is a heuristic and the result carries the margin used
+  and a ``stabilized`` flag.
 
 ``brute_force_measure`` enumerates every configuration on a small box
-and serves as an independent oracle for both paths.
-
-numpy is imported inside the functions that build arrays, so importing
-this module does not load it.
+and serves as an independent oracle for both paths.  ``solution_space``
+solves a box densely with ``gfp.kernel_basis``; it and the brute force
+import numpy inside, as does ``box_projected_dimension`` for the array
+it returns, so ``measure`` and ``experiment`` never load it.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from operator import add, sub
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from . import budgets, gfp
 from .errors import BudgetExceededError, InternalInconsistencyError, TrivialQuotientError
@@ -106,53 +109,46 @@ def _check_modulus(f: LaurentPoly) -> None:
         raise TrivialQuotientError("shift space needs a non-monomial relation")
 
 
-def _box_shape(box: Box, dim: int) -> tuple[int, ...]:
+def _check_box(box: Box, dim: int) -> None:
     if len(box) != dim:
         raise ValueError(f"box has {len(box)} axes, polynomial has {dim}")
     for lo, hi in box:
         if lo > hi:
             raise ValueError(f"empty axis range ({lo}, {hi})")
-    return tuple(hi - lo + 1 for lo, hi in box)
 
 
 def _box_cells(box: Box, dim: int) -> list[ExponentVec]:
-    _box_shape(box, dim)
+    _check_box(box, dim)
     return list(itertools.product(*(range(lo, hi + 1) for lo, hi in box)))
 
 
-def _relation_cells(
-    f: LaurentPoly, box: Box, ring_only: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cells of the relations of f contained in the box, and f's coefficients.
+def _relations(f: LaurentPoly, box: Box, grown: bool = False) -> Iterator[dict[ExponentVec, int]]:
+    """The relations of f contained in the box, as {cell: coefficient}.
 
-    Entry (i, j) is the lexicographic index in the box of m_i + n_j, for
-    the translates m_i with m_i + S(f) inside the box (in lexicographic
-    order) and the terms n_j of f.  With ``ring_only`` the translates
-    that also fit the box shrunk by one cell per side are left out.
+    One relation per translate m with m + S(f) inside the box, in
+    lexicographic order of m.  With ``grown`` the translates that also
+    fit the box shrunk by one cell per side are left out: those are the
+    relations a box gains when it grows by one ring.
     """
-    import numpy as np
-
-    shape = tuple(hi - lo + 1 for lo, hi in box)
-    exps = np.array(list(f.terms), dtype=np.int64).reshape(len(f.terms), f.dim)
-    coeffs = np.array(list(f.terms.values()), dtype=np.int64) % f.p
-    offsets = exps - exps.min(axis=0)
-    # m + min S(f) - box low corner runs over [0, span) on each axis
-    spans = [size - int(width) for size, width in zip(shape, offsets.max(axis=0))]
-    grid = np.indices([max(s, 0) for s in spans]).reshape(f.dim, -1).T
-    if ring_only:
-        grid = grid[((grid == 0) | (grid == np.array(spans) - 1)).any(axis=1)]
-    cells = grid[:, None, :] + offsets[None, :, :]
-    return np.ravel_multi_index(tuple(np.moveaxis(cells, -1, 0)), shape), coeffs
+    terms = list(f.terms.items())
+    ranges = [range(lo - a, hi - b + 1)
+              for (lo, hi), a, b in zip(box, f.min_exponents(), f.max_exponents())]
+    for m in itertools.product(*ranges):
+        if grown and all(r[0] < x < r[-1] for x, r in zip(m, ranges)):
+            continue
+        yield {tuple(map(add, m, e)): c for e, c in terms}
 
 
 def _constraint_matrix(f: LaurentPoly, box: Box) -> np.ndarray:
     """One row per translate m with m + S(f) inside the box, cells in lexicographic order."""
     import numpy as np
 
-    flat, coeffs = _relation_cells(f, box)
-    n_cells = math.prod(hi - lo + 1 for lo, hi in box)
-    matrix = np.zeros((flat.shape[0], n_cells), dtype=np.int64)
-    matrix[np.arange(flat.shape[0])[:, None], flat] = coeffs
+    index = {c: i for i, c in enumerate(_box_cells(box, f.dim))}
+    relations = list(_relations(f, box))
+    matrix = np.zeros((len(relations), len(index)), dtype=np.int64)
+    for row, relation in enumerate(relations):
+        for c, coeff in relation.items():
+            matrix[row, index[c]] = coeff
     return matrix
 
 
@@ -166,82 +162,22 @@ def solution_space(f: LaurentPoly, box: Box) -> SolutionSpace:
     return SolutionSpace(box, cells, basis, basis.shape[0])
 
 
-class _BoxEchelon:
-    """Reduced echelon form of the relations of f on a box that grows.
+def _insert_relations(
+    f: LaurentPoly, window: set, box: Box, echelon: dict, grown: bool = False
+) -> list[dict]:
+    """Insert the box's relations keyed (cell in window, cell); return the window rows.
 
-    Columns run newest ring first, then older cells, and the window cells
-    last.  Relations of a smaller box are zero on the ring around it, so
-    the kept form stays reduced when the ring's columns are put in front:
-    growing the box eliminates only the new translates' rows, by one
-    product with the kept rows, one ``gfp.rref`` of that block and one
-    product substituting its pivots back.  The rows whose pivot is a
-    window column span rowspace ∩ F^W, the annihilator of the window
-    projection of the box solutions.
+    Window cells come last in that static order, so a growing box only
+    inserts its new translates' relations into the kept echelon.  A kept
+    row led by a window cell lies in F^W, and those rows span
+    rowspace ∩ F^W: the functionals on the window vanishing on every box
+    solution.
     """
-
-    def __init__(self, f: LaurentPoly, window: Sequence[ExponentVec], box: Box):
-        import numpy as np
-
-        shape = _box_shape(box, f.dim)
-        n_cells = math.prod(shape)
-        budgets.check("cells", n_cells)
-        for w in window:
-            if len(w) != len(box) or not all(lo <= a <= hi for a, (lo, hi) in zip(w, box)):
-                raise ValueError(f"window point {tuple(w)} outside the box")
-        if len(set(map(tuple, window))) != len(window):
-            raise ValueError("window has repeated points")
-        self.f, self.box, self.n_window = f, box, len(window)
-        flat_window = np.ravel_multi_index(
-            tuple(np.array([[a - lo for a, (lo, _) in zip(w, box)] for w in window]).T), shape
-        )
-        rest = np.ones(n_cells, dtype=bool)
-        rest[flat_window] = False
-        column = np.empty(n_cells, dtype=np.int64)
-        column[rest] = np.arange(n_cells - self.n_window)
-        column[flat_window] = np.arange(n_cells - self.n_window, n_cells)
-        self.column = column.reshape(shape)  # column of each box cell
-        self.rows = np.zeros((0, n_cells), dtype=np.int64)
-        self.pivots = np.zeros(0, dtype=np.int64)
-        self._eliminate(*_relation_cells(f, box))
-
-    def grow(self) -> None:
-        """Widen the box by one cell on every side (state is kept on budget failure)."""
-        import numpy as np
-
-        box = tuple((lo - 1, hi + 1) for lo, hi in self.box)
-        shape = tuple(hi - lo + 1 for lo, hi in box)
-        budgets.check("cells", math.prod(shape))
-        inner = (slice(1, -1),) * len(shape)
-        ring = np.ones(shape, dtype=bool)
-        ring[inner] = False
-        n_ring = int(ring.sum())
-        column = np.empty(shape, dtype=np.int64)
-        column[inner] = self.column + n_ring
-        column[ring] = np.arange(n_ring)
-        self.box, self.column = box, column
-        self.rows = np.hstack([np.zeros((len(self.rows), n_ring), dtype=np.int64), self.rows])
-        self.pivots = self.pivots + n_ring
-        self._eliminate(*_relation_cells(self.f, box, ring_only=True))
-
-    def _eliminate(self, flat: np.ndarray, coeffs: np.ndarray) -> None:
-        import numpy as np
-
-        p = self.f.p
-        block = np.zeros((flat.shape[0], self.column.size), dtype=np.int64)
-        block[np.arange(flat.shape[0])[:, None], self.column.ravel()[flat]] = coeffs
-        block = (block - gfp.matmul(block[:, self.pivots], self.rows, p)) % p
-        block, pivots = gfp.rref(block, p)
-        if not pivots:
-            return
-        block = block[: len(pivots)]
-        self.rows = (self.rows - gfp.matmul(self.rows[:, pivots], block, p)) % p
-        self.rows = np.vstack([block, self.rows])
-        self.pivots = np.concatenate([np.array(pivots, dtype=np.int64), self.pivots])
-
-    def annihilator(self) -> np.ndarray:
-        """Functionals on the window vanishing on every box solution, one per row."""
-        first = self.column.size - self.n_window
-        return self.rows[self.pivots >= first, first:]
+    budgets.check("cells", math.prod(hi - lo + 1 for lo, hi in box))
+    gfp.check_modulus(f.p)
+    for relation in _relations(f, box, grown):
+        gfp.insert_row(echelon, {(c in window, c): v for c, v in relation.items()}, f.p)
+    return [row for lead, row in echelon.items() if lead[0]]
 
 
 def box_projected_dimension(
@@ -253,54 +189,55 @@ def box_projected_dimension(
     the window per row: values are the restriction of a box solution iff
     every row sums to 0 against them.
     """
+    import numpy as np
+
     _check_modulus(f)
-    annihilator = _BoxEchelon(f, window, tuple((int(lo), int(hi)) for lo, hi in box)).annihilator()
-    return len(window) - annihilator.shape[0], annihilator
+    box = tuple((int(lo), int(hi)) for lo, hi in box)
+    _check_box(box, f.dim)
+    window = [tuple(w) for w in window]
+    for w in window:
+        if len(w) != len(box) or not all(lo <= a <= hi for a, (lo, hi) in zip(w, box)):
+            raise ValueError(f"window point {w} outside the box")
+    if len(set(window)) != len(window):
+        raise ValueError("window has repeated points")
+    rows = _insert_relations(f, set(window), box, {})
+    index = {w: i for i, w in enumerate(window)}
+    annihilator = np.zeros((len(rows), len(window)), dtype=np.int64)
+    for r, row in enumerate(rows):
+        for (_, c), v in row.items():
+            annihilator[r, index[c]] = v
+    return len(window) - len(rows), annihilator
 
 
 # -- exact (duality) path ----------------------------------------------------
 
 
-def _window_residue_matrix(
-    f: LaurentPoly, window: Sequence[ExponentVec]
-) -> tuple[np.ndarray, int]:
-    """Residues of the window monomials as F_p row vectors.
-
-    The annihilator of the window projection of X is the null space of
-    this matrix: lambda annihilates iff sum lambda_w u^w lies in <f>.
-    A common monomial shift (a unit) clears negative exponents first.
-    The residues come from ``monomial_residue``, asked in lexicographic
-    order, so a point whose neighbour u^(w - e_i) is in the window finds
-    that neighbour's residue kept.
-    """
-    import numpy as np
-
-    window = [tuple(w) for w in window]
-    shift = tuple(min(w[i] for w in window) for i in range(f.dim))
-    points = [tuple(a - b for a, b in zip(w, shift)) for w in window]
-    residue = {e: monomial_residue(e, f) for e in sorted(points)}
-    residues = [residue[e] for e in points]
-    monomials = sorted({e for r in residues for e in r.terms})
-    index = {e: i for i, e in enumerate(monomials)}
-    matrix = np.zeros((len(window), max(len(monomials), 1)), dtype=np.int64)
-    for row, r in enumerate(residues):
-        for e, c in r.terms.items():
-            matrix[row, index[e]] = c
-    return matrix, len(window)
-
-
 def _exact_measure(f: LaurentPoly, cyl: CylinderSpec) -> MeasureResult:
-    import numpy as np
+    """Rank of the window monomials' residues, with the values beside them.
 
-    matrix, n = _window_residue_matrix(f, cyl.window)
+    lambda annihilates the window projection iff sum lambda_w u^w lies in
+    <f>, so the projected dimension is the rank of the residues.  Each
+    residue is inserted keyed (0, monomial), with the cylinder value under
+    (1,) when it is nonzero: (1,) leads a kept row exactly when some
+    annihilator is nonzero on the values.  A common monomial shift (a
+    unit) clears negative exponents first.  The points are asked in
+    lexicographic order, so ``monomial_residue`` finds a neighbour
+    u^(w - e_i) in the window kept, and inserted shortest residue first:
+    a point whose residue is one monomial gives a one-key row, which
+    clears that monomial from every later row in one step.
+    """
     p = f.p
-    # annihilating functionals: lambda with lambda^T . matrix = 0; the
-    # projected dimension is the rank, n minus their number
-    annihilator = gfp.kernel_basis(matrix.T, p)
-    dim_proj = n - annihilator.shape[0]
-    values = np.array([v % p for v in cyl.values], dtype=np.int64)
-    consistent = not gfp.matmul(annihilator, values, p).any()
-    exponent = dim_proj if consistent else None
+    gfp.check_modulus(p)
+    shift = tuple(min(w[i] for w in cyl.window) for i in range(f.dim))
+    residues = [(monomial_residue(tuple(map(sub, w, shift)), f).terms, v % p)
+                for w, v in sorted(zip(cyl.window, cyl.values))]
+    echelon: dict = {}
+    for terms, v in sorted(residues, key=lambda tv: len(tv[0])):
+        row = {(0, e): c for e, c in terms.items()}
+        if v:
+            row[(1,)] = v
+        gfp.insert_row(echelon, row, p)
+    exponent = None if (1,) in echelon else len(echelon)
     return MeasureResult(p, exponent, 0, True, "exact")
 
 
@@ -308,20 +245,20 @@ def _exact_measure(f: LaurentPoly, cyl: CylinderSpec) -> MeasureResult:
 
 
 def _box_measure(f: LaurentPoly, cyl: CylinderSpec) -> MeasureResult:
-    import numpy as np
-
     p = f.p
     smin, smax = f.min_exponents(), f.max_exponents()
     diameter = max(b - a for a, b in zip(smin, smax))
     m = max(1, diameter)
     wlo = [min(w[i] for w in cyl.window) for i in range(f.dim)]
     whi = [max(w[i] for w in cyl.window) for i in range(f.dim)]
-    echelon = _BoxEchelon(f, cyl.window, tuple((lo - m, hi + m) for lo, hi in zip(wlo, whi)))
+    window = set(cyl.window)
+    echelon: dict = {}
+    box = tuple((lo - m, hi + m) for lo, hi in zip(wlo, whi))
+    annihilator = _insert_relations(f, window, box, echelon)
     previous = None
     stable = 0
     while True:
-        annihilator = echelon.annihilator()
-        dim_proj = len(cyl.window) - annihilator.shape[0]
+        dim_proj = len(cyl.window) - len(annihilator)
         if previous is not None:
             if dim_proj > previous:
                 raise InternalInconsistencyError(
@@ -332,13 +269,16 @@ def _box_measure(f: LaurentPoly, cyl: CylinderSpec) -> MeasureResult:
         stabilized = stable >= 2
         if stabilized:
             break
+        box = tuple((lo - 1, hi + 1) for lo, hi in box)
         try:
-            echelon.grow()
+            annihilator = _insert_relations(f, window, box, echelon, grown=True)
         except BudgetExceededError:
             break
         m += 1
-    values = np.array([v % p for v in cyl.values], dtype=np.int64)
-    consistent = not gfp.matmul(annihilator, values, p).any()
+    values = dict(zip(cyl.window, cyl.values))
+    consistent = all(
+        sum(v * values[c] for (_, c), v in row.items()) % p == 0 for row in annihilator
+    )
     return MeasureResult(p, dim_proj if consistent else None, m, stabilized, "box")
 
 

@@ -19,7 +19,8 @@ fraction-free integer rank (``lattice.int_rank``).  For float positions
 (irrational catalog solids such as the icosahedron) the constraints are
 written over the d*V vertex coordinates, d - 1 minors per edge
 (``constraint_rows``), and ranked by SVD with a relative tolerance.
-Both systems count against the ``redraw`` budget before they are ranked.
+Both systems count against the ``redraw`` budget before they are ranked,
+and so does the triangle scan that forms the exact path's scale classes.
 """
 
 from __future__ import annotations
@@ -147,7 +148,11 @@ def _edge_classes(directions: list, pairs: list[tuple[int, int]],
     (and v - u) are not parallel redraw to lambda_1 u, lambda_2 v and
     lambda_3 (v - u), so lambda_1 = lambda_2 = lambda_3.  Classes are the
     components of a union-find over such triangles, numbered 0, 1, ...
+    The scan intersects the neighbour sets of each edge's ends, which
+    tests each neighbour of the end with fewer; those tests count against
+    the ``redraw`` budget before the scan starts.
     """
+    budgets.check("redraw", sum(min(len(neighbours[s]), len(neighbours[t])) for s, t in pairs))
     parent = list(range(len(pairs)))
 
     def find(i: int) -> int:

@@ -254,9 +254,11 @@ class TestSubcommands:
             ("redraw", None, ["tightness", "GRID33"], 1024 * 1088, 10 ** 6),
             # (d - 1) rows per edge, 30 edges, over 3 * 12 vertex coordinates
             ("redraw", "2159", ["tightness", ICOSA], 2160, 2159),
+            # the triangle scan tests 149 neighbours for each of the 11,175 edges
+            ("redraw", None, ["tightness", "K150"], 11_175 * 149, 10 ** 6),
         ],
         ids=["cells", "search", "division", "division_p10007", "detector", "detector_K1000",
-             "detector_placements", "hull", "redraw", "redraw_float"],
+             "detector_placements", "hull", "redraw", "redraw_float", "redraw_triangles"],
     )
     def test_named_budget_exits_3(self, capsys, monkeypatch, tmp_path, budget, env, argv,
                                   used, limit):
@@ -265,7 +267,7 @@ class TestSubcommands:
         else:
             monkeypatch.setenv("POLYMIX_BUDGET", env)
         files = {"P10007": tmp_path / "p10007.json", "CLOUD5": tmp_path / "cloud5.json",
-                 "GRID33": tmp_path / "grid33.json"}
+                 "GRID33": tmp_path / "grid33.json", "K150": tmp_path / "k150.json"}
         # Ledrappier's support over F_10007
         files["P10007"].write_text(
             (FIXTURES / "ledrappier.json").read_text().replace('"p": 2', '"p": 10007'))
@@ -279,6 +281,10 @@ class TestSubcommands:
         files["GRID33"].write_text(json.dumps({"dim": 2, "vertices": grid, "edges": [
             [i, j] for i, j in ((i, i + 33) for i in range(33 * 32))] + [
             [i, i + 1] for i in range(33 * 33) if i % 33 != 32]}))
+        # the complete graph on 150 points of the moment curve in 3-D
+        files["K150"].write_text(json.dumps({"dim": 3, "vertices": [
+            [t, t * t, t ** 3] for t in range(150)], "edges": [
+            [i, j] for i in range(150) for j in range(i + 1, 150)]}))
         code = main([str(files[a]) if a in files else a for a in argv])
         captured = capsys.readouterr()
         assert code == 3
@@ -587,6 +593,8 @@ class TestFreshProcess:
         assert json.loads(proc.stdout) == []
 
     def test_exact_commands_never_load_numpy(self):
+        experiment = ["experiment", LED, "--shape", "[[0,0],[1,0],[0,1]]", "--cylinder", CELL,
+                      "--k-range", "1:3"]
         result = fresh(
             ["analyze", LED],
             ["bounds", QUAD],
@@ -594,8 +602,13 @@ class TestFreshProcess:
             ["search", LED, "--r", "3", "--radius", "1"],
             ["detect", LED, "--tuple", "[[0,0],[17,0],[0,16]]", "--K", "1"],
             ["tightness", CUBE],
+            ["measure", LED, "--cylinder", CELL],
+            ["measure", LED, "--cylinder", CELL, "--method", "box"],
+            ["measure", LED, "--cylinder", CELL, "--shifts", "[[0,0],[4,0],[0,4]]"],
+            experiment,
+            experiment + ["--method", "box"],
         )
-        assert [code for code, _ in result["runs"]] == [0] * 6
+        assert [code for code, _ in result["runs"]] == [0] * 11
         assert "numpy" not in result["modules"]
         # the benchmark tracer wraps functions of every layer after importing cli
         for layer in self.LAYERS:
@@ -603,12 +616,8 @@ class TestFreshProcess:
 
     @pytest.mark.parametrize(
         "argv",
-        [
-            ["measure", LED, "--cylinder", CELL],
-            ["measure", LED, "--cylinder", CELL, "--method", "box"],
-            ["tightness", str(FIXTURES / "icosahedron_skeleton.json")],
-        ],
-        ids=["measure_exact", "measure_box", "tightness_float"],
+        [["tightness", str(FIXTURES / "icosahedron_skeleton.json")]],
+        ids=["tightness_float"],
     )
     def test_numpy_commands_load_it_on_demand(self, capsys, argv):
         result = fresh(argv)

@@ -133,22 +133,38 @@ def test_empty_column_matrix():
     assert gfp.kernel_basis(matrix, 3).shape == (0, 0)
 
 
-def _reference_product(a, b, p):
-    """(a @ b) mod p in Python integers."""
-    return ((a.astype(object) @ b.astype(object)) % p).tolist()
+def _echelon(matrix, p):
+    """Insert the rows of a matrix, keyed by column, into one sparse echelon."""
+    echelon = {}
+    for row in matrix.tolist():
+        gfp.insert_row(echelon, {c: x % p for c, x in enumerate(row) if x % p}, p)
+    return echelon
 
 
-# 2^31 - 1 and the largest prime with (p - 1)^2 < 2^63
-@pytest.mark.parametrize("p", PRIMES + (2147483647, 3037000493))
-def test_matmul_is_exact(p):
-    rng = random.Random(p)
-    for inner in (0, 1, 2, 3, 9):
-        a = _random_matrix(rng, p, 4, inner)
-        b = _random_matrix(rng, p, inner, 5).reshape(inner, 5)
-        a[0] = p - 1  # the largest sums
-        b[:, 0] = p - 1
-        assert gfp.matmul(a, b, p).tolist() == _reference_product(a, b, p)
-        assert gfp.matmul(a, b[:, 1], p).tolist() == _reference_product(a, b[:, 1], p)
+@pytest.mark.parametrize("p,matrix", CASES)
+def test_insert_row_matches_rref(p, matrix):
+    # the leads are the least keys of the row space: the pivot columns
+    echelon = _echelon(matrix, p)
+    assert sorted(echelon) == _reference_rref(matrix.tolist(), p)[1]
+    for lead, row in echelon.items():
+        assert min(row) == lead and row[lead] == 1
+        assert all(0 < x < p for x in row.values())
+        dense = np.zeros(matrix.shape[1], dtype=np.int64)
+        dense[list(row)] = list(row.values())
+        assert gfp.in_row_space(matrix, dense, p)
+
+
+def test_insert_row_reports_the_lead():
+    p = 5
+    echelon = {}
+    assert gfp.insert_row(echelon, {(1, "b"): 2, (0, "a"): 3}, p) == (0, "a")
+    assert echelon == {(0, "a"): {(0, "a"): 1, (1, "b"): 4}}
+    # 3 * the kept row: cancels entirely
+    assert gfp.insert_row(echelon, {(0, "a"): 3, (1, "b"): 2}, p) is None
+    # the subtraction creates (1, "b"), which leads what is left
+    assert gfp.insert_row(echelon, {(0, "a"): 1, (2, "d"): 1}, p) == (1, "b")
+    assert echelon[(1, "b")] == {(1, "b"): 1, (2, "d"): 1}
+    assert gfp.insert_row(echelon, {}, p) is None
 
 
 def test_rref_near_the_bound():
@@ -163,7 +179,6 @@ def test_modulus_over_the_bound_refused():
     p = 4294967311  # the least prime above 2^32
     assert gfp.MAX_MODULUS == 3037000500
     matrix = np.ones((2, 2), dtype=np.int64)
-    for call in (lambda: gfp.rref(matrix, p), lambda: gfp.matmul(matrix, matrix, p)):
-        with pytest.raises(ValueError, match=r"p <= 3037000500"):
-            call()
+    with pytest.raises(ValueError, match=r"p <= 3037000500"):
+        gfp.rref(matrix, p)
     gfp.check_modulus(gfp.MAX_MODULUS)

@@ -1,5 +1,8 @@
 import random
+import sys
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,13 +15,14 @@ from polymix import (
     gfp,
     joint_measure,
     make_poly,
+    measure,
     mixing_experiment,
     monomial,
     solution_space,
 )
 from polymix.cli import main
+from polymix.errors import InternalInconsistencyError
 from polymix.measure import (
-    _window_residue_matrix,
     box_projected_dimension,
     brute_force_counts,
     merge_events,
@@ -295,10 +299,29 @@ def _per_monomial_matrix(f, window):
     return rows
 
 
+def _reference_exponent(f, window, values):
+    """Exponent from the per-monomial residue matrix, ranked densely.
+
+    The projected dimension is the rank of the residue rows, and the
+    values are consistent exactly when they lie in the column span.
+    """
+    matrix = np.array(_per_monomial_matrix(f, window), dtype=np.int64)
+    consistent = gfp.in_row_space(matrix.T, np.array(values, dtype=np.int64), f.p)
+    return gfp.rank(matrix, f.p) if consistent else None
+
+
 class TestWindowResidues:
+    """The exact path's exponent and consistency against dense ranks."""
+
     def _moduli(self, all_fixtures):
         rng = random.Random(45)
         return list(all_fixtures) + [generic_poly(rng, p) for p in (5, 7) for _ in range(2)]
+
+    @staticmethod
+    def _check(f, window, rng):
+        for values in ([0] * len(window), [rng.randrange(f.p) for _ in window]):
+            cyl = CylinderSpec.from_pairs(zip(window, values))
+            assert cylinder_measure(f, cyl).exponent == _reference_exponent(f, window, values)
 
     def test_rectangles_match_per_monomial_rows(self, all_fixtures):
         rng = random.Random(46)
@@ -308,9 +331,7 @@ class TestWindowResidues:
                 w, h = rng.randint(1, 6), rng.randint(1, 6)
                 window = [(x, y) for x in range(x0, x0 + w) for y in range(y0, y0 + h)]
                 rng.shuffle(window)
-                matrix, n = _window_residue_matrix(f, window)
-                assert n == len(window)
-                assert matrix.tolist() == _per_monomial_matrix(f, window)
+                self._check(f, window, rng)
 
     def test_scattered_windows_match_per_monomial_rows(self, all_fixtures):
         rng = random.Random(47)
@@ -318,13 +339,74 @@ class TestWindowResidues:
             for _ in range(6):
                 window = list({(rng.randint(-8, 8), rng.randint(-8, 8))
                                for _ in range(rng.randint(1, 12))})
-                matrix, _ = _window_residue_matrix(f, window)
-                assert matrix.tolist() == _per_monomial_matrix(f, window)
+                self._check(f, window, rng)
 
     def test_square_f3_exact_window(self, square_f3):
         window = [(x, y) for x in range(20) for y in range(20)]
-        matrix, _ = _window_residue_matrix(square_f3, window)
-        assert matrix.tolist() == _per_monomial_matrix(square_f3, window)
+        self._check(square_f3, window, random.Random(49))
+
+
+def _mutation_corpus():
+    """(f, cylinder, exponent) cases, the exponent from the dense reference.
+
+    Each modulus gets a scattered window and a rectangle large enough to
+    hold translates of S(f), with zero and with random values.
+    """
+    rng = random.Random(50)
+    cases = []
+    for p in (2, 3, 5, 7):
+        for _ in range(3):
+            f = generic_poly(rng, p, nterms=rng.randint(3, 5), span=2)
+            x0, y0 = rng.randint(-2, 2), rng.randint(-2, 2)
+            w, h = rng.randint(3, 6), rng.randint(3, 6)
+            rectangle = [(x, y) for x in range(x0, x0 + w) for y in range(y0, y0 + h)]
+            scattered = list({(rng.randint(-3, 3), rng.randint(-3, 3))
+                              for _ in range(rng.randint(6, 20))})
+            for window in (scattered, rectangle):
+                for values in ([0] * len(window), [rng.randrange(p) for _ in window]):
+                    cyl = CylinderSpec.from_pairs(zip(window, values))
+                    cases.append((f, cyl, _reference_exponent(f, window, values)))
+    return cases
+
+
+class TestOneEchelon:
+    CORPUS = _mutation_corpus()
+
+    def test_corpus_has_both_verdicts(self):
+        exponents = [exponent for _, _, exponent in self.CORPUS]
+        assert None in exponents and any(exponents)
+        for f, cyl, exponent in self.CORPUS:
+            for method in ("exact", "box"):
+                assert cylinder_measure(f, cyl, method).exponent == exponent
+
+    @pytest.mark.parametrize(
+        "module, old, new",
+        [
+            (gfp, "key = heapq.heappop(heap)\n", "key = max(heap)\n        heap.remove(key)\n"),
+            (gfp, "heapq.heappush(heap, k)", "pass"),
+            (measure, "(c in window, c)", "(c not in window, c)"),
+        ],
+        ids=["lead_is_greatest_key", "subtraction_key_not_pushed", "window_keys_first"],
+    )
+    def test_mutant_is_caught(self, monkeypatch, module, old, new):
+        monkeypatch.setenv("POLYMIX_BUDGET", "1000")  # a mutant box may never stabilize
+        source = Path(module.__file__).read_text()
+        assert source.count(old) == 1
+        mutant = types.ModuleType(module.__name__ + "_mutant")
+        mutant.__package__ = "polymix"
+        monkeypatch.setitem(sys.modules, mutant.__name__, mutant)
+        exec(compile(source.replace(old, new), module.__file__, "exec"), mutant.__dict__)
+        if module is gfp:
+            monkeypatch.setattr(measure, "gfp", mutant)
+            mutant = measure
+        caught = {"exact": 0, "box": 0}
+        for f, cyl, exponent in self.CORPUS:
+            for method in caught:
+                try:
+                    caught[method] += mutant.cylinder_measure(f, cyl, method).exponent != exponent
+                except (InternalInconsistencyError, KeyError):  # a failed check or a crash
+                    caught[method] += 1
+        assert caught["exact"] + caught["box"]
 
 
 def per_margin_box_measure(f, cyl, initial_margin=None):
