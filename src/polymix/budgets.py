@@ -2,7 +2,7 @@
 
 Each expensive path calls ``check`` with its budget's name and the size
 it is about to use, before doing the work; where that size is not known
-up front (the detector's placements, the hull's visibility tests) it
+up front (the detector's placements, the hull's tests and normals) it
 calls ``check`` again as its running count grows.  ``POLYMIX_BUDGET`` (an
 integer) overrides every budget at once; when it is unset the defaults
 below apply.  A value that is not a positive integer is a
@@ -20,7 +20,7 @@ DEFAULTS = {
     "search": (10 ** 7, "(shape, coefficient) candidates"),
     "division": (10 ** 6, "monomials of the box holding f(u^p)"),
     "detector": (10 ** 4, "placements tried over every cap"),
-    "hull": (10 ** 5, "facet visibility tests of beneath-beyond"),
+    "hull": (10 ** 5, "visibility tests, plus k per facet normal, of a k-dimensional hull"),
     "redraw": (10 ** 6, "triangle-scan neighbour tests or rank-system cells of a redrawing"),
 }
 

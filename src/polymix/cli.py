@@ -24,8 +24,9 @@ edge directions leave float range), 3 budget exceeded
 variable POLYMIX_BUDGET overrides every budget of ``budgets``: ``cells``
 (box cells), ``enumeration`` (brute-force configurations), ``search``
 (search candidates), ``division`` (the certificate's division box),
-``detector`` (the detector's placements), ``hull`` (the facet
-visibility tests of a convex hull) and ``redraw`` (the neighbour tests
+``detector`` (the detector's placements), ``hull`` (the visibility
+tests of a convex hull, plus k for each facet normal it builds in
+dimension k) and ``redraw`` (the neighbour tests
 of the triangle scan and the cells of the rank system of a skeleton's
 redrawings, each checked on its own).
 """

@@ -4,7 +4,7 @@ Phase-1 simplex with Bland's rule in integer-preserving form, sized for
 convex-combination membership queries on a few dozen points.  No
 floating point and no fractions: every tableau entry stays an integer.
 The hull itself does not use it: it serves the tests as an oracle
-independent of the integer beneath-beyond hull.
+independent of the integer Quickhull.
 """
 
 from __future__ import annotations

@@ -1,8 +1,14 @@
 """Lattice polytopes from polynomial supports, with exact arithmetic.
 
 Vertices and facet planes are computed in every dimension by one integer
-beneath-beyond hull (orientation signs of integer cofactor normals, no
-division), whose facet visibility tests the ``hull`` budget bounds.  The
+Quickhull (orientation signs of integer cofactor normals, no division).
+It starts from a simplex of far-apart points and keeps an outside set
+per facet: the points strictly beyond it that no earlier facet holds.
+Each step inserts the farthest point of one outside set and tests only
+the points of the facets it deletes against the facets it adds, which is
+exact (see ``_beneath_beyond``).  Points inside the growing hull are
+dropped early, so few facets are built that the finished hull lacks.
+The ``hull`` budget bounds its visibility tests and facet normals.  The
 faces are read off the facet-vertex incidences by one closure rule in
 every affine dimension: a set of points spans a face exactly when it
 equals the set of points on every facet that contains it (every point,
@@ -19,8 +25,10 @@ No floating point appears anywhere in this module.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 from . import budgets
@@ -60,11 +68,11 @@ class LatticePolytope:
 
 
 def _dot(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _sub(a, b) -> IntVec:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _normal(corners: Sequence[IntVec]) -> IntVec:
@@ -86,57 +94,111 @@ def _beneath_beyond(
 ) -> tuple[list[IntVec], dict[tuple[IntVec, int], set[IntVec]]]:
     """Vertices and facet planes of a full-dimensional point set in Z^k, k >= 1.
 
-    Points are inserted one at a time into a simplicial hull.  A facet is
-    visible from a point only when the point lies strictly beyond its
-    plane, so a point with no visible facet lies in the current hull and
-    is not a vertex; the visible facets are replaced by cones from the
-    point over their horizon ridges.  Facet simplices are then grouped by
-    (primitive inward normal, offset); a corner of the triangulation is a
-    vertex exactly when its closure is itself.  Returns the sorted
-    vertices and, per facet plane, the vertices lying on it.
+    Quickhull (Barber, Dobkin and Huhdanpaa, ACM TOMS 22, 1996) on a
+    simplicial hull, in integers.  The points are ordered far-first, by
+    decreasing squared distance from the centroid (ties lexicographic),
+    and the first k+1 affinely independent ones form the starting
+    simplex.  Every other point joins the outside set of one facet it lies
+    strictly beyond, or is dropped as inside.  Each step takes the oldest
+    facet with a non-empty outside set, inserts its farthest point p (the
+    largest offset - <n, q>, ties lexicographic) and replaces the facets
+    visible from p, those it lies strictly beyond, by cones from p over
+    their horizon ridges.  The points of the deleted facets are tested
+    against the new facets only, and those beyond none are dropped.
+
+    That is exact.  Say q, beyond a deleted facet F of the hull H, lies
+    beneath or on every new facet.  The new facets' half-spaces meet in
+    the tangent cone at p of conv(H + p), so were q outside conv(H + p),
+    a point of H would lie strictly between p and q, and so strictly
+    beyond F, as p and q are; no point of H is.
+
+    The ``hull`` budget counts every visibility test (assignment,
+    reassignment and the visible scan) and k for each facet normal built;
+    it is checked before each scan and before each batch of normals.
+    Returns ``_faces`` of the finished hull.
     """
     k = len(pts[0])
-    simplex = [pts[0]]
-    for q in pts[1:]:
-        if int_rank([_sub(c, pts[0]) for c in simplex[1:] + [q]]) == len(simplex):
+    n = len(pts)
+    totals = [sum(col) for col in zip(*pts)]
+    # far-first: n^2 times the squared distance from the centroid, integral
+    order = sorted(pts, key=lambda q: (-sum((n * x - t) ** 2 for x, t in zip(q, totals)), q))
+    simplex = order[:1]
+    for q in order[1:]:
+        if int_rank([_sub(c, order[0]) for c in simplex[1:] + [q]]) == len(simplex):
             simplex.append(q)
             if len(simplex) == k + 1:
                 break
     # k+1 times the simplex's centroid: an integral point strictly inside
     # every hull built on the simplex
     centre = tuple(sum(col) for col in zip(*simplex))
-    facets: dict[tuple[IntVec, ...], tuple[IntVec, int]] = {}
+    # corners -> (inward normal, offset, outside set)
+    facets: dict[tuple[IntVec, ...], tuple[IntVec, int, list[IntVec]]] = {}
+    used = 0  # budget use: visibility tests, and k per facet normal
 
-    def add(corners) -> None:
-        normal = primitive(_normal(corners))
-        offset = _dot(normal, corners[0])
-        if _dot(normal, centre) < (k + 1) * offset:
-            normal, offset = tuple(-x for x in normal), -offset
-        facets[tuple(sorted(corners))] = (normal, offset)
+    def add(cones) -> list[tuple[IntVec, ...]]:
+        nonlocal used
+        used += k * len(cones)
+        budgets.check("hull", used)
+        keys = []
+        for corners in cones:
+            normal = primitive(_normal(corners))
+            offset = _dot(normal, corners[0])
+            if _dot(normal, centre) < (k + 1) * offset:
+                normal, offset = tuple(-x for x in normal), -offset
+            keys.append(tuple(sorted(corners)))
+            facets[keys[-1]] = (normal, offset, [])
+        return keys
 
-    for i in range(k + 1):
-        add(simplex[:i] + simplex[i + 1:])
+    def assign(points, keys) -> None:
+        nonlocal used
+        candidates = [facets[key] for key in keys]
+        for q in points:
+            for tests, (normal, offset, outside) in enumerate(candidates, 1):
+                if _dot(normal, q) < offset:
+                    outside.append(q)
+                    break
+            used += tests
+
     placed = set(simplex)
-    visibility_tests = 0
-    for q in pts:
-        if q in placed:
+    pending = deque(add([simplex[:i] + simplex[i + 1:] for i in range(k + 1)]))
+    assign([q for q in pts if q not in placed], pending)
+    while pending:
+        facet = facets.get(pending.popleft())
+        if facet is None or not facet[2]:
             continue
-        visibility_tests += len(facets)
-        budgets.check("hull", visibility_tests)
-        visible = [c for c, (normal, offset) in facets.items() if _dot(normal, q) < offset]
+        normal, _, outside = facet
+        # the farthest point: the largest offset - <normal, q>
+        p = min(outside, key=lambda q: (_dot(normal, q), q))
+        used += len(facets)
+        budgets.check("hull", used)
+        visible = [c for c, (normal, offset, _) in facets.items() if _dot(normal, p) < offset]
         ridges: dict[tuple[IntVec, ...], int] = {}
+        orphans = []
         for c in visible:
-            del facets[c]
+            orphans += facets.pop(c)[2]
             for i in range(k):
                 ridge = c[:i] + c[i + 1:]
                 ridges[ridge] = ridges.get(ridge, 0) + 1
-        for ridge, count in ridges.items():
-            if count == 1:
-                add(ridge + (q,))
+        new = add([ridge + (p,) for ridge, count in ridges.items() if count == 1])
+        assign([q for q in orphans if q != p], new)
+        pending += new
+    return _faces((corners, normal, offset) for corners, (normal, offset, _) in facets.items())
 
+
+def _faces(
+    simplices: Iterable[tuple[tuple[IntVec, ...], IntVec, int]],
+) -> tuple[list[IntVec], dict[tuple[IntVec, int], set[IntVec]]]:
+    """Vertices and facet planes from the facets (corners, normal, offset) of a
+    simplicial hull.
+
+    The facet simplices are grouped by (primitive inward normal, offset);
+    a corner of the triangulation is a vertex exactly when its closure is
+    itself.  Returns the sorted vertices and, per facet plane, the
+    vertices lying on it.
+    """
     planes: dict[tuple[IntVec, int], set[IntVec]] = {}
-    for corners, plane in facets.items():
-        planes.setdefault(plane, set()).update(corners)
+    for corners, normal, offset in simplices:
+        planes.setdefault((normal, offset), set()).update(corners)
     members = list(planes.values())
     through = _incidences(members)
     vertices = sorted(c for c in through if _closure({c}, through, members) == {c})

@@ -1,6 +1,10 @@
 import random
+import sys
+import types
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -554,3 +558,137 @@ class TestFaceRuleAgainstRanks:
             except (InternalInconsistencyError, KeyError, ValueError):
                 caught += 1  # the hull's own checks may see it first
         assert caught
+
+
+def lexicographic_beneath_beyond(pts):
+    """Reference insertion loop: every point in the given (lexicographic)
+    order into a simplicial hull, each one tested against every facet."""
+    k = len(pts[0])
+    simplex = [pts[0]]
+    for q in pts[1:]:
+        if int_rank([sub(c, pts[0]) for c in simplex[1:] + [q]]) == len(simplex):
+            simplex.append(q)
+            if len(simplex) == k + 1:
+                break
+    centre = tuple(sum(col) for col in zip(*simplex))
+    facets = {}
+
+    def add(corners):
+        normal = primitive(polytope._normal(corners))
+        offset = dot(normal, corners[0])
+        if dot(normal, centre) < (k + 1) * offset:
+            normal, offset = tuple(-x for x in normal), -offset
+        facets[tuple(sorted(corners))] = (normal, offset)
+
+    for i in range(k + 1):
+        add(simplex[:i] + simplex[i + 1:])
+    placed = set(simplex)
+    for q in pts:
+        if q in placed:
+            continue
+        visible = [c for c, (normal, offset) in facets.items() if dot(normal, q) < offset]
+        ridges = {}
+        for c in visible:
+            del facets[c]
+            for i in range(k):
+                ridge = c[:i] + c[i + 1:]
+                ridges[ridge] = ridges.get(ridge, 0) + 1
+        for ridge, count in ridges.items():
+            if count == 1:
+                add(ridge + (q,))
+    return polytope._faces((c, normal, offset) for c, (normal, offset) in facets.items())
+
+
+def lexicographic_hull(points):
+    """``hull`` with the lexicographic insertion loop in place of Quickhull."""
+    with mock.patch.object(polytope, "_beneath_beyond", lexicographic_beneath_beyond):
+        return hull(points)
+
+
+def faces(poly):
+    """Everything a hull reports, comparable across module copies."""
+    return (poly.affine_dim, poly.vertices, poly.edges, poly.face_vertices,
+            [(f.vertex_indices, f.inward_normal, f.offset) for f in poly.facets])
+
+
+def embedded(rng, pts, d):
+    """The image of the points under a random injective integer map into Z^d."""
+    k = len(pts[0])
+    while True:
+        m = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(d)]
+        if int_rank(m) == k:
+            break
+    shift = [rng.randint(-5, 5) for _ in range(d)]
+    return sorted({tuple(dot(row, p) + s for row, s in zip(m, shift)) for p in pts})
+
+
+def oracle_sets():
+    """Grids, random clouds of [0, 30]^d and lower-dimensional sets embedded in
+    a larger lattice, for the lexicographic oracle."""
+    rng = random.Random(32)
+    sets = [sorted(product(range(s), repeat=3)) for s in range(3, 7)]
+    for d, n, count in ((3, 120, 6), (4, 50, 4), (5, 30, 3)):
+        sets += [sorted({tuple(rng.randint(0, 30) for _ in range(d)) for _ in range(n)})
+                 for _ in range(count)]
+    for k, d in ((2, 3), (2, 4), (3, 4), (3, 5), (4, 5)):
+        for _ in range(4):
+            cloud = {tuple(rng.randint(0, 6) for _ in range(k)) for _ in range(3 * k + 6)}
+            sets.append(embedded(rng, sorted(cloud), d))
+    return sets
+
+
+class TestQuickhullAgainstLexicographicInsertion:
+    SETS = TestFaceRuleAgainstRanks.SETS + oracle_sets()
+
+    def test_same_faces_as_lexicographic_insertion(self):
+        dims = {}
+        for pts in self.SETS:
+            poly = hull(pts)
+            assert faces(poly) == faces(lexicographic_hull(pts)), pts
+            dims[poly.affine_dim] = dims.get(poly.affine_dim, 0) + 1
+        assert all(dims.get(k, 0) >= 100 for k in range(1, 6)), dims
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("assign([q for q in orphans if q != p], new)", "assign([], new)"),
+            # a point on a facet's plane joins its outside set; the same <= in
+            # the visible scan only re-triangulates a facet plane, whose extra
+            # corners the closure rule drops, so it changes no output
+            ("if _dot(normal, q) < offset:", "if _dot(normal, q) <= offset:"),
+        ],
+        ids=["orphans_dropped", "on_plane_outside"],
+    )
+    def test_mutant_is_caught(self, monkeypatch, old, new):
+        source = Path(polytope.__file__).read_text()
+        assert source.count(old) == 1
+        mutant = types.ModuleType("polymix.polytope_mutant")
+        mutant.__package__ = "polymix"
+        monkeypatch.setitem(sys.modules, mutant.__name__, mutant)
+        exec(compile(source.replace(old, new), polytope.__file__, "exec"), mutant.__dict__)
+        caught = 0
+        for pts in self.SETS[:400] + self.SETS[1200:]:
+            try:
+                caught += faces(mutant.hull(pts)) != faces(lexicographic_hull(pts))
+            except (InternalInconsistencyError, KeyError, ValueError):
+                caught += 1  # the hull's own checks may see it first
+        assert caught
+
+    @pytest.mark.parametrize(
+        "pts, quickhull",
+        [
+            # the cube's corners come first, and every other point lies in the cube
+            (list(product(range(6), repeat=3)), 16),
+            (random.Random(33).sample(list(product(range(31), repeat=3)), 1000), 222),
+        ],
+        ids=["grid6", "cloud1000"],
+    )
+    def test_builds_under_half_the_normals(self, monkeypatch, pts, quickhull):
+        built = []
+        normal = polytope._normal
+        monkeypatch.setattr(polytope, "_normal", lambda corners: built.append(corners) or normal(corners))
+        hull(pts)
+        ours = len(built)
+        lexicographic_hull(pts)
+        assert ours == quickhull
+        assert 2 * ours < len(built) - ours
