@@ -6,14 +6,16 @@ echelon is a dict ``{lead: row}`` holding each kept row under its least
 key, scaled to 1 there.  Inserting a row reduces it against the kept rows
 smallest key first and keeps whatever is left, so the rank of the rows
 inserted is the number of kept rows and the leads are the least keys of
-their span.  It uses Python integers and does not load numpy.
+their span.  It uses Python integers, so any prime works, and does not
+load numpy.
 
 ``rref``, ``rank``, ``kernel_basis`` and ``in_row_space`` are dense
 eliminations on numpy int64 matrices with entries in {0, ..., p-1}.
 They serve the library's box solution spaces and the tests as an
 independent reference; numpy is imported inside them.  Every product of
 two entries must fit in int64, so p is limited to (p - 1)^2 < 2^63, and
-``check_modulus`` refuses larger primes before any arithmetic.
+``check_modulus`` refuses larger primes before any dense arithmetic;
+``box_projected_dimension`` calls it too, for the int64 array it returns.
 """
 
 from __future__ import annotations

@@ -27,28 +27,45 @@ from typing import Iterable, Mapping
 ExponentVec = tuple[int, ...]
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin with the first 13 primes as bases has no strong pseudoprime below this
+MAX_PRIME = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin for p < MAX_PRIME."""
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    i = 3
-    while i * i <= p:
-        if p % i == 0:
+    for a in _WITNESSES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        i += 2
     return True
 
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """A prime field F_p; primality is verified by trial division."""
+    """A prime field F_p with p < MAX_PRIME; primality is verified by Miller-Rabin."""
 
     p: int
 
     def __post_init__(self) -> None:
+        if isinstance(self.p, int) and self.p >= MAX_PRIME:
+            raise ValueError(
+                f"modulus {self.p} is too large: primality is decided for p < {MAX_PRIME}"
+            )
         if not isinstance(self.p, int) or not _is_prime(self.p):
             raise ValueError(f"modulus {self.p!r} is not a prime integer")
 

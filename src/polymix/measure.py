@@ -174,7 +174,6 @@ def _insert_relations(
     solution.
     """
     budgets.check("cells", math.prod(hi - lo + 1 for lo, hi in box))
-    gfp.check_modulus(f.p)
     for relation in _relations(f, box, grown):
         gfp.insert_row(echelon, {(c in window, c): v for c, v in relation.items()}, f.p)
     return [row for lead, row in echelon.items() if lead[0]]
@@ -192,6 +191,7 @@ def box_projected_dimension(
     import numpy as np
 
     _check_modulus(f)
+    gfp.check_modulus(f.p)
     box = tuple((int(lo), int(hi)) for lo, hi in box)
     _check_box(box, f.dim)
     window = [tuple(w) for w in window]
@@ -227,7 +227,6 @@ def _exact_measure(f: LaurentPoly, cyl: CylinderSpec) -> MeasureResult:
     clears that monomial from every later row in one step.
     """
     p = f.p
-    gfp.check_modulus(p)
     shift = tuple(min(w[i] for w in cyl.window) for i in range(f.dim))
     residues = [(monomial_residue(tuple(map(sub, w, shift)), f).terms, v % p)
                 for w, v in sorted(zip(cyl.window, cyl.values))]

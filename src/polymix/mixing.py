@@ -306,43 +306,25 @@ def search_relations(
                     acc[e] = acc.get(e, 0) + c * v
         return not any(v % p for v in acc.values())
 
-    canon_support = tuple(sorted(normalize(f)[0].terms))
+    fhat = normalize(f)[0].terms
+    canon_support = tuple(sorted(fhat))
     found: list[ShapeCertificate] = []
     for shape in shapes:
         for first in lead_one:
             for rest in product(coeff_pool, repeat=r - 1):
                 coeffs = (first, *rest)
                 if all(vanishes(coeffs, shape, k) for k in ks):
-                    frob = _matches_support_pattern(f, shape, coeffs, canon_support)
-                    out_coeffs = tuple(
+                    out = tuple(
                         c.terms[(0,) * d]
                         if c.is_monomial and (0,) * d in c.terms
                         else c
                         for c in coeffs
                     )
-                    found.append(ShapeCertificate(shape, out_coeffs, ks, frob))
+                    # the support pattern: S(f) with constants proportional to f's
+                    frob = shape == canon_support and all(
+                        isinstance(c, int) and c * fhat[shape[0]] % p == out[0] * fhat[n] % p
+                        for c, n in zip(out, shape)
+                    )
+                    found.append(ShapeCertificate(shape, out, ks, frob))
     return found
 
-
-def _matches_support_pattern(
-    f: LaurentPoly,
-    shape: tuple[ExponentVec, ...],
-    coeffs: tuple[LaurentPoly, ...],
-    canon_support: tuple[ExponentVec, ...],
-) -> bool:
-    """Does (shape, coeffs) coincide with S(f) and a scaling of c_{f,n}?"""
-    if shape != canon_support:
-        return False
-    zero_exp = (0,) * f.dim
-    scalars = []
-    for c in coeffs:
-        if not (c.is_monomial and zero_exp in c.terms):
-            return False
-        scalars.append(c.terms[zero_exp])
-    support_sorted = sorted(f.terms)
-    f_scalars = [f.terms[n] for n in support_sorted]
-    p = f.p
-    ratio = scalars[0] * pow(f_scalars[0], p - 2, p) % p
-    return all(
-        (ratio * fc) % p == sc for fc, sc in zip(f_scalars, scalars)
-    )

@@ -7,9 +7,13 @@ weights along a normal, and a detector that matches a tuple of lattice
 points -- up to per-point integer perturbations bounded by K -- against
 a parallel redrawing of the Newton polytope of f.
 
-The detector is a verifier on given tuples: it reports the smallest
-per-point bound K that works and, when the perturbed points are exactly
-homothetic to the polytope, the rational scale and translation.
+The detector is a verifier on given tuples.  It searches the caps
+0, 1, ..., K in increasing order, each one exhaustively, and reports the
+cap of its first match as K.  That K is the smallest per-point bound that
+works: a match whose perturbations all stayed within a smaller cap would
+have been found at that cap.  When the perturbed points are exactly
+homothetic to the polytope it also reports the rational scale and
+translation.
 """
 
 from __future__ import annotations
@@ -122,38 +126,22 @@ def _positive_step(q_from: IntVec, pt: IntVec, dir0: IntVec, cap: int) -> list[i
             s_hi = low // d_i
         lo = max(lo, s_lo)
         hi = s_hi if hi is None else min(hi, s_hi)
-    if hi is None:
-        # direction is zero; cannot happen for polytope edges
-        return []
     return list(range(lo, hi + 1))
 
 
 def _homothety_of(
     verts: list[IntVec], positions: list[IntVec]
 ) -> tuple[Fraction, tuple[Fraction, ...]] | None:
-    """Scale and translation with positions = scale*verts + t, if they exist."""
+    """Scale > 0 and translation with positions = scale*verts + t, if they exist."""
     v0, q0 = verts[0], positions[0]
-    scale: Fraction | None = None
-    for v, q in zip(verts[1:], positions[1:]):
-        dv = [a - b for a, b in zip(v, v0)]
-        dq = [a - b for a, b in zip(q, q0)]
-        for num, den in zip(dq, dv):
-            if den != 0:
-                candidate = Fraction(num, den)
-                if scale is None:
-                    scale = candidate
-                elif scale != candidate:
-                    return None
-            elif num != 0:
-                return None
-    if scale is None or scale <= 0:
-        return None
-    t = tuple(Fraction(q) - scale * v for q, v in zip(q0, v0))
-    for v, q in zip(verts, positions):
-        if any(Fraction(qi) != scale * vi + ti for qi, vi, ti in zip(q, v, t)):
-            return None
-    return scale, t
-
+    # the vertices are distinct: the scale is read off the first differing coordinate
+    scale = next(Fraction(qi - q0i, vi - v0i) for v, q in zip(verts, positions)
+                 for vi, v0i, qi, q0i in zip(v, v0, q, q0) if vi != v0i)
+    t = tuple(q - scale * v for q, v in zip(q0, v0))
+    if scale > 0 and all(qi == scale * vi + ti for v, q in zip(verts, positions)
+                         for qi, vi, ti in zip(q, v, t)):
+        return scale, t
+    return None
 
 def _odd_power_sum(K: int, d: int) -> int:
     """sum over c = 0..K of (2c + 1)^d, in closed form so that a huge K costs nothing."""
@@ -293,9 +281,6 @@ def detect_redrawing(
             perturbations[t] = tuple(
                 a - b for a, b in zip(positions[vx], pts[t])
             )
-        k_used = max(
-            (max(abs(x) for x in d) for d in perturbations), default=0
-        )
         pairing = tuple(
             ((a, b), (assignment[a], assignment[b])) for a, b in poly.edges
         )
@@ -305,7 +290,7 @@ def detect_redrawing(
             tuple(assignment),
             pairing,
             tuple(perturbations),
-            k_used,
+            cap,
             homothety,
         )
     return None

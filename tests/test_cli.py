@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -223,6 +224,27 @@ class TestSubcommands:
         monkeypatch.setenv("POLYMIX_BUDGET", "4")
         code, _ = run(capsys, "measure", LED, "--cylinder", CELL, "--method", "box")
         assert code == 3
+
+    def test_huge_prime_certify_exits_3_at_once(self, capsys, tmp_path):
+        # primality of 10^18 + 3 is decided at once, so the division budget answers
+        poly = tmp_path / "p1e18.json"
+        poly.write_text(
+            (FIXTURES / "ledrappier.json").read_text().replace('"p": 2', f'"p": {10 ** 18 + 3}'))
+        start = time.perf_counter()
+        code = main(["certify", str(poly), "--max-k", "3"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 3 and elapsed < 1
+        assert captured.err.startswith("budget exceeded: division budget: ")
+
+    def test_prime_beyond_the_primality_limit_exits_1(self, capsys, tmp_path):
+        poly = tmp_path / "p2e89.json"
+        poly.write_text(
+            (FIXTURES / "ledrappier.json").read_text().replace('"p": 2', f'"p": {2 ** 89 - 1}'))
+        code = main(["bounds", str(poly)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "3317044064679887385961981" in captured.err
 
     @pytest.mark.parametrize("value", ["abc", "0", "-5"])
     def test_malformed_budget_env_exits_1(self, capsys, monkeypatch, value):

@@ -1,4 +1,5 @@
 import random
+from math import isqrt
 
 import pytest
 
@@ -12,7 +13,7 @@ from polymix import (
     support,
     zero,
 )
-from polymix.laurent import from_json_dict, to_json_dict
+from polymix.laurent import MAX_PRIME, _is_prime, from_json_dict, to_json_dict
 
 from conftest import random_poly
 
@@ -48,6 +49,50 @@ class TestConstruction:
     def test_fieldspec_accepts_primes(self):
         for p in (2, 3, 5, 7, 97):
             assert FieldSpec(p).p == p
+
+
+def primes_below(n):
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for i in range(2, isqrt(n - 1) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytearray(len(range(i * i, n, i)))
+    return [i for i in range(n) if sieve[i]]
+
+
+def trial_division(n, primes):
+    for q in primes:
+        if q * q > n:
+            return n >= 2
+        if n % q == 0:
+            return False
+    raise AssertionError(f"{n} is beyond the listed primes")
+
+
+class TestPrimality:
+    def test_agrees_with_trial_division(self):
+        primes = primes_below(isqrt(10 ** 11) + 1)
+        rng = random.Random(11)
+        sample = [*range(10 ** 5), *(rng.randrange(10 ** 11) for _ in range(3000))]
+        assert [n for n in sample if _is_prime(n) != trial_division(n, primes)] == []
+
+    @pytest.mark.parametrize("n", [3_215_031_751, 3_825_123_056_546_413_051])
+    def test_rejects_strong_pseudoprimes(self, n):
+        # strong pseudoprimes to the bases 2..7 and 2..23 respectively
+        assert not _is_prime(n)
+        with pytest.raises(ValueError, match="not a prime"):
+            FieldSpec(n)
+
+    def test_large_primes(self):
+        for p in (10 ** 18 + 3, 2 ** 61 - 1, 2 ** 31 - 1):
+            assert FieldSpec(p).p == p
+        assert not _is_prime((2 ** 31 - 1) * (2 ** 61 - 1))
+
+    def test_refuses_primes_beyond_the_limit(self):
+        with pytest.raises(ValueError, match=str(MAX_PRIME)):
+            FieldSpec(2 ** 89 - 1)
+        with pytest.raises(ValueError, match="too large"):
+            FieldSpec(MAX_PRIME)
 
 
 class TestArithmetic:

@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 import types
@@ -537,7 +538,7 @@ class TestGrowingEchelon:
 
 
 class TestLargePrimes:
-    """F_p arithmetic is exact up to (p - 1)^2 < 2^63 and refused beyond it."""
+    """Measures stay exact near and past the int64 bound (p - 1)^2 < 2^63."""
 
     @staticmethod
     def _triangle(p):
@@ -571,18 +572,40 @@ class TestLargePrimes:
             assert cylinder_measure(f, inconsistent, method=method).value == 0
 
     @pytest.mark.parametrize("method", ["exact", "box"])
-    def test_over_the_bound_exits_2(self, method, tmp_path, capsys):
+    def test_over_the_bound_answers(self, method, tmp_path, capsys):
+        # both paths eliminate Python integers, so no int64 limit applies
         p = 4294967311
         poly = tmp_path / "poly.json"
         poly.write_text(
             f'{{"p": {p}, "d": 2, "terms": [{{"e": [0, 0], "c": 1}}, '
             f'{{"e": [1, 0], "c": {p - 1}}}, {{"e": [0, 1], "c": {p - 2}}}]}}'
         )
-        for values in ([3, 1, 1], [3, 1, 2]):
+        for values, value in (([3, 1, 1], {"num": 1, "den": p ** 2}),
+                              ([3, 1, 2], {"num": 0, "den": 1})):
             cyl = tmp_path / "cyl.json"
             cyl.write_text(f'{{"window": [[0, 0], [1, 0], [0, 1]], "values": {values}}}')
             code = main(["measure", str(poly), "--cylinder", str(cyl), "--method", method])
             captured = capsys.readouterr()
-            assert code == 2
-            assert captured.out == ""
-            assert "(p - 1)^2 < 2^63" in captured.err
+            assert code == 0
+            assert json.loads(captured.out)["value"] == value
+
+    def test_measure_and_experiment_agree_over_the_bound(self, tmp_path, capsys):
+        p = 3_037_000_507
+        poly = tmp_path / "poly.json"
+        poly.write_text(json.dumps({"p": p, "d": 2, "terms": [
+            {"e": e, "c": c} for e, c in (([0, 0], 1), ([1, 0], 2), ([0, 1], 3), ([1, 1], 5))]}))
+        cyl = tmp_path / "row.json"
+        cyl.write_text(json.dumps({"window": [[0, 0], [1, 0], [2, 0], [3, 0]],
+                                   "values": [1, 2, 3, 4]}))
+        answers = {}
+        for method in ("exact", "box"):
+            for argv in (["measure"],
+                         ["experiment", "--shape", "[[0,0],[5,0]]", "--k-range", "0:2"]):
+                code = main([*argv, str(poly), "--cylinder", str(cyl), "--method", method])
+                assert code == 0
+                answers[method, argv[0]] = json.loads(capsys.readouterr().out)
+        assert answers["exact", "measure"]["value"] == {"num": 1, "den": p ** 4}
+        assert answers["exact", "measure"]["value"] == answers["box", "measure"]["value"]
+        assert answers["exact", "experiment"] == answers["box", "experiment"]
+        assert [row["joint"] for row in answers["exact", "experiment"]["rows"]] == [
+            {"num": 1, "den": p ** 4}] + [{"num": 1, "den": p ** 8}] * 2

@@ -582,3 +582,53 @@ class TestSearchOracle:
             for k in h.verified_k:
                 dilated = [tuple(k * x for x in n) for n in h.shape]
                 assert relation_value(coeffs, dilated, f).is_zero
+
+
+def support_pattern_reference(f, shape, coeffs, canon_support):
+    """The support-pattern label as first written, on unconverted coefficients."""
+    if shape != canon_support:
+        return False
+    zero_exp = (0,) * f.dim
+    scalars = []
+    for c in coeffs:
+        if not (c.is_monomial and zero_exp in c.terms):
+            return False
+        scalars.append(c.terms[zero_exp])
+    support_sorted = sorted(f.terms)
+    f_scalars = [f.terms[n] for n in support_sorted]
+    p = f.p
+    ratio = scalars[0] * pow(f_scalars[0], p - 2, p) % p
+    return all(
+        (ratio * fc) % p == sc for fc, sc in zip(f_scalars, scalars)
+    )
+
+
+def reference_labels(f, hits):
+    canon_support = tuple(sorted(normalize(f)[0].terms))
+    return [
+        support_pattern_reference(f, h.shape, tuple(
+            c if isinstance(c, LaurentPoly) else scalar(f.p, f.dim, c) for c in h.coefficients
+        ), canon_support)
+        for h in hits
+    ]
+
+
+class TestSupportPatternLabel:
+    @pytest.mark.parametrize("f, r, radius, degree", _search_oracle_cases())
+    def test_agrees_with_reference_on_oracle_cases(self, f, r, radius, degree):
+        hits = search_relations(f, r, radius, degree)
+        assert [h.frobenius_family for h in hits] == reference_labels(f, hits)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_generic_support_is_the_one_labelled_hit(self, seed):
+        # generic 4-5 term polynomials in [0,2]^2, searched at r = |S(f)|
+        rng = random.Random(90 + seed)
+        p = (5, 7)[seed % 2]
+        f = generic_poly(rng, p, rng.randint(4, 5), span=2)
+        hits = search_relations(f, len(f.terms), 1)
+        assert [h.frobenius_family for h in hits] == reference_labels(f, hits)
+        fhat = normalize(f)[0].terms
+        shape = tuple(sorted(fhat))
+        inv = pow(fhat[shape[0]], p - 2, p)
+        labelled = [(h.shape, h.coefficients) for h in hits if h.frobenius_family]
+        assert labelled == [(shape, tuple(fhat[n] * inv % p for n in shape))]

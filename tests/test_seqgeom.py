@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -14,7 +15,7 @@ from polymix import (
     snap_to_homothety,
 )
 from polymix.lattice import int_det, is_primitive
-from polymix.seqgeom import _odd_power_sum
+from polymix.seqgeom import _homothety_of, _odd_power_sum
 
 
 def frame_matrix(frame):
@@ -171,6 +172,11 @@ class TestDetectRedrawing:
                 match = detect_redrawing(f, pts, cap)
                 assert match is not None
                 assert match.K <= cap
+                # the cap the match was found at is its largest perturbation
+                # and no smaller cap matches
+                assert match.K == max(max(map(abs, d)) for d in match.perturbations)
+                if match.K:
+                    assert detect_redrawing(f, pts, match.K - 1) is None
                 snapped = match.snapped
                 for (a, b), (s, tt) in match.pairing:
                     diff = tuple(
@@ -217,6 +223,57 @@ class TestDetectRedrawing:
         for d in range(1, 6):
             for K in (0, 1, 2, 7, 30):
                 assert _odd_power_sum(K, d) == sum((2 * c + 1) ** d for c in range(K + 1))
+
+
+def homothety_reference(verts, positions):
+    """The homothety test as first written: a scale from every coordinate, then a check."""
+    v0, q0 = verts[0], positions[0]
+    scale = None
+    for v, q in zip(verts[1:], positions[1:]):
+        dv = [a - b for a, b in zip(v, v0)]
+        dq = [a - b for a, b in zip(q, q0)]
+        for num, den in zip(dq, dv):
+            if den != 0:
+                candidate = Fraction(num, den)
+                if scale is None:
+                    scale = candidate
+                elif scale != candidate:
+                    return None
+            elif num != 0:
+                return None
+    if scale is None or scale <= 0:
+        return None
+    t = tuple(Fraction(q) - scale * v for q, v in zip(q0, v0))
+    for v, q in zip(verts, positions):
+        if any(Fraction(qi) != scale * vi + ti for qi, vi, ti in zip(q, v, t)):
+            return None
+    return scale, t
+
+
+class TestHomothetyOracle:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_agrees_with_reference(self, d):
+        rng = random.Random(80 + d)
+        scales = [Fraction(1, 2), Fraction(1), Fraction(3), Fraction(7, 3),
+                  Fraction(0), Fraction(-1), Fraction(-5, 2)]
+        outcomes = set()
+        for _ in range(60):
+            n = rng.randint(2, 8)
+            verts = rng.sample(list(product(range(-4, 5), repeat=d)), n)
+            t = tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2))) for _ in range(d))
+            for s in scales:
+                positions = [tuple(s * x + ti for x, ti in zip(v, t)) for v in verts]
+                want = homothety_reference(verts, positions)
+                assert _homothety_of(verts, positions) == want
+                outcomes.add(want is not None)
+                # one coordinate of one position bumped
+                i, j = rng.randrange(n), rng.randrange(d)
+                bumped = list(positions)
+                bumped[i] = tuple(x + (k == j) * rng.choice((-1, 1)) for k, x in enumerate(bumped[i]))
+                want = homothety_reference(verts, bumped)
+                assert _homothety_of(verts, bumped) == want
+                outcomes.add(want is not None)
+        assert outcomes == {True, False}
 
 
 class TestSnapToHomothety:
