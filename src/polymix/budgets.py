@@ -22,6 +22,7 @@ DEFAULTS = {
     "detector": (10 ** 4, "placements tried over every cap"),
     "hull": (10 ** 5, "visibility tests, plus k per facet normal, of a k-dimensional hull"),
     "redraw": (10 ** 6, "triangle-scan neighbour tests or rank-system cells of a redrawing"),
+    "experiment": (10 ** 3, "rows of an experiment's --k-range"),
 }
 
 _ENV_VAR = "POLYMIX_BUDGET"

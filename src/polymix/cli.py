@@ -11,11 +11,12 @@
 
 All output is canonical JSON on stdout.  Exit codes: 0 success, 1 parse
 error (malformed input file or inline JSON, such as `true`, a float or a
-string where an integer is expected, or a NaN or infinite skeleton
-vertex entry; an option value out of range
--- a negative --max-k, --K, --radius, --coeff-degree or --tolerance, a NaN
---tolerance, an --r below 2 -- or a POLYMIX_BUDGET that is not a positive
-integer), 2 degenerate input
+string where an integer is expected, a NaN or infinite skeleton vertex
+entry, bytes that are not UTF-8, an integer of more digits than Python
+reads or nesting deeper than its recursion limit; an option value out of
+range -- a negative --max-k, --K, --radius, --coeff-degree or --tolerance,
+a NaN or infinite --tolerance, an --r below 2 -- or a POLYMIX_BUDGET that
+is not a positive integer), 2 degenerate input
 (zero/monomial polynomial, degenerate polytope, or a float skeleton whose
 edge directions leave float range), 3 budget exceeded
 (the message names the budget, its use and its limit), 4 internal error
@@ -26,20 +27,22 @@ variable POLYMIX_BUDGET overrides every budget of ``budgets``: ``cells``
 (search candidates), ``division`` (the certificate's division box),
 ``detector`` (the detector's placements), ``hull`` (the visibility
 tests of a convex hull, plus k for each facet normal it builds in
-dimension k) and ``redraw`` (the neighbour tests
+dimension k), ``redraw`` (the neighbour tests
 of the triangle scan and the cells of the rank system of a skeleton's
-redrawings, each checked on its own).
+redrawings, each checked on its own) and ``experiment`` (the rows of
+--k-range, checked before the first).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import math
 import os
 import sys
-from typing import Callable, NamedTuple
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from . import jsonio
+from . import budgets, jsonio
 from .errors import (
     BudgetExceededError,
     InternalInconsistencyError,
@@ -57,11 +60,14 @@ from .mixing import (
 from .redraw import DEFAULT_TOLERANCE, redraw_space
 from .seqgeom import detect_redrawing
 
+if TYPE_CHECKING:
+    import argparse
+
 
 def _parse_inline(text: str, what: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"bad inline JSON for {what}: {exc}") from exc
 
 
@@ -111,6 +117,8 @@ def _cmd_bounds(args) -> dict:
 def _cmd_tightness(args) -> dict:
     skeleton = jsonio.load_skeleton(args.skeleton)
     tolerance = _at_least(args.tolerance, 0, "--tolerance")
+    if tolerance == math.inf:
+        raise ParseError(f"--tolerance must be finite, got {tolerance}")
     return jsonio.redraw_json(redraw_space(skeleton, tolerance=tolerance))
 
 
@@ -138,6 +146,7 @@ def _parse_k_range(text: str) -> range:
         raise ParseError(f"--k-range must look like LO:HI, got {text!r}") from exc
     if hi < lo:
         raise ParseError(f"--k-range must have HI >= LO, got {text!r}")
+    budgets.check("experiment", hi - lo + 1)
     return range(lo, hi + 1)
 
 
@@ -196,7 +205,7 @@ _METHOD = ("--method", {"choices": ["exact", "box"], "default": "exact"})
 class _Command(NamedTuple):
     help: str
     arguments: list[tuple[str, dict]]  # (name or flag, add_argument keywords)
-    run: Callable[[argparse.Namespace], dict]
+    run: Callable[[SimpleNamespace | argparse.Namespace], dict]
 
 
 _COMMANDS = {
@@ -227,32 +236,64 @@ _COMMANDS = {
 }
 
 
-def _with_arguments(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
-    for flag, keywords in _COMMANDS[command].arguments:
-        parser.add_argument(flag, **keywords)
-    return parser
-
-
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse  # a plain argv never needs it, so a call does not pay its import
+
     parser = argparse.ArgumentParser(prog="polymix", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
-        _with_arguments(sub.add_parser(name, help=command.help), name)
+        subparser = sub.add_parser(name, help=command.help)
+        for flag, keywords in command.arguments:
+            subparser.add_argument(flag, **keywords)
     return parser
 
 
-def _parse(argv: list[str]) -> tuple[str, argparse.Namespace]:
-    """Parse with only the named subcommand's parser when argv[0] names one.
+def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
+    """Read ``<command> POSITIONAL... [--flag VALUE]...`` from the command table.
 
-    That parser is the one ``_build_parser`` would add for the name.  Help,
-    a missing or unknown subcommand and unrecognized arguments go through
-    the full parser, so their usage and error text stay the same.
+    Every flag must be one of the command's table flags, spelled out, and
+    no positional or value may start with "-"; argparse reads such an argv
+    the same way, so the table's ``type``, ``choices``, ``required`` and
+    ``default`` give the attributes argparse would set, less ``command``.
+    Any other argv, and one that fails a conversion, a choice or a required
+    flag, gets None, so that help, usage and error text come from argparse.
     """
-    if argv and argv[0] in _COMMANDS:
-        parser = _with_arguments(argparse.ArgumentParser(prog=f"polymix {argv[0]}"), argv[0])
-        args, extra = parser.parse_known_args(argv[1:])
-        if not extra:
-            return argv[0], args
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    positionals = [name for name, _ in command.arguments if not name.startswith("-")]
+    given = dict(zip(positionals, argv[1:]))
+    rest = argv[1 + len(positionals):]
+    if len(given) < len(positionals) or len(rest) % 2 or any(
+            value.startswith("-") for value in given.values()):
+        return None
+    options = {flag: keywords for flag, keywords in command.arguments if flag.startswith("-")}
+    for flag, value in zip(rest[::2], rest[1::2]):
+        keywords = options.get(flag)
+        if keywords is None or value.startswith("-"):
+            return None
+        if "type" in keywords:
+            try:
+                value = keywords["type"](value)
+            except (TypeError, ValueError):
+                return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        given[flag] = value  # argparse keeps the last of a repeated flag
+    namespace = SimpleNamespace()
+    for name, keywords in command.arguments:
+        if name not in given and keywords.get("required"):
+            return None
+        setattr(namespace, name.lstrip("-").replace("-", "_"),
+                given.get(name, keywords.get("default")))
+    return namespace
+
+
+def _parse(argv: list[str]) -> tuple[str, SimpleNamespace | argparse.Namespace]:
+    """The command and its arguments: from the table when argv is plain, else argparse."""
+    args = _parse_plain(argv)
+    if args is not None:
+        return argv[0], args
     args = _build_parser().parse_args(argv)
     return args.command, args
 

@@ -17,7 +17,10 @@ runs on the same input are byte-identical.
 from __future__ import annotations
 
 import json
+import math
+from decimal import Decimal
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .errors import ParseError
 from .laurent import LaurentPoly, from_json_dict, is_json_int, to_json_dict
@@ -29,14 +32,71 @@ from .seqgeom import RedrawMatch
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": "))
+    """The text of ``json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": "))``.
+
+    Written directly, since ``json`` indents in pure Python, and exact for
+    integers of any size: ``json.dumps`` refuses one past the interpreter's
+    limit on the digits of ``str(int)``.  Dictionary keys must be strings.
+    """
+    out: list[str] = []
+    _write(obj, "\n", out)
+    return "".join(out)
+
+
+def _write(obj, newline: str, out: list[str]) -> None:
+    # the type tests run in the order of json.encoder, so bools print as
+    # true/false and int and float subclasses as their base values
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        try:
+            out.append(int.__repr__(obj))
+        except ValueError:  # more digits than str(int) allows; Decimal has no such limit
+            out.append(str(Decimal(obj)))
+    elif isinstance(obj, float):
+        if math.isfinite(obj):
+            out.append(float.__repr__(obj))
+        else:
+            out.append("NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        lead = "[" + inner
+        for item in obj:
+            out.append(lead)
+            _write(item, inner, out)
+            lead = "," + inner
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        lead = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(lead + encode_basestring_ascii(key) + ": ")
+            _write(value, inner, out)
+            lead = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON, bytes that are not UTF-8 and integers
+        # past the digit limit of int(str)
         raise ParseError(f"cannot read JSON from {path}: {exc}") from exc
 
 

@@ -5,10 +5,12 @@ import random
 import subprocess
 import sys
 import time
+from decimal import Decimal
 
 import pytest
 
-from polymix.cli import main
+from polymix.cli import _parse_k_range, main
+from polymix.errors import BudgetExceededError
 
 from conftest import FIXTURES
 
@@ -279,9 +281,12 @@ class TestSubcommands:
             ("redraw", "2159", ["tightness", ICOSA], 2160, 2159),
             # the triangle scan tests 149 neighbours for each of the 11,175 edges
             ("redraw", None, ["tightness", "K150"], 11_175 * 149, 10 ** 6),
+            ("experiment", None, ["experiment", LED, "--shape", "[[0,0],[1,0],[0,1]]",
+                                  "--cylinder", CELL, "--k-range", "1:1001"], 1001, 10 ** 3),
         ],
         ids=["cells", "search", "division", "division_p10007", "detector", "detector_K1000",
-             "detector_placements", "hull", "redraw", "redraw_float", "redraw_triangles"],
+             "detector_placements", "hull", "redraw", "redraw_float", "redraw_triangles",
+             "experiment"],
     )
     def test_named_budget_exits_3(self, capsys, monkeypatch, tmp_path, budget, env, argv,
                                   used, limit):
@@ -316,6 +321,11 @@ class TestSubcommands:
         assert lead == "budget exceeded"
         assert rest.startswith(f"{budget} budget: {used} ")
         assert rest.endswith(f", limit {limit}\n")
+
+    def test_experiment_budget_counts_rows_before_the_first(self):
+        # a range past sys.maxsize has no len(); the rows are counted from LO and HI
+        with pytest.raises(BudgetExceededError, match=f"^experiment budget: {10 ** 30 + 1} "):
+            _parse_k_range(f"0:{10 ** 30}")
 
     def test_only_budgets_raises_budget_exceeded(self):
         raisers = []
@@ -373,6 +383,15 @@ class TestSubcommands:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith(f"parse error: {flag} must be >= ")
+
+    @pytest.mark.parametrize("value", ["inf", "1e400", "Infinity"])
+    def test_infinite_tolerance_exits_1(self, capsys, value):
+        # an infinite tolerance would print "tolerance": Infinity, which is not JSON
+        code = main(["tightness", ICOSA, "--tolerance", value])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "parse error: --tolerance must be finite, got inf\n"
 
     def test_zero_option_values_accepted(self, capsys):
         assert run(capsys, "search", LED, "--r", "2", "--radius", "0")[0] == 0
@@ -481,6 +500,60 @@ class TestSubcommands:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith(f"parse error: {flag} entry")
+
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"p": 2, "d": 1, "terms": [{"e": [0], "c": 1}], "name": "\xff"}',
+         b'{"p": 2, "d": 1, "terms": [{"e": [0], "c": 1' + b"0" * 5000 + b'}]}',
+         b"[" * 5000 + b"]" * 5000],
+        ids=["not_utf8", "integer_of_5000_digits", "nested_5000_deep"],
+    )
+    @pytest.mark.parametrize("command", ["bounds", "tightness", "measure"])
+    def test_undecodable_file_exits_1(self, capsys, tmp_path, content, command):
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        argv = {"bounds": ["bounds", str(path)], "tightness": ["tightness", str(path)],
+                "measure": ["measure", LED, "--cylinder", str(path)]}[command]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"parse error: cannot read JSON from {path}: ")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["detect", LED, "--K", "1", "--tuple"], "--tuple"),
+            (["measure", LED, "--cylinder", CELL, "--shifts"], "--shifts"),
+            (["experiment", LED, "--cylinder", CELL, "--k-range", "1:2", "--shape"], "--shape"),
+        ],
+        ids=["tuple", "shifts", "shape"],
+    )
+    @pytest.mark.parametrize("value", ["[" * 5000 + "]" * 5000, "[[1" + "0" * 5000 + ", 0]]"],
+                             ids=["nested_5000_deep", "integer_of_5000_digits"])
+    def test_undecodable_inline_json_exits_1(self, capsys, argv, flag, value):
+        code = main(argv + [value])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"parse error: bad inline JSON for {flag}: ")
+        assert "Traceback" not in captured.err
+
+    def test_integers_past_the_digit_limit_are_printed(self, capsys, tmp_path):
+        # 1/p^300 has 5,401 digits, past the 4,300 that str(int) allows by default
+        p = 10 ** 18 + 3
+        poly = tmp_path / "poly.json"
+        poly.write_text(json.dumps({"p": p, "d": 2, "terms": [
+            {"e": [0, 0], "c": 1}, {"e": [1, 0], "c": 1}, {"e": [0, 1], "c": 1}]}))
+        cyl = tmp_path / "row.json"
+        cyl.write_text(json.dumps({"window": [[x, 0] for x in range(300)], "values": [0] * 300}))
+        code = main(["measure", str(poly), "--cylinder", str(cyl)])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        # Decimal reads the integer exactly without lifting the digit limit
+        value = json.loads(captured.out, parse_int=lambda text: int(Decimal(text)))["value"]
+        assert value == {"num": 1, "den": p ** 300}
 
     def test_reports_parse_under_schema(self, capsys):
         # round-trip: every emitted report is valid JSON with sorted keys
