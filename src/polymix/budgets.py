@@ -23,6 +23,7 @@ DEFAULTS = {
     "hull": (10 ** 5, "visibility tests, plus k per facet normal, of a k-dimensional hull"),
     "redraw": (10 ** 6, "triangle-scan neighbour tests or rank-system cells of a redrawing"),
     "experiment": (10 ** 3, "rows of an experiment's --k-range"),
+    "residue": (10 ** 6, "term pairs multiplied for one modulus's monomial residues"),
 }
 
 _ENV_VAR = "POLYMIX_BUDGET"
@@ -41,9 +42,10 @@ def _override() -> int | None:
     return value
 
 
-def check(name: str, used: int) -> None:
-    """Raise ``BudgetExceededError`` when ``used`` exceeds the named budget."""
+def check(name: str, used: int) -> int:
+    """Return the named budget's limit, raising ``BudgetExceededError`` when ``used`` exceeds it."""
     default, counts = DEFAULTS[name]
     limit = _override() or default
     if used > limit:
         raise BudgetExceededError(f"{name} budget: {used} {counts}, limit {limit}")
+    return limit

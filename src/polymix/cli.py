@@ -18,7 +18,9 @@ range -- a negative --max-k, --K, --radius, --coeff-degree or --tolerance,
 a NaN or infinite --tolerance, an --r below 2 -- or a POLYMIX_BUDGET that
 is not a positive integer), 2 degenerate input
 (zero/monomial polynomial, degenerate polytope, or a float skeleton whose
-edge directions leave float range), 3 budget exceeded
+edge directions leave float range) or a usage error reported by argparse
+(an unknown subcommand or flag, a missing required flag, or a flag value
+of the wrong type, such as --max-k x), 3 budget exceeded
 (the message names the budget, its use and its limit), 4 internal error
 (a machine check failed), 141 stdout closed before the report was written
 (128 + SIGPIPE, as a shell reports for ``yes | head``).  The environment
@@ -29,8 +31,10 @@ variable POLYMIX_BUDGET overrides every budget of ``budgets``: ``cells``
 tests of a convex hull, plus k for each facet normal it builds in
 dimension k), ``redraw`` (the neighbour tests
 of the triangle scan and the cells of the rank system of a skeleton's
-redrawings, each checked on its own) and ``experiment`` (the rows of
---k-range, checked before the first).
+redrawings, each checked on its own), ``experiment`` (the rows of
+--k-range, checked before the first) and ``residue`` (the term pairs of
+the quotient products and divisions behind one polynomial's monomial
+residues, as they are formed).
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import reprlib
 import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, NamedTuple
@@ -77,7 +82,7 @@ def _vector_list(data, dim: int, what: str) -> list[tuple[int, ...]]:
     out = []
     for v in data:
         if not isinstance(v, list) or len(v) != dim or not all(map(is_json_int, v)):
-            raise ParseError(f"{what} entry {v!r} is not an integer vector of length {dim}")
+            raise ParseError(f"{what} entry {reprlib.repr(v)} is not an integer vector of length {dim}")
         out.append(tuple(v))
     return out
 
@@ -143,9 +148,9 @@ def _parse_k_range(text: str) -> range:
     try:
         lo, hi = map(int, text.split(":"))
     except ValueError as exc:
-        raise ParseError(f"--k-range must look like LO:HI, got {text!r}") from exc
+        raise ParseError(f"--k-range must look like LO:HI, got {reprlib.repr(text)}") from exc
     if hi < lo:
-        raise ParseError(f"--k-range must have HI >= LO, got {text!r}")
+        raise ParseError(f"--k-range must have HI >= LO, got {reprlib.repr(text)}")
     budgets.check("experiment", hi - lo + 1)
     return range(lo, hi + 1)
 

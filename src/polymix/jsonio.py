@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from decimal import Decimal
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -110,17 +111,15 @@ def load_poly(path: str) -> LaurentPoly:
 
 def _rational_entry(x):
     if isinstance(x, bool):
-        raise ParseError(f"vertex entry {x!r} is not a number")
-    if isinstance(x, int):
-        return x
-    if isinstance(x, float):
+        raise ParseError(f"vertex entry {x} is not a number")
+    if isinstance(x, (int, float)):
         return x
     if isinstance(x, str):
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational entry {x!r}") from exc
-    raise ParseError(f"bad vertex entry {x!r}")
+            raise ParseError(f"bad rational entry {reprlib.repr(x)}") from exc
+    raise ParseError(f"bad vertex entry {reprlib.repr(x)}")
 
 
 def load_skeleton(path: str) -> Skeleton:
@@ -134,7 +133,7 @@ def load_skeleton(path: str) -> Skeleton:
     except KeyError as exc:
         raise ParseError(f"skeleton JSON missing key {exc}") from exc
     if not is_json_int(dim):
-        raise ParseError(f"skeleton dim {dim!r} is not an integer")
+        raise ParseError(f"skeleton dim {reprlib.repr(dim)} is not an integer")
     if not isinstance(edges, list) or not all(
         isinstance(e, list) and len(e) == 2 and all(map(is_json_int, e)) for e in edges
     ):
@@ -159,9 +158,10 @@ def parse_cylinder(data: dict, dim: int) -> CylinderSpec:
         pairs = []
         for w, v in zip(window, values):
             if not isinstance(w, list) or not all(map(is_json_int, w)) or not is_json_int(v):
-                raise ParseError(f"window point {w!r} and value {v!r} must be integers")
+                raise ParseError(
+                    f"window point {reprlib.repr(w)} and value {reprlib.repr(v)} must be integers")
             if len(w) != dim:
-                raise ParseError(f"window point {tuple(w)} does not have dimension {dim}")
+                raise ParseError(f"window point {reprlib.repr(tuple(w))} does not have dimension {dim}")
             pairs.append((w, v))
         return CylinderSpec.from_pairs(pairs)
     except ValueError as exc:

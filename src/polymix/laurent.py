@@ -21,6 +21,7 @@ once each compute the same data and one copy wins, so sharing stays safe.
 from __future__ import annotations
 
 import operator
+import reprlib
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -63,11 +64,10 @@ class FieldSpec:
 
     def __post_init__(self) -> None:
         if isinstance(self.p, int) and self.p >= MAX_PRIME:
-            raise ValueError(
-                f"modulus {self.p} is too large: primality is decided for p < {MAX_PRIME}"
-            )
+            raise ValueError(f"modulus {reprlib.repr(self.p)} is too large: "
+                             f"primality is decided for p < {MAX_PRIME}")
         if not isinstance(self.p, int) or not _is_prime(self.p):
-            raise ValueError(f"modulus {self.p!r} is not a prime integer")
+            raise ValueError(f"modulus {reprlib.repr(self.p)} is not a prime integer")
 
 
 def _as_field(field: FieldSpec | int) -> FieldSpec:
@@ -336,11 +336,11 @@ def from_json_dict(data: dict) -> LaurentPoly:
     pairs = []
     for t in terms:
         if not isinstance(t, dict) or "e" not in t or "c" not in t:
-            raise ValueError(f"malformed term {t!r}")
+            raise ValueError(f"malformed term {reprlib.repr(t)}")
         e, c = t["e"], t["c"]
         if not isinstance(e, list) or len(e) != d:
-            raise ValueError(f"term exponent {e!r} does not have length d={d}")
+            raise ValueError(f"term exponent {reprlib.repr(e)} does not have length d={d}")
         if not all(map(is_json_int, e)) or not is_json_int(c):
-            raise ValueError(f"term {t!r} has non-integer entries")
+            raise ValueError(f"term {reprlib.repr(t)} has non-integer entries")
         pairs.append((tuple(e), c))
     return make_poly(FieldSpec(p), d, pairs)

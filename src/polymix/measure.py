@@ -220,16 +220,17 @@ def _exact_measure(f: LaurentPoly, cyl: CylinderSpec) -> MeasureResult:
     residue is inserted keyed (0, monomial), with the cylinder value under
     (1,) when it is nonzero: (1,) leads a kept row exactly when some
     annihilator is nonzero on the values.  A common monomial shift (a
-    unit) clears negative exponents first.  The points are asked in
-    lexicographic order, so ``monomial_residue`` finds a neighbour
-    u^(w - e_i) in the window kept, and inserted shortest residue first:
+    unit) clears negative exponents first.  The points are asked in the
+    window's order, lexicographic as ``from_pairs`` stores it, so
+    ``monomial_residue`` finds a neighbour u^(w - e_i) in the window
+    kept, and inserted shortest residue first:
     a point whose residue is one monomial gives a one-key row, which
     clears that monomial from every later row in one step.
     """
     p = f.p
     shift = tuple(min(w[i] for w in cyl.window) for i in range(f.dim))
     residues = [(monomial_residue(tuple(map(sub, w, shift)), f).terms, v % p)
-                for w, v in sorted(zip(cyl.window, cyl.values))]
+                for w, v in zip(cyl.window, cyl.values)]
     echelon: dict = {}
     for terms, v in sorted(residues, key=lambda tv: len(tv[0])):
         row = {(0, e): c for e, c in terms.items()}
@@ -305,11 +306,10 @@ def merge_events(events: Sequence[tuple[Sequence[int], CylinderSpec]]) -> Cylind
     """Union of shifted cylinders; None signals a conflicting overlap."""
     merged: dict[ExponentVec, int] = {}
     for shift, cyl in events:
-        moved = cyl.translated(shift)
-        for w, v in zip(moved.window, moved.values):
-            if w in merged and merged[w] != v:
+        for w, v in zip(cyl.window, cyl.values):
+            w = tuple(map(add, w, shift))
+            if merged.setdefault(w, v) != v:
                 return None
-            merged[w] = v
     return CylinderSpec.from_pairs(merged.items())
 
 
@@ -354,7 +354,8 @@ def mixing_experiment(
     measures, and the gap between them.
     """
     rows: list[ExperimentRow] = []
-    singles = [cylinder_measure(f, cyl, method=method).value for cyl in cylinders]
+    product = math.prod((cylinder_measure(f, cyl, method=method).value for cyl in cylinders),
+                        start=Fraction(1))
     for k in k_range:
         if callable(shape_or_rule):
             shifts = [tuple(v) for v in shape_or_rule(k)]
@@ -367,9 +368,6 @@ def mixing_experiment(
         except BudgetExceededError:
             rows.append(ExperimentRow(k, False))
             continue
-        product = Fraction(1)
-        for s in singles:
-            product *= s
         rows.append(ExperimentRow(k, True, joint, product, joint - product))
     return rows
 

@@ -34,7 +34,9 @@ from a kept neighbour u^(e - e_i) in one short division when it can, by
 square-and-multiply on the axis squares otherwise.  ``measure`` reads a
 window's residues from it and ``mixing`` sums them.  Because the
 remainder is unique, a residue taken from a table, from a neighbour or
-by a fresh division is the same polynomial.
+by a fresh division is the same polynomial.  The ``residue`` budget
+bounds the term pairs multiplied for one modulus's tables, in its
+products and neighbour steps and in the division steps that reduce them.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ import heapq
 from dataclasses import dataclass, field as dc_field
 from operator import add, ge, neg, sub
 
+from . import budgets
 from .errors import TrivialQuotientError
 from .laurent import ExponentVec, LaurentPoly, _raw, monomial, one
 
@@ -86,8 +89,8 @@ def normalize(g: LaurentPoly) -> tuple[LaurentPoly, ExponentVec]:
 
 
 def _lift(g: LaurentPoly) -> tuple[LaurentPoly, ExponentVec]:
-    # Clear negative exponents only; polynomials pass through unchanged.
-    shift = tuple(min(0, m) for m in g.min_exponents())
+    # Clear negative exponents only; polynomials (and zero) pass through unchanged.
+    shift = tuple(min(0, m) for m in g.min_exponents()) if g.terms else (0,) * g.dim
     if any(shift):
         g = g.shift(tuple(-s for s in shift))
     return g, shift
@@ -106,7 +109,7 @@ class _Modulus:
     reuses its axis squares and monomial residues.
     """
 
-    __slots__ = ("p", "lt", "lt_inv", "tail", "squares", "monomials")
+    __slots__ = ("p", "lt", "lt_inv", "tail", "squares", "monomials", "spent")
 
     def __init__(self, f: LaurentPoly) -> None:
         fhat, _ = normalize(f)
@@ -117,6 +120,7 @@ class _Modulus:
         # (axis, j) -> residue of u_axis^(2^j); exps -> residue of u^exps
         self.squares: dict[tuple[int, int], LaurentPoly] = {}
         self.monomials: dict[ExponentVec, LaurentPoly] = {}
+        self.spent = 0  # residue budget use; threads sharing f may lose an update
 
 
 def _prepared(f: LaurentPoly) -> _Modulus:
@@ -131,7 +135,8 @@ def _prepared(f: LaurentPoly) -> _Modulus:
     return prepared
 
 
-def _divide(work: dict[ExponentVec, int], m: _Modulus, quotient=None) -> dict[ExponentVec, int]:
+def _divide(work: dict[ExponentVec, int], m: _Modulus, quotient=None,
+            limit: int | None = None) -> dict[ExponentVec, int]:
     """Remainder of division by the normalized modulus; consumes ``work``.
 
     Only terms divisible by the leading term enter the heap, largest
@@ -140,6 +145,8 @@ def _divide(work: dict[ExponentVec, int], m: _Modulus, quotient=None) -> dict[Ex
     are left in place as the remainder.  The remainder is unique (a single
     divisor is a Groebner basis), whatever the order of the steps.  Each
     step's quotient term goes into the dict ``quotient`` when one is given.
+    Given the ``residue`` budget's ``limit``, each step charges its term
+    pairs, its quotient term times the tail, to the modulus's count.
     """
     p, lt, lt_inv, tail = m.p, m.lt, m.lt_inv, m.tail
     heap = [(_heapkey(e), e) for e in work if all(map(ge, e, lt))]
@@ -149,6 +156,10 @@ def _divide(work: dict[ExponentVec, int], m: _Modulus, quotient=None) -> dict[Ex
         c = work.pop(e, None)
         if c is None:
             continue  # stale entry
+        if limit is not None:
+            m.spent += len(tail)
+            if m.spent > limit:
+                budgets.check("residue", m.spent)
         q = (c * lt_inv) % p
         base = tuple(map(sub, e, lt))
         if quotient is not None:
@@ -192,8 +203,6 @@ def reduce(g: LaurentPoly, f: LaurentPoly) -> Residue:
     """
     g._check_compatible(f)
     m = _prepared(f)
-    if g.is_zero:
-        return Residue(_raw(g.field, g.dim, {}), f, (0,) * g.dim)
     lifted, shift = _lift(g)
     remainder = _divide(dict(lifted.terms), m)
     return Residue(_raw(g.field, g.dim, remainder), f, shift)
@@ -210,8 +219,18 @@ def nf(g: LaurentPoly, f: LaurentPoly) -> LaurentPoly:
 
 
 def residue_mul(a: LaurentPoly, b: LaurentPoly, f: LaurentPoly) -> LaurentPoly:
-    """Product in the quotient ring, reduced immediately."""
-    return nf(a * b, f)
+    """Product in the quotient ring, reduced immediately.
+
+    Its term pairs are charged to the ``residue`` budget before the product
+    is formed, and those of its division steps as they run.
+    """
+    m = _prepared(f)
+    m.spent += len(a.terms) * len(b.terms)
+    limit = budgets.check("residue", m.spent)
+    g = a * b
+    g._check_compatible(f)
+    lifted, _ = _lift(g)
+    return _raw(f.field, f.dim, _divide(dict(lifted.terms), m, limit=limit))
 
 
 def power_residue(g: LaurentPoly, n: int, f: LaurentPoly) -> LaurentPoly:
@@ -265,8 +284,10 @@ def monomial_residue(exps: ExponentVec, f: LaurentPoly) -> LaurentPoly:
     for axis, x in enumerate(exps):
         neighbour = m.monomials.get(exps[:axis] + (x - 1,) + exps[axis + 1:]) if x else None
         if neighbour is not None:
+            m.spent += len(neighbour.terms)
+            limit = budgets.check("residue", m.spent)
             step = {e[:axis] + (e[axis] + 1,) + e[axis + 1:]: c for e, c in neighbour.terms.items()}
-            result = _raw(f.field, f.dim, _divide(step, m))
+            result = _raw(f.field, f.dim, _divide(step, m, limit=limit))
             break
     else:
         result = nf(one(f.field, f.dim), f)

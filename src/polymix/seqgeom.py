@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb
 from operator import sub
 from typing import Sequence
 
@@ -143,19 +142,6 @@ def _homothety_of(
         return scale, t
     return None
 
-def _odd_power_sum(K: int, d: int) -> int:
-    """sum over c = 0..K of (2c + 1)^d, in closed form so that a huge K costs nothing."""
-
-    def power_sum(n: int) -> int:
-        # sum_{i=1}^{n} i^j for j = 0..d, from (n+1)^(j+1) - 1 = sum_i C(j+1, i) S_i(n)
-        sums: list[int] = []
-        for j in range(d + 1):
-            rest = sum(comb(j + 1, i) * s for i, s in enumerate(sums))
-            sums.append(((n + 1) ** (j + 1) - 1 - rest) // (j + 1))
-        return sums[d]
-
-    return power_sum(2 * K + 1) - 2 ** d * power_sum(K)
-
 
 def _is_positive_multiple(diff: IntVec, d0: IntVec) -> bool:
     """Is diff = s * d0 for an integer s >= 1?  (d0 is a nonzero edge direction.)"""
@@ -177,9 +163,11 @@ def detect_redrawing(
     perturbed point pair parallel to it (positively oriented).  Caps are
     tried in increasing order, so the returned K is minimal; the search
     inside a cap is deterministic.  The ``detector`` budget bounds the
-    placements tried over every cap, root and child, as they are tried;
-    the root placements alone, each tuple point moved by each
-    perturbation, are checked in closed form before the first cap.
+    placements tried over every cap, root and child, as they are tried.
+    A failing cap is searched exhaustively, so cap c starts only after
+    at least len(points) * sum_{c' < c} (2c' + 1)^d root placements have
+    been counted; that bounds a hopeless K without refusing a tuple that
+    matches early.
     """
     if tolerance_K < 0:
         raise ValueError("tolerance must be >= 0")
@@ -194,10 +182,11 @@ def detect_redrawing(
     if len(pts) < v:
         raise ValueError(f"tuple has {len(pts)} points, polytope has {v} vertices")
 
+    dirs = {(a, b): primitive(tuple(map(sub, verts[b], verts[a]))) for a, b in poly.edges}
+    dirs.update({(b, a): tuple(-x for x in w) for (a, b), w in list(dirs.items())})
     adjacency: dict[int, list[int]] = {i: [] for i in range(v)}
-    for a, b in poly.edges:
+    for a, b in dirs:
         adjacency[a].append(b)
-        adjacency[b].append(a)
     order = [0]
     parent: dict[int, int] = {}
     for cur in order:
@@ -206,11 +195,6 @@ def detect_redrawing(
                 parent[nxt] = cur
                 order.append(nxt)
 
-    dirs = {
-        (a, b): primitive(tuple(x - y for x, y in zip(verts[b], verts[a])))
-        for a, b in poly.edges
-    }
-    dirs.update({(b, a): tuple(-x for x in w) for (a, b), w in list(dirs.items())})
     # each edge off the tree closes a cycle; it is checked when the later
     # of its two vertices in ``order`` is placed
     rank = {vx: i for i, vx in enumerate(order)}
@@ -220,24 +204,23 @@ def detect_redrawing(
             first, last = sorted((a, b), key=rank.__getitem__)
             closing[last].append((first, dirs[(first, last)]))
 
-    budgets.check("detector", len(pts) * _odd_power_sum(tolerance_K, poly.dim))
     tried = 0
 
     def search(cap: int) -> tuple[list[int], list[IntVec]] | None:
         assigned: list[int] = [0] * v
         position: list[IntVec] = [()] * v
         used: set[int] = set()
-        box = sorted(
-            product(range(-cap, cap + 1), repeat=poly.dim),
-            key=lambda d: (max(abs(x) for x in d), d),
-        )
 
         def candidates(vx: int):
             if vx == order[0]:
                 return (
                     (t, tuple(a + b for a, b in zip(pt, delta)))
                     for t, pt in enumerate(pts)
-                    for delta in box
+                    for c in range(cap + 1)
+                    # lazily, by sup-norm then lexicographically: a cap's box
+                    # is never built ahead of the placements that count it
+                    for delta in product(range(-c, c + 1), repeat=poly.dim)
+                    if max(map(abs, delta)) == c
                 )
             qa, d0 = position[parent[vx]], dirs[(parent[vx], vx)]
             # caps are tried in increasing order, so K stays minimal;
@@ -276,23 +259,11 @@ def detect_redrawing(
             continue
         assignment, positions = result
         perturbations = [(0,) * poly.dim] * len(pts)
-        for vx in range(v):
-            t = assignment[vx]
-            perturbations[t] = tuple(
-                a - b for a, b in zip(positions[vx], pts[t])
-            )
-        pairing = tuple(
-            ((a, b), (assignment[a], assignment[b])) for a, b in poly.edges
-        )
-        homothety = _homothety_of(verts, positions)
-        return RedrawMatch(
-            tuple(pts),
-            tuple(assignment),
-            pairing,
-            tuple(perturbations),
-            cap,
-            homothety,
-        )
+        for vx, t in enumerate(assignment):
+            perturbations[t] = tuple(map(sub, positions[vx], pts[t]))
+        pairing = tuple(((a, b), (assignment[a], assignment[b])) for a, b in poly.edges)
+        return RedrawMatch(tuple(pts), tuple(assignment), pairing, tuple(perturbations), cap,
+                           _homothety_of(verts, positions))
     return None
 
 

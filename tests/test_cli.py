@@ -1,4 +1,5 @@
 import ast
+import itertools
 import json
 import os
 import random
@@ -167,6 +168,26 @@ class TestSubcommands:
         assert report["match"]["K"] == 1
         assert report["match"]["homothety"]["scale"] == {"num": 16, "den": 1}
 
+    @pytest.mark.parametrize(
+        "poly, tuple_, K, found, scale",
+        [
+            ("ledrappier.json", [[0, 0], [17, 0], [0, 16]], 30, 1, 16),
+            # twice the vertices of the 4-simplex and the 4-cube
+            ("simplex4.json", [[0, 0, 0, 0], [4, 0, 0, 0], [0, 4, 0, 0], [0, 0, 4, 0],
+                               [0, 0, 0, 4]], 3, 0, 2),
+            ("cube4.json", [list(v) for v in itertools.product((0, 2), repeat=4)], 3, 0, 1),
+        ],
+        ids=["ledrappier", "simplex4", "cube4"],
+    )
+    def test_detect_answers_at_a_large_K(self, capsys, poly, tuple_, K, found, scale):
+        # a match at a small cap answers whatever --K allows beyond it
+        code, out = run(capsys, "detect", str(FIXTURES / poly), "--tuple", json.dumps(tuple_),
+                        "--K", str(K))
+        match = json.loads(out)["match"]
+        assert code == 0
+        assert match["K"] == found
+        assert match["homothety"]["scale"] == {"num": scale, "den": 1}
+
     def test_detect_no_match(self, capsys):
         code, out = run(
             capsys, "detect", LED, "--tuple", "[[0,0],[16,0],[16,16]]", "--K", "0"
@@ -265,11 +286,13 @@ class TestSubcommands:
              40_495_000, 10 ** 7),
             ("division", "8", ["certify", LED, "--max-k", "1"], 9, 8),
             ("division", None, ["certify", "P10007", "--max-k", "12"], 10008 ** 2, 10 ** 6),
-            ("detector", "29", ["detect", LED, "--tuple", "[[0,0],[17,0],[0,16]]", "--K", "1"],
+            ("detector", "29", ["detect", LED, "--tuple", "[[0,0],[1000,0],[0,3]]", "--K", "1"],
              30, 29),
-            # 3 points times the odd squares up to 2001
+            # a hopeless K is bounded by the placements counted as they are tried
             ("detector", None, ["detect", LED, "--tuple", "[[0,0],[1000,0],[0,3]]",
-                                "--K", "1000"], 1001 * 2001 * 2003, 10 ** 4),
+                                "--K", "1000"], 10 ** 4 + 1, 10 ** 4),
+            ("detector", None, ["detect", LED, "--tuple", "[[0,0],[1000,0],[0,3]]",
+                                "--K", str(10 ** 30)], 10 ** 4 + 1, 10 ** 4),
             # only 495 root placements at K = 4, but every child placement counts too
             ("detector", None, ["detect", LED, "--tuple", "[[0,0],[1000,0],[0,3]]",
                                 "--K", "4"], 10 ** 4 + 1, 10 ** 4),
@@ -283,10 +306,13 @@ class TestSubcommands:
             ("redraw", None, ["tightness", "K150"], 11_175 * 149, 10 ** 6),
             ("experiment", None, ["experiment", LED, "--shape", "[[0,0],[1,0],[0,1]]",
                                   "--cylinder", CELL, "--k-range", "1:1001"], 1001, 10 ** 3),
+            # u2^N is (1 + u1)^N modulo f; the product that would pass the limit is refused
+            ("residue", None, ["measure", LED, "--cylinder", CELL, "--shifts",
+                               "[[0,0],[0,16777215]]"], 1_048_646, 10 ** 6),
         ],
         ids=["cells", "search", "division", "division_p10007", "detector", "detector_K1000",
-             "detector_placements", "hull", "redraw", "redraw_float", "redraw_triangles",
-             "experiment"],
+             "detector_K1e30", "detector_placements", "hull", "redraw", "redraw_float",
+             "redraw_triangles", "experiment", "residue"],
     )
     def test_named_budget_exits_3(self, capsys, monkeypatch, tmp_path, budget, env, argv,
                                   used, limit):
@@ -500,6 +526,35 @@ class TestSubcommands:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith(f"parse error: {flag} entry")
+
+    @pytest.mark.parametrize("entry", ["[" * 900 + "]" * 900, json.dumps("x" * 10 ** 6)],
+                             ids=["nested_900_deep", "string_of_1MB"])
+    @pytest.mark.parametrize(
+        "where, message",
+        [("tuple", "--tuple entry "), ("poly_term", "bad polynomial file "),
+         ("cylinder_window", "window point "), ("skeleton_vertex", "bad ")],
+    )
+    def test_parse_error_quotes_a_bounded_value(self, capsys, tmp_path, entry, where, message):
+        # the offending value is quoted by reprlib, so the report stays one short line
+        path = tmp_path / "input.json"
+        files = {
+            "poly_term": f'{{"p": 2, "d": 2, "terms": [{{"e": [0, 0], "c": 1}}, {entry}]}}',
+            "cylinder_window": f'{{"window": [{entry}], "values": [0]}}',
+            "skeleton_vertex": f'{{"dim": 2, "vertices": [[0, 0], [{entry}, 0]], "edges": [[0, 1]]}}',
+        }
+        if where in files:
+            path.write_text(files[where])
+        argv = {"tuple": ["detect", LED, "--tuple", f"[[0,0],[1,0],{entry}]", "--K", "0"],
+                "poly_term": ["bounds", str(path)],
+                "cylinder_window": ["measure", LED, "--cylinder", str(path)],
+                "skeleton_vertex": ["tightness", str(path)]}[where]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"parse error: {message}")
+        # the file path is quoted whole; the rest of the line is bounded
+        assert captured.err.count("\n") == 1 and len(captured.err.replace(str(path), "")) < 200
 
     @pytest.mark.parametrize(
         "content",

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from polymix import (
+    BudgetExceededError,
     TrivialQuotientError,
     frobenius_power,
     is_zero_mod,
@@ -305,6 +306,20 @@ class TestPreparedModulus:
         twin = make_poly(2, 2, [((0, 0), 1), ((1, 0), 1), ((0, 1), 1)])
         for e in [(5, 3), (0, 9), (4, 4)]:
             assert monomial_residue(e, ledrappier) == monomial_residue(e, twin)
+
+    def test_residue_budget_counts_one_modulus_term_pairs(self, ledrappier, monkeypatch):
+        # u2^(2^12): twelve squares of 1 + u1^(2^j), 4 term pairs each, one
+        # product of 1 with the last (2 pairs), and no division step
+        monkeypatch.setenv("POLYMIX_BUDGET", "49")
+        with pytest.raises(BudgetExceededError, match="^residue budget: 50 "):
+            monomial_residue((0, 4096), ledrappier)
+        monkeypatch.setenv("POLYMIX_BUDGET", "50")
+        twin = make_poly(2, 2, [((0, 0), 1), ((1, 0), 1), ((0, 1), 1)])
+        assert monomial_residue((0, 4096), twin).terms == {(0, 0): 1, (4096, 0): 1}
+        # the count stays with the modulus, so a whole query is bounded: the
+        # neighbour step from u2^4096 adds its 2 pairs
+        with pytest.raises(BudgetExceededError, match="^residue budget: 52 "):
+            monomial_residue((0, 4097), twin)
 
     def test_trivial_moduli_still_raise(self, ledrappier):
         for f in (zero(2, 2), monomial(2, 2, (1, 0)), monomial(2, 2, (0, 0))):

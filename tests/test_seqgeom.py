@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 
 from polymix import (
+    BudgetExceededError,
     detect_redrawing,
     extend_basis,
     hull,
@@ -15,7 +16,7 @@ from polymix import (
     snap_to_homothety,
 )
 from polymix.lattice import int_det, is_primitive
-from polymix.seqgeom import _homothety_of, _odd_power_sum
+from polymix.seqgeom import _homothety_of
 
 
 def frame_matrix(frame):
@@ -189,6 +190,18 @@ class TestDetectRedrawing:
                     assert cross == 0
                     assert sum(d * e for d, e in zip(diff, direction)) > 0
 
+    def test_hopeless_cap_in_16d_ends_at_the_budget(self, monkeypatch):
+        # cap 1 has 3^16 root perturbations; they are made as they are
+        # counted, so the budget ends the search before the box is built
+        monkeypatch.delenv("POLYMIX_BUDGET", raising=False)
+        d = 16
+        unit = [(0,) * d] + [tuple(int(i == j) for i in range(d)) for j in range(d)]
+        f = make_poly(2, d, [(v, 1) for v in unit])
+        pts = [tuple(3 * x for x in v) for v in unit]
+        pts[1] = (10,) + pts[1][1:]
+        with pytest.raises(BudgetExceededError, match=f"^detector budget: {10 ** 4 + 1} "):
+            detect_redrawing(f, pts, 1)
+
     def test_too_few_points_rejected(self, ledrappier):
         with pytest.raises(ValueError):
             detect_redrawing(ledrappier, [(0, 0), (1, 0)], 0)
@@ -217,12 +230,24 @@ class TestDetectRedrawing:
         with pytest.raises(ValueError):
             detect_redrawing(f, [(0, 0), (1, 1), (2, 2)], 0)
 
-
-    def test_budget_counts_root_placements_in_closed_form(self):
-        # the detector budget's count: every perturbation of sup-norm c <= K
-        for d in range(1, 6):
-            for K in (0, 1, 2, 7, 30):
-                assert _odd_power_sum(K, d) == sum((2 * c + 1) ** d for c in range(K + 1))
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_larger_K_returns_the_minimal_match(self, d):
+        # a dilated, shifted simplex jittered by at most 1 per coordinate: every
+        # K from the minimal one up answers with the same match, as the caps
+        # above the minimal one are never searched
+        unit = [(0,) * d] + [tuple(int(i == j) for i in range(d)) for j in range(d)]
+        f = make_poly(2, d, [(v, 1) for v in unit])
+        rng = random.Random(90 + d)
+        for _ in range(4):
+            scale = rng.randint(2, 40)
+            shift = [rng.randint(-9, 9) for _ in range(d)]
+            pts = [tuple(scale * x + t + rng.randint(-1, 1) for x, t in zip(v, shift))
+                   for v in unit]
+            rng.shuffle(pts)
+            match = detect_redrawing(f, pts, 1)
+            assert match is not None
+            for K in range(match.K, match.K + 11):
+                assert detect_redrawing(f, pts, K) == match
 
 
 def homothety_reference(verts, positions):
