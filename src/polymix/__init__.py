@@ -14,14 +14,11 @@ from .errors import (
 from .laurent import (
     FieldSpec,
     LaurentPoly,
-    add,
     frobenius_power,
     make_poly,
     monomial,
-    mul,
     one,
     poly_pow,
-    support,
     zero,
 )
 from .measure import (
@@ -44,16 +41,14 @@ from .mixing import (
     search_relations,
 )
 from .polytope import LatticePolytope, hull, outward_normal
-from .quotient import Residue, is_zero_mod, normalize, reduce
-from .redraw import RedrawSpace, Skeleton, is_tight, make_skeleton, redraw_space, skeleton_from_polytope
+from .quotient import Residue, normalize, reduce
+from .redraw import RedrawSpace, Skeleton, make_skeleton, redraw_space, skeleton_from_polytope
 from .seqgeom import (
     RedrawMatch,
-    SnappedShape,
     UnimodularFrame,
     detect_redrawing,
     extend_basis,
     monomial_weight,
-    snap_to_homothety,
 )
 
 __version__ = "0.1.0"
@@ -75,10 +70,8 @@ __all__ = [
     "SequenceRelation",
     "ShapeCertificate",
     "Skeleton",
-    "SnappedShape",
     "TrivialQuotientError",
     "UnimodularFrame",
-    "add",
     "brute_force_measure",
     "check_relation",
     "cylinder_measure",
@@ -88,8 +81,6 @@ __all__ = [
     "frobenius_power",
     "frobenius_rule",
     "hull",
-    "is_tight",
-    "is_zero_mod",
     "joint_measure",
     "make_poly",
     "make_skeleton",
@@ -97,7 +88,6 @@ __all__ = [
     "mixing_experiment",
     "monomial",
     "monomial_weight",
-    "mul",
     "normalize",
     "one",
     "outward_normal",
@@ -106,8 +96,6 @@ __all__ = [
     "redraw_space",
     "search_relations",
     "skeleton_from_polytope",
-    "snap_to_homothety",
     "solution_space",
-    "support",
     "zero",
 ]

@@ -10,6 +10,7 @@ below apply.  A value that is not a positive integer is a
 """
 
 import os
+from decimal import Decimal
 
 from .errors import BudgetExceededError, ParseError
 
@@ -18,11 +19,11 @@ DEFAULTS = {
     "cells": (10_000, "cells of a constraint box"),
     "enumeration": (2 ** 22, "configurations enumerated brute-force"),
     "search": (10 ** 7, "(shape, coefficient) candidates"),
-    "division": (10 ** 6, "monomials of the box holding f(u^p)"),
+    "division": (10 ** 6, "lattice monomials of the box holding f(u^p)"),
     "detector": (10 ** 4, "placements tried over every cap"),
     "hull": (10 ** 5, "visibility tests, plus k per facet normal, of a k-dimensional hull"),
     "redraw": (10 ** 6, "triangle-scan neighbour tests or rank-system cells of a redrawing"),
-    "experiment": (10 ** 3, "rows of an experiment's --k-range"),
+    "experiment": (10 ** 3, "rows over k: experiment --k-range, or certify/analyze 0..--max-k"),
     "residue": (10 ** 6, "term pairs multiplied for one modulus's monomial residues"),
 }
 
@@ -47,5 +48,6 @@ def check(name: str, used: int) -> int:
     default, counts = DEFAULTS[name]
     limit = _override() or default
     if used > limit:
-        raise BudgetExceededError(f"{name} budget: {used} {counts}, limit {limit}")
+        # Decimal prints an integer of any length; str(int) refuses past 4,300 digits
+        raise BudgetExceededError(f"{name} budget: {Decimal(used)} {counts}, limit {limit}")
     return limit

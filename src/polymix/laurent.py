@@ -258,19 +258,6 @@ def monomial(field: FieldSpec | int, dim: int, exps: Iterable[int], coeff: int =
     return LaurentPoly(field, dim, [(tuple(exps), coeff)])
 
 
-def add(g: LaurentPoly, h: LaurentPoly) -> LaurentPoly:
-    return g + h
-
-
-def mul(g: LaurentPoly, h: LaurentPoly) -> LaurentPoly:
-    return g * h
-
-
-def support(g: LaurentPoly) -> frozenset[ExponentVec]:
-    """Exponent vectors carrying a nonzero coefficient."""
-    return g.support()
-
-
 def frobenius_power(g: LaurentPoly, k: int) -> LaurentPoly:
     """The p^k-th power of g.
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import comb, prod
+from math import gcd, prod
 from operator import add, sub
 from typing import Callable, Iterable, Sequence
 
@@ -99,15 +99,19 @@ def frobenius_certificate(f: LaurentPoly, k_max: int) -> ShapeCertificate:
 
     Substituting u -> u^(p^(k-1)) is a ring endomorphism, so
     fhat(u^(p^k)) = fhat(u^(p^(k-1))) g(u^(p^(k-1))), a multiple of f by
-    induction, for every k >= 1.  The second division runs over the box
-    of side p w_i + 1 on each axis i, where w_i is fhat's span there, and
-    the ``division`` budget bounds that box's monomials.  A failed check
-    raises ``InternalInconsistencyError``.
+    induction, for every k >= 1.  Every monomial of the second division
+    lies in the box [0, p w_i] on each axis i, where w_i is fhat's span
+    there, and on the lattice of multiples of g_i, the gcd of fhat's
+    exponents on that axis (1 when they are all 0); the ``division``
+    budget bounds the prod (p w_i / g_i + 1) such monomials.  The
+    ``experiment`` budget bounds the k_max + 1 rows of ``verified_k``.
+    A failed check raises ``InternalInconsistencyError``.
     """
     if f.is_zero or f.is_monomial:
         raise ValueError("certificates need a non-monomial polynomial")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
+    budgets.check("experiment", k_max + 1)
     shape = tuple(sorted(f.terms))
     coeffs = tuple(f.terms[n] for n in shape)
     fhat, base = normalize(f)
@@ -116,7 +120,8 @@ def frobenius_certificate(f: LaurentPoly, k_max: int) -> ShapeCertificate:
             "dilated support relation failed to vanish at k=0"
         )
     if k_max > 0:
-        budgets.check("division", prod(f.p * w + 1 for w in fhat.max_exponents()))
+        budgets.check("division", prod(f.p * max(axis) // (gcd(*axis) or 1) + 1
+                                       for axis in zip(*fhat.terms)))
         g: dict[ExponentVec, int] = {}
         dilated = frobenius_power(fhat, 1).terms
         remainder = quotient._divide(dict(dilated), quotient._prepared(f), g)
@@ -246,6 +251,34 @@ def _coefficient_space(f: LaurentPoly, degree_bound: int) -> list[LaurentPoly]:
     return polys
 
 
+def _candidate_count(n_points: int, r: int, p: int, monos: int, limit: int) -> int:
+    """comb(n_points, r) * (p^monos - 1)^r, the search's candidates.
+
+    The factors are multiplied one at a time, and the running product is
+    returned as soon as it passes ``limit``: a count past the limit is
+    never built in full, however many digits it has.
+    """
+    if r > n_points:
+        return 0
+    used = 1
+    # comb(n, i) grows with i up to n / 2, so the running binomial passes
+    # the limit only if comb(n, r) does
+    for i in range(min(r, n_points - r)):
+        used = used * (n_points - i) // (i + 1)
+        if used > limit:
+            return used
+    pool = 1
+    for _ in range(monos):
+        pool *= p
+        if pool - 1 > limit:
+            break
+    for _ in range(r):
+        used *= pool - 1
+        if used > limit:
+            break
+    return used
+
+
 def search_relations(
     f: LaurentPoly,
     r: int,
@@ -278,10 +311,13 @@ def search_relations(
 
     p, d = f.p, f.dim
     n_points = (2 * shape_radius + 1) ** d
-    n_coeffs = p ** ((coeff_degree_bound + 1) ** d) - 1
-    budgets.check("search", comb(n_points, r) * n_coeffs ** r)
+    monos = (coeff_degree_bound + 1) ** d
+    limit = budgets.check("search", 0)  # the limit, which no use of 0 passes
+    budgets.check("search", _candidate_count(n_points, r, p, monos, limit))
     points = list(product(range(2 * shape_radius + 1), repeat=d))
     shapes = [s for s in combinations(points, r) if not any(map(min, zip(*s)))]
+    if not shapes:  # r > n_points: the budget counted no candidate, so build no pool
+        return []
     # coefficients vanishing in the quotient would make any relation vacuous
     coeff_pool = [
         a for a in _coefficient_space(f, coeff_degree_bound) if not nf(a, f).is_zero

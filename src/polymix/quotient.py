@@ -37,6 +37,9 @@ remainder is unique, a residue taken from a table, from a neighbour or
 by a fresh division is the same polynomial.  The ``residue`` budget
 bounds the term pairs multiplied for one modulus's tables, in its
 products and neighbour steps and in the division steps that reduce them.
+That count lives with the tables, on the polynomial object, and is never
+reset: a library caller who reuses one f across queries shares one count
+among them, while the command line loads f afresh for each query.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ __all__ = [
     "leading_term",
     "normalize",
     "reduce",
-    "is_zero_mod",
     "nf",
     "residue_mul",
     "monomial_residue",
@@ -206,11 +208,6 @@ def reduce(g: LaurentPoly, f: LaurentPoly) -> Residue:
     lifted, shift = _lift(g)
     remainder = _divide(dict(lifted.terms), m)
     return Residue(_raw(g.field, g.dim, remainder), f, shift)
-
-
-def is_zero_mod(g: LaurentPoly, f: LaurentPoly) -> bool:
-    """True exactly when g lies in the Laurent ideal <f>."""
-    return reduce(g, f).is_zero
 
 
 def nf(g: LaurentPoly, f: LaurentPoly) -> LaurentPoly:

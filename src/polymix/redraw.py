@@ -287,8 +287,3 @@ def redraw_space(skeleton: Skeleton, tolerance: float = DEFAULT_TOLERANCE) -> Re
             "translations and scaling must always survive"
         )
     return RedrawSpace(dimension, dimension == d + 1, arithmetic, unknowns - dimension, tol)
-
-
-def is_tight(skeleton: Skeleton, tolerance: float = DEFAULT_TOLERANCE) -> bool:
-    """True when every parallel redrawing is a homothety."""
-    return redraw_space(skeleton, tolerance).tight

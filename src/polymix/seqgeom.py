@@ -89,6 +89,9 @@ class RedrawMatch:
     vertex i; perturbations are indexed by tuple position (zero for
     unmatched extras); after adding them, each paired difference is an
     exact positive rational multiple of its polytope edge direction.
+    ``homothety`` is the scale and translation that carry the vertices
+    onto their snapped points, or None for a redrawing that is not a
+    dilation of N(f), which only a non-tight polytope admits.
     """
 
     points: tuple[IntVec, ...]
@@ -266,25 +269,3 @@ def detect_redrawing(
                            _homothety_of(verts, positions))
     return None
 
-
-@dataclass(frozen=True)
-class SnappedShape:
-    points: tuple[IntVec, ...]
-    scale: Fraction
-    translation: tuple[Fraction, ...]
-
-
-def snap_to_homothety(match: RedrawMatch, f: LaurentPoly) -> SnappedShape:
-    """Apply the match's perturbations and certify an exact homothety.
-
-    Fails (with "redrawing, not homothety") when the snapped points form
-    a genuine parallel redrawing that is not a dilation of N(f) -- which
-    can only happen when the polytope is not tight.
-    """
-    poly = hull(f.support())
-    positions = [match.snapped[t] for t in match.vertex_assignment]
-    homothety = _homothety_of(poly.vertices, positions)
-    if homothety is None:
-        raise ValueError("redrawing, not homothety")
-    scale, translation = homothety
-    return SnappedShape(match.snapped, scale, translation)

@@ -10,6 +10,7 @@ from decimal import Decimal
 
 import pytest
 
+import polymix
 from polymix.cli import _parse_k_range, main
 from polymix.errors import BudgetExceededError
 
@@ -286,6 +287,8 @@ class TestSubcommands:
              40_495_000, 10 ** 7),
             ("division", "8", ["certify", LED, "--max-k", "1"], 9, 8),
             ("division", None, ["certify", "P10007", "--max-k", "12"], 10008 ** 2, 10 ** 6),
+            # 1 + u1^30 + u2^30 divides on the lattice 30Z x 30Z: (37 + 1)^2 monomials
+            ("division", "1443", ["certify", "LAT37", "--max-k", "1"], 38 ** 2, 1443),
             ("detector", "29", ["detect", LED, "--tuple", "[[0,0],[1000,0],[0,3]]", "--K", "1"],
              30, 29),
             # a hopeless K is bounded by the placements counted as they are tried
@@ -306,13 +309,19 @@ class TestSubcommands:
             ("redraw", None, ["tightness", "K150"], 11_175 * 149, 10 ** 6),
             ("experiment", None, ["experiment", LED, "--shape", "[[0,0],[1,0],[0,1]]",
                                   "--cylinder", CELL, "--k-range", "1:1001"], 1001, 10 ** 3),
+            # the certificate's rows 0..--max-k are counted before any is built
+            ("experiment", None, ["certify", LED, "--max-k", str(10 ** 30)], 10 ** 30 + 1,
+             10 ** 3),
+            ("experiment", None, ["analyze", LED, "--max-k", str(10 ** 30)], 10 ** 30 + 1,
+             10 ** 3),
             # u2^N is (1 + u1)^N modulo f; the product that would pass the limit is refused
             ("residue", None, ["measure", LED, "--cylinder", CELL, "--shifts",
                                "[[0,0],[0,16777215]]"], 1_048_646, 10 ** 6),
         ],
-        ids=["cells", "search", "division", "division_p10007", "detector", "detector_K1000",
-             "detector_K1e30", "detector_placements", "hull", "redraw", "redraw_float",
-             "redraw_triangles", "experiment", "residue"],
+        ids=["cells", "search", "division", "division_p10007", "division_lattice", "detector",
+             "detector_K1000", "detector_K1e30", "detector_placements", "hull", "redraw",
+             "redraw_float", "redraw_triangles", "experiment", "experiment_certify_1e30",
+             "experiment_analyze_1e30", "residue"],
     )
     def test_named_budget_exits_3(self, capsys, monkeypatch, tmp_path, budget, env, argv,
                                   used, limit):
@@ -321,10 +330,13 @@ class TestSubcommands:
         else:
             monkeypatch.setenv("POLYMIX_BUDGET", env)
         files = {"P10007": tmp_path / "p10007.json", "CLOUD5": tmp_path / "cloud5.json",
-                 "GRID33": tmp_path / "grid33.json", "K150": tmp_path / "k150.json"}
+                 "GRID33": tmp_path / "grid33.json", "K150": tmp_path / "k150.json",
+                 "LAT37": tmp_path / "lat37.json"}
         # Ledrappier's support over F_10007
         files["P10007"].write_text(
             (FIXTURES / "ledrappier.json").read_text().replace('"p": 2', '"p": 10007'))
+        files["LAT37"].write_text(json.dumps({"p": 37, "d": 2, "terms": [
+            {"e": e, "c": 1} for e in ([0, 0], [30, 0], [0, 30])]}))
         # 2,000 random points of [0, 30]^5
         rng = random.Random(5)
         cloud = sorted({tuple(rng.randint(0, 30) for _ in range(5)) for _ in range(2000)})
@@ -347,6 +359,37 @@ class TestSubcommands:
         assert lead == "budget exceeded"
         assert rest.startswith(f"{budget} budget: {used} ")
         assert rest.endswith(f", limit {limit}\n")
+
+    @pytest.mark.parametrize("argv, budget, used", [
+        # 4,300 nines on each side of --k-range: 2 * 10^4300 - 1 rows
+        (["experiment", LED, "--shape", "[[0,0],[1,0]]", "--cylinder", CELL,
+          "--k-range=-" + "9" * 4300 + ":" + "9" * 4300], "experiment", 2 * 10 ** 4300 - 1),
+        # the first box pads the window by Ledrappier's span, 1, on each side
+        (["measure", LED, "--method", "box", "--cylinder", "HUGE"], "cells",
+         (10 ** 4000 + 3) ** 2),
+    ], ids=["experiment", "measure_box"])
+    def test_budget_message_prints_any_use(self, capsys, monkeypatch, tmp_path, argv, budget,
+                                           used):
+        # a use past str(int)'s 4,300 digits is still reported, with exit 3
+        monkeypatch.delenv("POLYMIX_BUDGET", raising=False)
+        huge = tmp_path / "huge.json"
+        huge.write_text('{"window": [[0, 0], [%s, %s]], "values": [0, 0]}'
+                        % (Decimal(10 ** 4000), Decimal(10 ** 4000)))
+        code = main([str(huge) if a == "HUGE" else a for a in argv])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith(f"budget exceeded: {budget} budget: {Decimal(used)} ")
+
+    def test_search_count_never_builds_huge_powers(self, capsys, monkeypatch):
+        # p^((D + 1)^d) would have 10^12 bits; the running product stops at
+        # comb(9, 3) * (2^24 - 1), the first pool past the limit
+        monkeypatch.delenv("POLYMIX_BUDGET", raising=False)
+        start = time.perf_counter()
+        code = main(["search", LED, "--r", "3", "--radius", "1", "--coeff-degree", str(10 ** 6)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 3 and elapsed < 1
+        assert captured.err.startswith(f"budget exceeded: search budget: {84 * (2 ** 24 - 1)} ")
 
     def test_experiment_budget_counts_rows_before_the_first(self):
         # a range past sys.maxsize has no len(); the rows are counted from LO and HI
@@ -728,6 +771,11 @@ def tracer_targets() -> list:
     value = next(node.value for node in tree.body if isinstance(node, ast.Assign)
                  and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TARGETS"])
     return ast.literal_eval(value)
+
+
+def test_every_exported_name_resolves():
+    assert len(set(polymix.__all__)) == len(polymix.__all__)
+    assert [name for name in polymix.__all__ if not hasattr(polymix, name)] == []
 
 
 class TestFreshProcess:

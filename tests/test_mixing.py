@@ -1,5 +1,7 @@
 import heapq
+import math
 import random
+import time
 from itertools import combinations, product
 from types import SimpleNamespace
 
@@ -23,7 +25,7 @@ from polymix import (
 from polymix import laurent, quotient
 from polymix.cli import main
 from polymix.laurent import frobenius_power
-from polymix.mixing import relation_value
+from polymix.mixing import _candidate_count, relation_value
 from polymix.jsonio import load_poly
 from polymix.quotient import (
     leading_term,
@@ -124,6 +126,19 @@ class TestFrobeniusCertificate:
     def test_monomial_rejected(self):
         with pytest.raises(ValueError):
             frobenius_certificate(monomial(2, 2, (1, 0)), 3)
+
+    @pytest.mark.parametrize("p, exps", [
+        (37, [(0, 0), (30, 0), (0, 30)]),
+        (1009, [(0,), (1000,)]),
+        (101, [(0, 0), (20, 0), (0, 20)]),
+    ], ids=["f37_u30", "f1009_u1000", "f101_u20"])
+    def test_sparse_exponents_fit_the_division_budget(self, monkeypatch, p, exps):
+        # the division stays on the lattice of the exponents' gcds, whose
+        # monomials the budget counts: its full box would be over 10^6
+        monkeypatch.delenv("POLYMIX_BUDGET", raising=False)
+        f = make_poly(p, len(exps[0]), [(e, 1) for e in exps])
+        cert = frobenius_certificate(f, 3)
+        assert cert.verified_k == (0, 1, 2, 3) and cert.frobenius_family
 
 
 def frobenius_residue(g, k, f):
@@ -443,6 +458,13 @@ class TestSearchRelations:
     def test_no_two_point_shape(self, ledrappier):
         assert search_relations(ledrappier, 2, 2, 0) == []
 
+    def test_more_points_than_the_box_builds_no_pool(self, ledrappier):
+        # 10 points in a 1-point box: no candidate, so the 2^25 - 1
+        # coefficient polynomials of degree 4 are never made
+        start = time.perf_counter()
+        assert search_relations(ledrappier, 10, 0, 4) == []
+        assert time.perf_counter() - start < 1
+
     def test_radius_zero_empty(self, ledrappier):
         assert search_relations(ledrappier, 2, 0, 0) == []
 
@@ -453,6 +475,15 @@ class TestSearchRelations:
     def test_budget_enforced(self, ledrappier):
         with pytest.raises(BudgetExceededError):
             search_relations(ledrappier, 3, 12, 0)
+
+    def test_candidate_count_is_exact_up_to_the_limit(self):
+        # past the limit it may stop early, but only at a partial product
+        # that already passes the limit and never exceeds the true count
+        for n, r, p, monos, limit in product(range(13), range(2, 15), (2, 3), (1, 2, 4),
+                                             (1, 50, 10 ** 4)):
+            exact = math.comb(n, r) * (p ** monos - 1) ** r
+            used = _candidate_count(n, r, p, monos, limit)
+            assert used == exact if exact <= limit else limit < used <= exact
 
     def test_deterministic_order(self, ledrappier):
         a = search_relations(ledrappier, 3, 1, 0)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polymix import hull, is_tight, make_skeleton, redraw_space, skeleton_from_polytope
+from polymix import hull, make_skeleton, redraw_space, skeleton_from_polytope
 from polymix import redraw
 from polymix.errors import InternalInconsistencyError
 from polymix.lattice import int_rank
@@ -203,9 +203,9 @@ class TestValidationAndEdgeCases:
         space = redraw_space(skel)
         assert space.dimension == 2 and space.tight
 
-    def test_is_tight_from_polytope(self, ledrappier):
+    def test_tight_from_polytope(self, ledrappier):
         poly = hull(ledrappier.support())
-        assert is_tight(skeleton_from_polytope(poly))
+        assert redraw_space(skeleton_from_polytope(poly)).tight
 
 
 def oracle_space(skel):

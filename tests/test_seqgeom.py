@@ -13,7 +13,6 @@ from polymix import (
     make_poly,
     monomial_weight,
     outward_normal,
-    snap_to_homothety,
 )
 from polymix.lattice import int_det, is_primitive
 from polymix.seqgeom import _homothety_of
@@ -301,25 +300,22 @@ class TestHomothetyOracle:
         assert outcomes == {True, False}
 
 
-class TestSnapToHomothety:
+class TestHomothety:
     def test_frobenius_tuple_is_fixed_point(self, ledrappier):
         pts = [(0, 0), (8, 0), (0, 8)]
         match = detect_redrawing(ledrappier, pts, 0)
-        snapped = snap_to_homothety(match, ledrappier)
-        assert snapped.points == tuple(pts)
-        assert snapped.scale == 8
-        assert all(t == 0 for t in snapped.translation)
+        assert match.snapped == tuple(pts)
+        scale, translation = match.homothety
+        assert scale == 8
+        assert all(t == 0 for t in translation)
 
     def test_unit_perturbed_recovers_scale(self, ledrappier):
         match = detect_redrawing(ledrappier, [(0, 0), (17, 0), (0, 16)], 1)
-        snapped = snap_to_homothety(match, ledrappier)
-        assert snapped.points == ((0, 0), (16, 0), (0, 16))
-        assert snapped.scale == 16
+        assert match.snapped == ((0, 0), (16, 0), (0, 16))
+        assert match.homothety[0] == 16
 
     def test_non_homothetic_redrawing_fails(self, square_f3):
         # axis-scaled rectangle: every edge parallel to the unit square's,
         # but no homothety exists (the square hull is not tight)
         match = detect_redrawing(square_f3, [(0, 0), (4, 0), (4, 2), (0, 2)], 0)
         assert match is not None and match.homothety is None
-        with pytest.raises(ValueError, match="redrawing, not homothety"):
-            snap_to_homothety(match, square_f3)
