@@ -21,7 +21,8 @@ DEFAULTS = {
     "search": (10 ** 7, "(shape, coefficient) candidates"),
     "division": (10 ** 6, "lattice monomials of the box holding f(u^p)"),
     "detector": (10 ** 4, "placements tried over every cap"),
-    "hull": (10 ** 5, "visibility tests, plus k per facet normal, of a k-dimensional hull"),
+    "hull": (10 ** 5, "visibility tests (assignment and walk), plus k per facet normal, "
+                      "of a k-dimensional hull"),
     "redraw": (10 ** 6, "triangle-scan neighbour tests or rank-system cells of a redrawing"),
     "experiment": (10 ** 3, "rows over k: experiment --k-range, or certify/analyze 0..--max-k"),
     "residue": (10 ** 6, "term pairs multiplied for one modulus's monomial residues"),

@@ -30,7 +30,8 @@ variable POLYMIX_BUDGET overrides every budget of ``budgets``: ``cells``
 limit), ``division`` (the monomials of the certificate's division box on
 the lattice of f's exponent gcds),
 ``detector`` (the detector's placements), ``hull`` (the visibility
-tests of a convex hull, plus k for each facet normal it builds in
+tests of a convex hull, outside-set assignments and the walk to the
+facets a point sees, plus k for each facet normal it builds in
 dimension k), ``redraw`` (the neighbour tests
 of the triangle scan and the cells of the rank system of a skeleton's
 redrawings, each checked on its own), ``experiment`` (the rows over k:

@@ -1,19 +1,24 @@
 """Lattice polytopes from polynomial supports, with exact arithmetic.
 
 Vertices and facet planes are computed in every dimension by one integer
-Quickhull (orientation signs of integer cofactor normals, no division).
-It starts from a simplex of far-apart points and keeps an outside set
-per facet: the points strictly beyond it that no earlier facet holds.
-Each step inserts the farthest point of one outside set and tests only
-the points of the facets it deletes against the facets it adds, which is
+Quickhull (orientation signs of integer normals, no division).  It
+starts from a simplex of far-apart points and keeps an outside set per
+facet: the points strictly beyond it that no earlier facet holds.  Each
+step inserts the farthest point of one outside set and tests only the
+points of the facets it deletes against the facets it adds, which is
 exact (see ``_beneath_beyond``).  Points inside the growing hull are
-dropped early, so few facets are built that the finished hull lacks.
+dropped early, so few facets are built that the finished hull lacks.  A
+map from each ridge to the two facets through it lets a step find the
+facets it deletes by a walk from the picked facet, and gives each new
+facet its normal from the two facets at its horizon ridge, in O(k) exact
+integer operations; only the starting simplex takes cofactor normals.
 The ``hull`` budget bounds its visibility tests and facet normals.  The
 faces are read off the facet-vertex incidences by one closure rule in
 every affine dimension: a set of points spans a face exactly when it
 equals the set of points on every facet that contains it (every point,
 when no facet does), so a corner is a vertex when its closure is itself
-and two vertices span an edge when their closure is the pair.  An edge's
+and two vertices span an edge when their closure is the pair (only pairs
+on a common facet are tried, or the two ends of a segment).  An edge's
 outward normal is the primitive sum of the outward normals of the facets
 through it.  Supports whose affine hull is lower-dimensional are mapped
 onto Z^k by a unimodular column reduction, the faces are computed there,
@@ -112,10 +117,26 @@ def _beneath_beyond(
     a point of H would lie strictly between p and q, and so strictly
     beyond F, as p and q are; no point of H is.
 
+    A map from each ridge (a facet's corners minus one) to the two facets
+    through it is kept as facets come and go.  The visible facets are
+    connected across ridges, so a walk from the picked facet finds them
+    all, testing only them and their hidden neighbours; a ridge between
+    a visible facet V and a hidden one N is a horizon ridge.  The new
+    facet over it takes the plane of the pencil of V's and N's planes
+    that passes through p, with normal
+    primitive((<n_N, p> - o_N) n_V + (o_V - <n_V, p>) n_N), in O(k):
+    both planes hold the ridge, so every plane of the pencil does.  Its
+    functional mixes the two inward functionals with the weights
+    <n_N, p> - o_N >= 0 (N is hidden) and o_V - <n_V, p> > 0 (V is
+    visible), so it is nonnegative on the hull and positive inside it:
+    the normal is nonzero and points inward.  Being built from offsets,
+    the rule holds at k = 1 too, where the ridge is empty.  Only the k+1
+    facets of the starting simplex take cofactor normals (``_normal``).
+
     The ``hull`` budget counts every visibility test (assignment,
-    reassignment and the visible scan) and k for each facet normal built;
-    it is checked before each scan and before each batch of normals.
-    Returns ``_faces`` of the finished hull.
+    reassignment and the walk's) and k for each facet normal built; it is
+    checked before each batch of normals.  Returns ``_faces`` of the
+    finished hull.
     """
     k = len(pts[0])
     n = len(pts)
@@ -128,11 +149,10 @@ def _beneath_beyond(
             simplex.append(q)
             if len(simplex) == k + 1:
                 break
-    # k+1 times the simplex's centroid: an integral point strictly inside
-    # every hull built on the simplex
-    centre = tuple(sum(col) for col in zip(*simplex))
     # corners -> (inward normal, offset, outside set)
     facets: dict[tuple[IntVec, ...], tuple[IntVec, int, list[IntVec]]] = {}
+    # ridge -> the facets through it, two once a step is done
+    ridges: dict[tuple[IntVec, ...], list[tuple[IntVec, ...]]] = {}
     used = 0  # budget use: visibility tests, and k per facet normal
 
     def add(cones) -> list[tuple[IntVec, ...]]:
@@ -140,13 +160,12 @@ def _beneath_beyond(
         used += k * len(cones)
         budgets.check("hull", used)
         keys = []
-        for corners in cones:
-            normal = primitive(_normal(corners))
-            offset = _dot(normal, corners[0])
-            if _dot(normal, centre) < (k + 1) * offset:
-                normal, offset = tuple(-x for x in normal), -offset
-            keys.append(tuple(sorted(corners)))
-            facets[keys[-1]] = (normal, offset, [])
+        for corners, normal in cones:
+            key = tuple(sorted(corners))
+            facets[key] = (normal, _dot(normal, corners[0]), [])
+            for i in range(k):
+                ridges.setdefault(key[:i] + key[i + 1:], []).append(key)
+            keys.append(key)
         return keys
 
     def assign(points, keys) -> None:
@@ -159,27 +178,55 @@ def _beneath_beyond(
                     break
             used += tests
 
+    # k+1 times the simplex's centroid: an integral point strictly inside it
+    centre = tuple(sum(col) for col in zip(*simplex))
+    cones = []
+    for i in range(k + 1):
+        corners = simplex[:i] + simplex[i + 1:]
+        normal = primitive(_normal(corners))
+        if _dot(normal, centre) < (k + 1) * _dot(normal, corners[0]):
+            normal = tuple(-x for x in normal)
+        cones.append((corners, normal))
     placed = set(simplex)
-    pending = deque(add([simplex[:i] + simplex[i + 1:] for i in range(k + 1)]))
+    pending = deque(add(cones))
     assign([q for q in pts if q not in placed], pending)
     while pending:
-        facet = facets.get(pending.popleft())
+        start = pending.popleft()
+        facet = facets.get(start)
         if facet is None or not facet[2]:
             continue
         normal, _, outside = facet
         # the farthest point: the largest offset - <normal, q>
         p = min(outside, key=lambda q: (_dot(normal, q), q))
-        used += len(facets)
-        budgets.check("hull", used)
-        visible = [c for c, (normal, offset, _) in facets.items() if _dot(normal, p) < offset]
-        ridges: dict[tuple[IntVec, ...], int] = {}
-        orphans = []
-        for c in visible:
-            orphans += facets.pop(c)[2]
+        beyond = {start: True}
+        walk = [start]
+        interior, horizon = [], []
+        for c in walk:
             for i in range(k):
                 ridge = c[:i] + c[i + 1:]
-                ridges[ridge] = ridges.get(ridge, 0) + 1
-        new = add([ridge + (p,) for ridge, count in ridges.items() if count == 1])
+                first, second = ridges[ridge]
+                other = second if first == c else first
+                if other not in beyond:
+                    normal, offset, _ = facets[other]
+                    beyond[other] = _dot(normal, p) < offset
+                    if beyond[other]:
+                        walk.append(other)
+                if beyond[other]:
+                    interior.append(ridge)
+                else:
+                    horizon.append((ridge, facets[c], facets[other], other))
+        used += len(beyond) - 1  # the start is known to be visible
+        orphans = []
+        for c in walk:
+            orphans += facets.pop(c)[2]
+        for ridge in interior:
+            ridges.pop(ridge, None)  # met from both sides
+        cones = []
+        for ridge, (n_v, o_v, _), (n_n, o_n, _), other in horizon:
+            ridges[ridge] = [other]
+            a, b = _dot(n_n, p) - o_n, o_v - _dot(n_v, p)
+            cones.append((ridge + (p,), primitive(tuple(a * x + b * y for x, y in zip(n_v, n_n)))))
+        new = add(cones)
         assign([q for q in orphans if q != p], new)
         pending += new
     return _faces((corners, normal, offset) for corners, (normal, offset, _) in facets.items())
@@ -285,11 +332,9 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
     ]
     members = [set(f.vertex_indices) for f in facets]
     through = _incidences(members)
-    edges = [
-        (i, j)
-        for i, j in combinations(range(len(face_verts)), 2)
-        if _closure({i, j}, through, members) == {i, j}
-    ]
+    # an edge lies on k - 1 >= 1 facets, or is the whole segment when k = 1
+    pairs = {(0, 1)} if k == 1 else {e for f in facets for e in combinations(f.vertex_indices, 2)}
+    edges = sorted(e for e in pairs if _closure(set(e), through, members) == set(e))
     if k == 3 and len(face_verts) - len(edges) + len(facets) != 2:
         raise InternalInconsistencyError("Euler check failed on 3-dimensional hull")
 

@@ -208,6 +208,7 @@ def detect_redrawing(
             closing[last].append((first, dirs[(first, last)]))
 
     tried = 0
+    limit = budgets.check("detector", 0)  # the limit, read once; no use of 0 passes it
 
     def search(cap: int) -> tuple[list[int], list[IntVec]] | None:
         assigned: list[int] = [0] * v
@@ -242,7 +243,8 @@ def detect_redrawing(
             vx = order[depth]
             for t, q in candidates(vx):
                 tried += 1
-                budgets.check("detector", tried)
+                if tried > limit:
+                    budgets.check("detector", tried)
                 if all(
                     _is_positive_multiple(tuple(map(sub, q, position[w])), d0)
                     for w, d0 in closing[vx]

@@ -299,8 +299,8 @@ class TestSubcommands:
             # only 495 root placements at K = 4, but every child placement counts too
             ("detector", None, ["detect", LED, "--tuple", "[[0,0],[1000,0],[0,3]]",
                                 "--K", "4"], 10 ** 4 + 1, 10 ** 4),
-            # visibility tests plus 5 per facet normal, before a step's scan or normals
-            ("hull", None, ["bounds", "CLOUD5"], 110_700, 10 ** 5),
+            # visibility tests plus 5 per facet normal, before a step's normals
+            ("hull", None, ["bounds", "CLOUD5"], 100_092, 10 ** 5),
             # (d - 1) rows per cycle, 32^2 cycles, over the 33^2 - 1 tree edges
             ("redraw", None, ["tightness", "GRID33"], 1024 * 1088, 10 ** 6),
             # (d - 1) rows per edge, 30 edges, over 3 * 12 vertex coordinates

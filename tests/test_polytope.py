@@ -8,7 +8,7 @@ from unittest import mock
 
 import pytest
 
-from polymix import hull, outward_normal, polytope
+from polymix import budgets, hull, outward_normal, polytope
 from polymix.errors import InternalInconsistencyError
 from polymix.exactlp import equality_feasible, in_convex_hull
 from polymix.lattice import apply_columns, content, int_det, int_rank, primitive
@@ -611,6 +611,13 @@ def faces(poly):
             [(f.vertex_indices, f.inward_normal, f.offset) for f in poly.facets])
 
 
+def built(module, pts):
+    """``faces`` of ``module.hull(pts)``, and the number of facets the hull
+    built: each takes one primitive normal."""
+    with mock.patch.object(module, "primitive", wraps=module.primitive) as normals:
+        return faces(module.hull(pts)), normals.call_count
+
+
 def embedded(rng, pts, d):
     """The image of the points under a random injective integer map into Z^d."""
     k = len(pts[0])
@@ -652,12 +659,16 @@ class TestQuickhullAgainstLexicographicInsertion:
         "old, new",
         [
             ("assign([q for q in orphans if q != p], new)", "assign([], new)"),
-            # a point on a facet's plane joins its outside set; the same <= in
-            # the visible scan only re-triangulates a facet plane, whose extra
-            # corners the closure rule drops, so it changes no output
+            # a point on a facet's plane joins its outside set
             ("if _dot(normal, q) < offset:", "if _dot(normal, q) <= offset:"),
+            # the walk also takes the facets whose plane holds p: coning p over
+            # the rim of those is a triangulation too, so only the count of
+            # facets built shows it
+            ("beyond[other] = _dot(normal, p) < offset", "beyond[other] = _dot(normal, p) <= offset"),
+            ("tuple(a * x + b * y for x, y in zip(n_v, n_n))", "tuple(a * x for x in n_v)"),
         ],
-        ids=["orphans_dropped", "on_plane_outside"],
+        ids=["orphans_dropped", "on_plane_outside", "walk_takes_planes_through_p",
+             "horizon_normal_from_v"],
     )
     def test_mutant_is_caught(self, monkeypatch, old, new):
         source = Path(polytope.__file__).read_text()
@@ -668,8 +679,9 @@ class TestQuickhullAgainstLexicographicInsertion:
         exec(compile(source.replace(old, new), polytope.__file__, "exec"), mutant.__dict__)
         caught = 0
         for pts in self.SETS[:400] + self.SETS[1200:]:
+            expected = faces(lexicographic_hull(pts)), built(polytope, pts)[1]
             try:
-                caught += faces(mutant.hull(pts)) != faces(lexicographic_hull(pts))
+                caught += built(mutant, pts) != expected
             except (InternalInconsistencyError, KeyError, ValueError):
                 caught += 1  # the hull's own checks may see it first
         assert caught
@@ -679,16 +691,44 @@ class TestQuickhullAgainstLexicographicInsertion:
         [
             # the cube's corners come first, and every other point lies in the cube
             (list(product(range(6), repeat=3)), 16),
-            (random.Random(33).sample(list(product(range(31), repeat=3)), 1000), 222),
+            (random.Random(33).sample(list(product(range(31), repeat=3)), 1000), 213),
         ],
         ids=["grid6", "cloud1000"],
     )
-    def test_builds_under_half_the_normals(self, monkeypatch, pts, quickhull):
-        built = []
-        normal = polytope._normal
-        monkeypatch.setattr(polytope, "_normal", lambda corners: built.append(corners) or normal(corners))
-        hull(pts)
-        ours = len(built)
-        lexicographic_hull(pts)
+    def test_builds_under_half_the_facets(self, pts, quickhull):
+        with mock.patch.object(polytope, "_normal", wraps=polytope._normal) as normals:
+            ours = built(polytope, pts)[1]
+            assert normals.call_count == 4  # the starting simplex only
+            lexicographic_hull(pts)  # one cofactor normal per facet
         assert ours == quickhull
-        assert 2 * ours < len(built) - ours
+        assert 2 * ours < normals.call_count - 4
+
+    def test_ridge_normals_are_the_cofactor_normals(self, monkeypatch):
+        stored = []
+        faces_of = polytope._faces
+
+        def keep(simplices):
+            stored[:] = simplices
+            return faces_of(stored)
+
+        monkeypatch.setattr(polytope, "_faces", keep)
+        for pts in oracle_sets():
+            with mock.patch.object(polytope, "_normal", wraps=polytope._normal) as normals:
+                poly = hull(pts)
+            assert normals.call_count == poly.affine_dim + 1
+            for corners, normal, offset in stored:
+                cofactor = primitive(polytope._normal(corners))
+                assert normal in (cofactor, tuple(-x for x in cofactor))
+                assert {dot(normal, c) for c in corners} == {offset}
+                assert min(dot(normal, v) for v in poly.face_vertices) == offset
+
+    def test_roadmap_5d_cloud_answers_at_the_default_budget(self, monkeypatch):
+        # 200 points of [0, 30]^5: use 200,013 (exit 3) when every step
+        # scanned every facet and every normal took k determinants
+        monkeypatch.delenv("POLYMIX_BUDGET", raising=False)
+        rng = random.Random(7)
+        pts = [tuple(rng.randint(0, 30) for _ in range(5)) for _ in range(200)]
+        with mock.patch.object(budgets, "check", wraps=budgets.check) as check:
+            poly = hull(pts)
+        assert check.call_args.args == ("hull", 62_046)
+        assert faces(poly) == faces(lexicographic_hull(pts))

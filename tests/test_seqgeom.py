@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from unittest import mock
 
 import pytest
 
@@ -14,6 +15,7 @@ from polymix import (
     monomial_weight,
     outward_normal,
 )
+from polymix import budgets, seqgeom
 from polymix.lattice import int_det, is_primitive
 from polymix.seqgeom import _homothety_of
 
@@ -200,6 +202,16 @@ class TestDetectRedrawing:
         pts[1] = (10,) + pts[1][1:]
         with pytest.raises(BudgetExceededError, match=f"^detector budget: {10 ** 4 + 1} "):
             detect_redrawing(f, pts, 1)
+
+    def test_one_detect_reads_the_budget_once(self, monkeypatch, ledrappier):
+        # between 100 and 300 placements (caps 0-2 fail exhaustively), each
+        # compared against the limit read before the first
+        monkeypatch.delenv("POLYMIX_BUDGET", raising=False)
+        monkeypatch.setattr(seqgeom, "hull", lambda support, poly=hull(ledrappier.support()): poly)
+        with mock.patch.object(budgets, "_override", wraps=budgets._override) as reads:
+            match = detect_redrawing(ledrappier, [(0, 0), (20, 5), (4, 20)], 10)
+        assert match.K == 3
+        assert reads.call_count == 1
 
     def test_too_few_points_rejected(self, ledrappier):
         with pytest.raises(ValueError):
