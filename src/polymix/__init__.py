@@ -32,24 +32,15 @@ from .measure import (
 )
 from .mixing import (
     MixingBounds,
-    SequenceRelation,
     ShapeCertificate,
-    check_relation,
     frobenius_certificate,
-    frobenius_rule,
     mixing_bounds,
     search_relations,
 )
 from .polytope import LatticePolytope, hull, outward_normal
 from .quotient import Residue, normalize, reduce
 from .redraw import RedrawSpace, Skeleton, make_skeleton, redraw_space, skeleton_from_polytope
-from .seqgeom import (
-    RedrawMatch,
-    UnimodularFrame,
-    detect_redrawing,
-    extend_basis,
-    monomial_weight,
-)
+from .seqgeom import RedrawMatch, detect_redrawing
 
 __version__ = "0.1.0"
 
@@ -67,19 +58,14 @@ __all__ = [
     "RedrawMatch",
     "RedrawSpace",
     "Residue",
-    "SequenceRelation",
     "ShapeCertificate",
     "Skeleton",
     "TrivialQuotientError",
-    "UnimodularFrame",
     "brute_force_measure",
-    "check_relation",
     "cylinder_measure",
     "detect_redrawing",
-    "extend_basis",
     "frobenius_certificate",
     "frobenius_power",
-    "frobenius_rule",
     "hull",
     "joint_measure",
     "make_poly",
@@ -87,7 +73,6 @@ __all__ = [
     "mixing_bounds",
     "mixing_experiment",
     "monomial",
-    "monomial_weight",
     "normalize",
     "one",
     "outward_normal",

@@ -1,12 +1,16 @@
 """Hard budgets for the expensive operations, checked in one place.
 
 Each expensive path calls ``check`` with its budget's name and the size
-it is about to use, before doing the work; where that size is not known
-up front (the detector's placements, the hull's tests and normals) it
-calls ``check`` again as its running count grows.  ``POLYMIX_BUDGET`` (an
-integer) overrides every budget at once; when it is unset the defaults
-below apply.  A value that is not a positive integer is a
-``ParseError``, read when a budget is first checked.
+it is about to use, before doing the work.  ``check(name, 0)`` passes
+and returns the limit.  Where the size is not known up front (the
+detector's placements, the hull's tests and normals, a division's term
+pairs) the path reads the limit that way once, compares its running
+count against it, and calls ``check`` again only once the count passes
+it, which raises.  The search reads the limit once too, to stop counting
+its candidates just past it.  ``POLYMIX_BUDGET`` (an integer) overrides
+every budget at once; when it is unset the defaults below apply.  A
+value that is not a positive integer is a ``ParseError``, read when a
+budget is first checked.
 """
 
 import os

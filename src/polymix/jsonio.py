@@ -145,7 +145,8 @@ def load_skeleton(path: str) -> Skeleton:
         raise ParseError(f"bad skeleton file {path}: {exc}") from exc
 
 
-def parse_cylinder(data: dict, dim: int) -> CylinderSpec:
+def load_cylinder(path: str, dim: int) -> CylinderSpec:
+    data = _load_json(path)
     if not isinstance(data, dict) or "window" not in data or "values" not in data:
         raise ParseError("cylinder JSON needs 'window' and 'values'")
     window = data["window"]
@@ -166,10 +167,6 @@ def parse_cylinder(data: dict, dim: int) -> CylinderSpec:
         return CylinderSpec.from_pairs(pairs)
     except ValueError as exc:
         raise ParseError(f"bad cylinder JSON: {exc}") from exc
-
-
-def load_cylinder(path: str, dim: int) -> CylinderSpec:
-    return parse_cylinder(_load_json(path), dim)
 
 
 def fraction_json(x: Fraction) -> dict:

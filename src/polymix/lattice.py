@@ -1,10 +1,11 @@
 """Integer lattice utilities.
 
-Small exact helpers shared by the polytope and frame-construction code:
+Small exact helpers shared by the polytope, redraw and detector code:
 primitivity, Hermite-style column reduction with a tracked unimodular
 transform (the one unimodular reduction here: completing a primitive
-vector to a basis of Z^d inverts the transform it gives), and exact
-determinants and ranks of small integer (or rational) matrices.
+vector to a basis of Z^d, which no command calls, inverts the transform
+it gives), and exact determinants and ranks of small integer (or
+rational) matrices.
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from . import budgets, gfp
 from .errors import BudgetExceededError, InternalInconsistencyError, TrivialQuotientError
@@ -342,25 +342,22 @@ class ExperimentRow:
 
 def mixing_experiment(
     f: LaurentPoly,
-    shape_or_rule: Sequence[Sequence[int]] | Callable[[int], Sequence[Sequence[int]]],
+    shape: Sequence[Sequence[int]],
     cylinders: Sequence[CylinderSpec],
     k_range: Iterable[int],
     method: str = "exact",
 ) -> list[ExperimentRow]:
-    """Joint vs product measures along dilations of a shape (or a rule).
+    """Joint vs product measures along dilations of a shape.
 
     Each row reports the joint measure of the cylinders shifted by
-    k * shape (or by the rule's k-th tuple), the product of the single
-    measures, and the gap between them.
+    k * shape, the product of the single measures, and the gap between
+    them.
     """
     rows: list[ExperimentRow] = []
     product = math.prod((cylinder_measure(f, cyl, method=method).value for cyl in cylinders),
                         start=Fraction(1))
     for k in k_range:
-        if callable(shape_or_rule):
-            shifts = [tuple(v) for v in shape_or_rule(k)]
-        else:
-            shifts = [tuple(k * x for x in v) for v in shape_or_rule]
+        shifts = [tuple(k * x for x in v) for v in shape]
         if len(shifts) != len(cylinders):
             raise ValueError("one cylinder per shape point is required")
         try:

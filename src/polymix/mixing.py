@@ -1,4 +1,4 @@
-"""Mixing-order bounds, non-mixing-shape certificates, relation checks.
+"""Mixing-order bounds, non-mixing-shape certificates, relation values.
 
 For an action defined by a non-monomial f with v Newton-polytope
 vertices, the order of mixing M and the shape order S satisfy
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd, prod
 from operator import add, sub
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 from . import budgets, quotient
 from .errors import InternalInconsistencyError
@@ -134,63 +134,6 @@ def frobenius_certificate(f: LaurentPoly, k_max: int) -> ShapeCertificate:
     return ShapeCertificate(shape, coeffs, tuple(range(k_max + 1)), True)
 
 
-@dataclass(frozen=True)
-class SequenceRelation:
-    """Candidate relation sum_i a_i u^{n_i^{(j)}} = 0 mod f along tuples.
-
-    ``tuples`` is either an explicit sequence of r-tuples of exponent
-    vectors or a rule j -> r-tuple (e.g. Frobenius dilations of a shape).
-    """
-
-    coefficients: tuple[LaurentPoly, ...]
-    tuples: Sequence[Sequence[ExponentVec]] | Callable[[int], Sequence[ExponentVec]]
-
-    def tuple_at(self, j: int) -> tuple[ExponentVec, ...]:
-        raw = self.tuples(j) if callable(self.tuples) else self.tuples[j]
-        return tuple(tuple(v) for v in raw)
-
-    def moving_apart(self, j_range: Iterable[int]) -> bool:
-        """Are all pairwise separations non-decreasing and finally growing?
-
-        A finite-range proxy for the requirement that every difference
-        n_s - n_t escapes to infinity along the sequence: each pair's
-        sup-norm separation must never shrink over the supplied range
-        and must end strictly larger than it started (ranges of length
-        one only require distinct points).
-        """
-        js = list(j_range)
-        if not js:
-            return True
-        r = len(self.tuple_at(js[0]))
-        pairs = [(s, t) for s in range(r) for t in range(s + 1, r)]
-        for s, t in pairs:
-            gaps = []
-            for j in js:
-                tup = self.tuple_at(j)
-                gaps.append(max(abs(a - b) for a, b in zip(tup[s], tup[t])))
-            if gaps[0] == 0:
-                return False
-            if any(b < a for a, b in zip(gaps, gaps[1:])):
-                return False
-            if len(gaps) > 1 and gaps[-1] <= gaps[0]:
-                return False
-        return True
-
-
-def frobenius_rule(f: LaurentPoly) -> SequenceRelation:
-    """The canonical relation: coefficients of f along k -> p^k * S(f)."""
-    shape = sorted(f.terms)
-    coeffs = tuple(
-        LaurentPoly(f.field, f.dim, [((0,) * f.dim, f.terms[n])]) for n in shape
-    )
-    p = f.p
-
-    def rule(k: int) -> tuple[ExponentVec, ...]:
-        return tuple(tuple(p ** k * x for x in n) for n in shape)
-
-    return SequenceRelation(coeffs, rule)
-
-
 def relation_value(
     coefficients: Sequence[LaurentPoly],
     exponents: Sequence[ExponentVec],
@@ -203,13 +146,17 @@ def relation_value(
     clears negative exponents.  The remainder modulo f is unique, so
     reduction is linear and the residue is the F_p sum of
     c * monomial_residue(m + n_i - shift); huge dilations cost a handful
-    of quotient multiplications instead of term-by-term division.
+    of quotient multiplications instead of term-by-term division.  The
+    relation vanishes along the tuple (n_i) exactly when the residue
+    ``is_zero``.
     """
     if len(coefficients) != len(exponents):
         raise ValueError("one coefficient per exponent vector is required")
     shifted = []
     for a, n in zip(coefficients, exponents):
         a._check_compatible(f)
+        if len(n) != f.dim:
+            raise ValueError(f"exponent vector {tuple(n)} has wrong dimension")
         shifted += [(tuple(map(add, m, n)), c) for m, c in a.terms.items()]
     if not shifted:
         return zero(f.field, f.dim)
@@ -219,26 +166,6 @@ def relation_value(
         for x, c in shifted
         for e, v in monomial_residue(tuple(map(sub, x, shift)), f).terms.items()
     ])
-
-
-def check_relation(
-    rel: SequenceRelation, f: LaurentPoly, j_range: Iterable[int]
-) -> list[tuple[int, bool]]:
-    """Evaluate the relation at each index; True means it vanishes mod f."""
-    for a in rel.coefficients:
-        a._check_compatible(f)
-        if nf(a, f).is_zero:
-            raise ValueError("relation coefficients must be nonzero modulo f")
-    results = []
-    for j in j_range:
-        exps = rel.tuple_at(j)
-        if len(exps) != len(rel.coefficients):
-            raise ValueError(f"tuple at j={j} has wrong arity")
-        for n in exps:
-            if len(n) != f.dim:
-                raise ValueError(f"exponent vector {n} has wrong dimension")
-        results.append((j, relation_value(rel.coefficients, exps, f).is_zero))
-    return results
 
 
 def _coefficient_space(f: LaurentPoly, degree_bound: int) -> list[LaurentPoly]:

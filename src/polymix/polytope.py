@@ -134,9 +134,9 @@ def _beneath_beyond(
     facets of the starting simplex take cofactor normals (``_normal``).
 
     The ``hull`` budget counts every visibility test (assignment,
-    reassignment and the walk's) and k for each facet normal built; it is
-    checked before each batch of normals.  Returns ``_faces`` of the
-    finished hull.
+    reassignment and the walk's) and k for each facet normal built.  Its
+    limit is read once, and the count is compared with it before each
+    batch of normals.  Returns ``_faces`` of the finished hull.
     """
     k = len(pts[0])
     n = len(pts)
@@ -154,11 +154,13 @@ def _beneath_beyond(
     # ridge -> the facets through it, two once a step is done
     ridges: dict[tuple[IntVec, ...], list[tuple[IntVec, ...]]] = {}
     used = 0  # budget use: visibility tests, and k per facet normal
+    limit = budgets.check("hull", 0)  # the limit, read once; no use of 0 passes it
 
     def add(cones) -> list[tuple[IntVec, ...]]:
         nonlocal used
         used += k * len(cones)
-        budgets.check("hull", used)
+        if used > limit:
+            budgets.check("hull", used)
         keys = []
         for corners, normal in cones:
             key = tuple(sorted(corners))

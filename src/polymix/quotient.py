@@ -45,7 +45,7 @@ among them, while the command line loads f afresh for each query.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from operator import add, ge, neg, sub
 
 from . import budgets
@@ -90,12 +90,12 @@ def normalize(g: LaurentPoly) -> tuple[LaurentPoly, ExponentVec]:
     return g.shift(neg), shift
 
 
-def _lift(g: LaurentPoly) -> tuple[LaurentPoly, ExponentVec]:
+def _lift(g: LaurentPoly) -> LaurentPoly:
     # Clear negative exponents only; polynomials (and zero) pass through unchanged.
     shift = tuple(min(0, m) for m in g.min_exponents()) if g.terms else (0,) * g.dim
     if any(shift):
         g = g.shift(tuple(-s for s in shift))
-    return g, shift
+    return g
 
 
 def _heapkey(e: ExponentVec):
@@ -183,14 +183,12 @@ def _divide(work: dict[ExponentVec, int], m: _Modulus, quotient=None,
 class Residue:
     """Division remainder of a (lifted) element modulo f.
 
-    ``shift`` records the monomial lift applied to the input: the residue
-    represents u^{-shift} * g on the ideal coset.  Equality compares the
-    remainder and modulus; the lift is bookkeeping.
+    A Laurent input is lifted by the smallest monomial making it a
+    polynomial, so ``value`` is canonical only up to that unit, while
+    ``is_zero`` is exact.
     """
 
     value: LaurentPoly
-    modulus: LaurentPoly
-    shift: ExponentVec = dc_field(compare=False)
 
     @property
     def is_zero(self) -> bool:
@@ -205,9 +203,8 @@ def reduce(g: LaurentPoly, f: LaurentPoly) -> Residue:
     """
     g._check_compatible(f)
     m = _prepared(f)
-    lifted, shift = _lift(g)
-    remainder = _divide(dict(lifted.terms), m)
-    return Residue(_raw(g.field, g.dim, remainder), f, shift)
+    remainder = _divide(dict(_lift(g).terms), m)
+    return Residue(_raw(g.field, g.dim, remainder))
 
 
 def nf(g: LaurentPoly, f: LaurentPoly) -> LaurentPoly:
@@ -226,8 +223,7 @@ def residue_mul(a: LaurentPoly, b: LaurentPoly, f: LaurentPoly) -> LaurentPoly:
     limit = budgets.check("residue", m.spent)
     g = a * b
     g._check_compatible(f)
-    lifted, _ = _lift(g)
-    return _raw(f.field, f.dim, _divide(dict(lifted.terms), m, limit=limit))
+    return _raw(f.field, f.dim, _divide(dict(_lift(g).terms), m, limit=limit))
 
 
 def power_residue(g: LaurentPoly, n: int, f: LaurentPoly) -> LaurentPoly:
@@ -262,7 +258,7 @@ def _axis_square(f: LaurentPoly, m: _Modulus, axis: int, j: int) -> LaurentPoly:
 
 
 def monomial_residue(exps: ExponentVec, f: LaurentPoly) -> LaurentPoly:
-    """Residue of the monomial u^exps, all entries non-negative.
+    """Residue of the monomial u^exps: one non-negative entry per variable of f.
 
     Results are kept with f.  When a neighbour u^(exps - e_i) is already
     kept, the residue is one short division of u_i times the neighbour's,
@@ -278,6 +274,8 @@ def monomial_residue(exps: ExponentVec, f: LaurentPoly) -> LaurentPoly:
     result = m.monomials.get(exps)
     if result is not None:
         return result
+    if len(exps) != f.dim:  # checked on a miss only: no such key is ever kept
+        raise ValueError(f"exponent vector {exps} has wrong dimension")
     for axis, x in enumerate(exps):
         neighbour = m.monomials.get(exps[:axis] + (x - 1,) + exps[axis + 1:]) if x else None
         if neighbour is not None:

@@ -1,11 +1,9 @@
 """Geometry of candidate non-mixing tuples.
 
-Three tools: completion of a primitive outward normal to a unimodular
-frame whose remaining columns point against it (the coordinate change
-that turns an edge functional into a monomial grading), exact monomial
-weights along a normal, and a detector that matches a tuple of lattice
-points -- up to per-point integer perturbations bounded by K -- against
-a parallel redrawing of the Newton polytope of f.
+A detector matches a tuple of lattice points -- up to per-point integer
+perturbations bounded by K -- against a parallel redrawing of the Newton
+polytope of f.  (A monomial's weight along an edge is its dot product
+with ``polytope.outward_normal``.)
 
 The detector is a verifier on given tuples.  It searches the caps
 0, 1, ..., K in increasing order, each one exhaustively, and reports the
@@ -25,7 +23,7 @@ from operator import sub
 from typing import Sequence
 
 from . import budgets
-from .lattice import complete_to_unimodular, int_det, is_primitive, primitive
+from .lattice import primitive
 from .laurent import LaurentPoly
 from .polytope import hull
 
@@ -33,69 +31,20 @@ IntVec = tuple[int, ...]
 
 
 @dataclass(frozen=True)
-class UnimodularFrame:
-    """Columns v1, v2, ..., vd generating Z^d with v1 . vj < 0 for j >= 2."""
-
-    columns: tuple[IntVec, ...]
-
-    def __post_init__(self):
-        d = len(self.columns)
-        matrix = [[self.columns[j][i] for j in range(d)] for i in range(d)]
-        if abs(int_det(matrix)) != 1:
-            raise ValueError("frame is not unimodular")
-        for col in self.columns:
-            if not is_primitive(col):
-                raise ValueError(f"column {col} is not primitive")
-        v1 = self.columns[0]
-        for col in self.columns[1:]:
-            if sum(a * b for a, b in zip(v1, col)) >= 0:
-                raise ValueError(f"column {col} does not point against {v1}")
-
-
-def extend_basis(v1: Sequence[int]) -> UnimodularFrame:
-    """Complete a primitive vector to a frame with all other columns against it.
-
-    First extend v1 to a basis of Z^d, then subtract the minimal integer
-    multiple of v1 from each remaining column to make its dot product
-    with v1 negative; column operations keep the determinant at ±1.
-    """
-    v1 = tuple(int(x) for x in v1)
-    if not is_primitive(v1):
-        raise ValueError(f"{v1} is not primitive")
-    m = complete_to_unimodular(v1)
-    d = len(v1)
-    norm_sq = sum(x * x for x in v1)
-    cols = [tuple(m[i][j] for i in range(d)) for j in range(d)]
-    adjusted = [v1]
-    for col in cols[1:]:
-        dot = sum(a * b for a, b in zip(v1, col))
-        steps = dot // norm_sq + 1  # minimal integer making the dot negative
-        adjusted.append(tuple(c - steps * v for c, v in zip(col, v1)))
-    return UnimodularFrame(tuple(adjusted))
-
-
-def monomial_weight(n: Sequence[int], v1: Sequence[int]) -> int:
-    """Exact grading of the monomial u^n along the direction v1 (dot product)."""
-    if len(n) != len(v1):
-        raise ValueError("dimension mismatch")
-    return sum(int(a) * int(b) for a, b in zip(n, v1))
-
-
-@dataclass(frozen=True)
 class RedrawMatch:
     """A tuple matched, within perturbations of sup-norm <= K, to N(f).
 
-    ``vertex_assignment[i]`` is the tuple index paired with polytope
-    vertex i; perturbations are indexed by tuple position (zero for
-    unmatched extras); after adding them, each paired difference is an
-    exact positive rational multiple of its polytope edge direction.
+    ``pairing`` gives, for each polytope edge (a, b), the tuple indices
+    paired with vertices a and b; perturbations are indexed by tuple
+    position (zero for unmatched extras); after adding them, each paired
+    difference is an exact positive rational multiple of its polytope
+    edge direction.
     ``homothety`` is the scale and translation that carry the vertices
     onto their snapped points, or None for a redrawing that is not a
     dilation of N(f), which only a non-tight polytope admits.
     """
 
     points: tuple[IntVec, ...]
-    vertex_assignment: tuple[int, ...]
     pairing: tuple[tuple[tuple[int, int], tuple[int, int]], ...]  # (edge, point pair)
     perturbations: tuple[IntVec, ...]
     K: int
@@ -267,7 +216,7 @@ def detect_redrawing(
         for vx, t in enumerate(assignment):
             perturbations[t] = tuple(map(sub, positions[vx], pts[t]))
         pairing = tuple(((a, b), (assignment[a], assignment[b])) for a, b in poly.edges)
-        return RedrawMatch(tuple(pts), tuple(assignment), pairing, tuple(perturbations), cap,
+        return RedrawMatch(tuple(pts), pairing, tuple(perturbations), cap,
                            _homothety_of(verts, positions))
     return None
 

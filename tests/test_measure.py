@@ -166,11 +166,6 @@ class TestMixingExperiment:
         rows = mixing_experiment(ledrappier, [(0, 0)], [cell(0)], [1, 2])
         assert all(row.gap == 0 for row in rows)
 
-    def test_rule_form(self, ledrappier):
-        rule = lambda k: [(0, 0), (2 ** k, 0), (0, 2 ** k)]
-        rows = mixing_experiment(ledrappier, rule, [cell(0)] * 3, [1, 3])
-        assert all(row.gap == Fraction(1, 8) for row in rows)
-
 
 class TestBruteForce:
     def test_triangle_counts(self, ledrappier):
@@ -219,22 +214,18 @@ class TestCrossModuleCoherence:
     def test_measure_gap_matches_relation_rows(self, ledrappier):
         # the same dilations that keep the joint measure at 1/4 are the
         # ones whose three-term relation vanishes in the quotient
-        from polymix import SequenceRelation, check_relation, make_poly
+        from polymix import make_poly
+        from polymix.mixing import relation_value
 
-        one = make_poly(2, 2, [((0, 0), 1)])
-        rel = SequenceRelation(
-            (one, one, one), lambda j: [(0, 0), (2 ** j, 0), (0, 2 ** j)]
-        )
-        rows = dict(check_relation(rel, ledrappier, range(1, 9)))
+        ones = [make_poly(2, 2, [((0, 0), 1)])] * 3
         for k in range(1, 9):
-            ev = [((0, 0), cell(0)), ((2 ** k, 0), cell(0)), ((0, 2 ** k), cell(0))]
-            joint = joint_measure(ledrappier, ev).value
-            assert rows[k] is True
+            tup = [(0, 0), (2 ** k, 0), (0, 2 ** k)]
+            joint = joint_measure(ledrappier, [(n, cell(0)) for n in tup]).value
+            assert relation_value(ones, tup, ledrappier).is_zero
             assert joint == Fraction(1, 4)
 
-        # a non-dilation index where the relation fails is independent
-        rel3 = SequenceRelation((one, one, one), [[(0, 0), (3, 0), (0, 3)]])
-        assert check_relation(rel3, ledrappier, [0]) == [(0, False)]
+        # a non-dilation tuple where the relation fails is independent
+        assert not relation_value(ones, [(0, 0), (3, 0), (0, 3)], ledrappier).is_zero
         ev3 = [((0, 0), cell(0)), ((3, 0), cell(0)), ((0, 3), cell(0))]
         assert joint_measure(ledrappier, ev3).value == Fraction(1, 8)
 
@@ -281,9 +272,9 @@ class TestHaarProperties:
             assert exact.value == box.value == Fraction(1, 4)
 
     def test_experiment_marks_unavailable_rows(self, ledrappier):
-        rule = lambda k: [(0, 0), (2 ** k, 0), (0, 2 ** k)]
+        # the box path at dilations 2^7 and 2^8 of the triangle
         rows = mixing_experiment(
-            ledrappier, rule, [cell(0)] * 3, [7, 8], method="box"
+            ledrappier, [(0, 0), (1, 0), (0, 1)], [cell(0)] * 3, [2 ** 7, 2 ** 8], method="box"
         )
         assert all(not row.available for row in rows)
 

@@ -11,10 +11,7 @@ from polymix import (
     BudgetExceededError,
     InternalInconsistencyError,
     LaurentPoly,
-    SequenceRelation,
-    check_relation,
     frobenius_certificate,
-    frobenius_rule,
     make_poly,
     mixing_bounds,
     monomial,
@@ -345,53 +342,35 @@ class TestCertificateMutations:
 
 
 class TestCheckRelation:
+    """A relation vanishes along a tuple when ``relation_value(...).is_zero``."""
+
     def test_frobenius_tuples_all_true(self, ledrappier):
         a = [scalar(2, 2, 1)] * 3
-        rel = SequenceRelation(
-            tuple(a), lambda j: [(0, 0), (2 ** j, 0), (0, 2 ** j)]
-        )
-        results = check_relation(rel, ledrappier, range(1, 13))
-        assert all(ok for _, ok in results)
+        for j in range(1, 13):
+            tup = [(0, 0), (2 ** j, 0), (0, 2 ** j)]
+            assert relation_value(a, tup, ledrappier).is_zero
 
     def test_non_dilation_false(self, ledrappier):
-        rel = SequenceRelation(
-            (scalar(2, 2, 1),) * 3, [[(0, 0), (3, 0), (0, 3)]]
-        )
-        assert check_relation(rel, ledrappier, [0]) == [(0, False)]
+        a = [scalar(2, 2, 1)] * 3
+        assert not relation_value(a, [(0, 0), (3, 0), (0, 3)], ledrappier).is_zero
 
     def test_single_monomial_never_zero(self, ledrappier):
-        rel = SequenceRelation((scalar(2, 2, 1),), [[(5, 7)]])
-        assert check_relation(rel, ledrappier, [0]) == [(0, False)]
-
-    def test_zero_coefficient_rejected(self, ledrappier):
-        rel = SequenceRelation((ledrappier,), [[(0, 0)]])  # f = 0 mod f
-        with pytest.raises(ValueError):
-            check_relation(rel, ledrappier, [0])
+        assert not relation_value([scalar(2, 2, 1)], [(5, 7)], ledrappier).is_zero
 
     def test_dimension_mismatch_rejected(self, ledrappier):
-        rel = SequenceRelation((scalar(2, 1, 1),), [[(0,)]])
-        with pytest.raises(ValueError):
-            check_relation(rel, ledrappier, [0])
-
-    def test_moving_apart_on_dilations(self, ledrappier):
-        rel = frobenius_rule(ledrappier)
-        assert rel.moving_apart(range(0, 8))
-        assert rel.moving_apart([3])
-        stuck = SequenceRelation(
-            (scalar(2, 2, 1),) * 2,
-            lambda j: [(0, 0), (1, 0)],  # separation never grows
-        )
-        assert not stuck.moving_apart(range(0, 4))
-        coincident = SequenceRelation(
-            (scalar(2, 2, 1),) * 2, [[(0, 0), (0, 0)]]
-        )
-        assert not coincident.moving_apart([0])
+        # a 2-D coefficient with a 1-D or a 3-D exponent vector
+        for n in ((0,), (0, 0, 1)):
+            with pytest.raises(ValueError, match="wrong dimension"):
+                relation_value([scalar(2, 2, 1)], [n], ledrappier)
 
     def test_generator_rule_consistent_with_certificate(self, all_fixtures):
+        # the coefficients of f along k -> p^k S(f)
         for f in all_fixtures:
-            rel = frobenius_rule(f)
-            results = check_relation(rel, f, range(0, 6))
-            assert all(ok for _, ok in results)
+            shape = sorted(f.terms)
+            coeffs = [scalar(f.p, f.dim, f.terms[n]) for n in shape]
+            for k in range(0, 6):
+                tup = [tuple(f.p ** k * x for x in n) for n in shape]
+                assert relation_value(coeffs, tup, f).is_zero
 
     def test_translation_invariance_of_relation_truth(self, all_fixtures):
         rng = random.Random(53)
@@ -436,8 +415,7 @@ class TestCheckRelation:
     def test_laurent_coefficients_supported(self, ledrappier):
         # coefficients may be Laurent polynomials; u1^{-1} is a unit
         a = make_poly(2, 2, [((-1, 0), 1)])
-        rel = SequenceRelation((a, a, a), [[(0, 0), (2, 0), (0, 2)]])
-        assert check_relation(rel, ledrappier, [0]) == [(0, True)]
+        assert relation_value([a, a, a], [(0, 0), (2, 0), (0, 2)], ledrappier).is_zero
 
 
 class TestSearchRelations:

@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 
 from polymix import budgets, hull, outward_normal, polytope
-from polymix.errors import InternalInconsistencyError
+from polymix.errors import BudgetExceededError, InternalInconsistencyError
 from polymix.exactlp import equality_feasible, in_convex_hull
 from polymix.lattice import apply_columns, content, int_det, int_rank, primitive
 from polymix.polytope import Facet
@@ -722,13 +722,30 @@ class TestQuickhullAgainstLexicographicInsertion:
                 assert {dot(normal, c) for c in corners} == {offset}
                 assert min(dot(normal, v) for v in poly.face_vertices) == offset
 
-    def test_roadmap_5d_cloud_answers_at_the_default_budget(self, monkeypatch):
-        # 200 points of [0, 30]^5: use 200,013 (exit 3) when every step
-        # scanned every facet and every normal took k determinants
-        monkeypatch.delenv("POLYMIX_BUDGET", raising=False)
+    @staticmethod
+    def roadmap_5d_cloud():
+        """200 points of [0, 30]^5."""
         rng = random.Random(7)
-        pts = [tuple(rng.randint(0, 30) for _ in range(5)) for _ in range(200)]
-        with mock.patch.object(budgets, "check", wraps=budgets.check) as check:
-            poly = hull(pts)
-        assert check.call_args.args == ("hull", 62_046)
+        return [tuple(rng.randint(0, 30) for _ in range(5)) for _ in range(200)]
+
+    def test_roadmap_5d_cloud_answers_at_the_default_budget(self, monkeypatch):
+        # use 62,046 at the last batch of normals; 200,013 (exit 3) when
+        # every step scanned every facet and every normal took k determinants
+        monkeypatch.delenv("POLYMIX_BUDGET", raising=False)
+        pts = self.roadmap_5d_cloud()
+        poly = hull(pts)
         assert faces(poly) == faces(lexicographic_hull(pts))
+        monkeypatch.setenv("POLYMIX_BUDGET", "62045")
+        with pytest.raises(BudgetExceededError, match="^hull budget: 62046 "):
+            hull(pts)
+        monkeypatch.setenv("POLYMIX_BUDGET", "62046")
+        assert faces(hull(pts)) == faces(poly)
+
+    def test_one_hull_reads_the_budget_once(self, monkeypatch):
+        # 126 batches of normals, each compared against the limit read
+        # before the first
+        monkeypatch.delenv("POLYMIX_BUDGET", raising=False)
+        pts = self.roadmap_5d_cloud()
+        with mock.patch.object(budgets, "_override", wraps=budgets._override) as reads:
+            hull(pts)
+        assert reads.call_count == 1

@@ -244,6 +244,14 @@ class TestResidueShortcuts:
         r = monomial_residue((0, 4096), ledrappier)
         assert r.terms == {(0, 0): 1, (4096, 0): 1}
 
+    def test_wrong_length_exponents_rejected_and_never_kept(self, ledrappier):
+        kept = quotient._prepared(ledrappier).monomials
+        for e in ((3, 4, 5), (3,)):
+            with pytest.raises(ValueError, match="wrong dimension"):
+                monomial_residue(e, ledrappier)
+            assert e not in kept
+        assert monomial_residue((3, 4), ledrappier) == nf(monomial(2, 2, (3, 4)), ledrappier)
+
     def test_laurent_modulus_defines_same_ideal(self, ledrappier):
         # monomials are units: u^m * f generates the same ideal as f
         shifted = ledrappier.shift((-1, 2))

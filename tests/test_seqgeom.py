@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd
 from unittest import mock
 
 import pytest
@@ -9,75 +8,20 @@ import pytest
 from polymix import (
     BudgetExceededError,
     detect_redrawing,
-    extend_basis,
     hull,
     make_poly,
-    monomial_weight,
     outward_normal,
 )
 from polymix import budgets, seqgeom
-from polymix.lattice import int_det, is_primitive
 from polymix.seqgeom import _homothety_of
 
 
-def frame_matrix(frame):
-    d = len(frame.columns)
-    return [[frame.columns[j][i] for j in range(d)] for i in range(d)]
-
-
-class TestExtendBasis:
-    @pytest.mark.parametrize("v1", [(1, 0), (1, 1), (0, 1)])
-    def test_catalog_inputs(self, v1):
-        frame = extend_basis(v1)
-        assert frame.columns[0] == v1
-        assert abs(int_det(frame_matrix(frame))) == 1
-        for col in frame.columns[1:]:
-            assert sum(a * b for a, b in zip(v1, col)) < 0
-
-    def test_exact_first_example(self):
-        assert extend_basis((1, 0)).columns == ((1, 0), (-1, 1))
-
-    def test_non_primitive_rejected(self):
-        with pytest.raises(ValueError):
-            extend_basis((2, 4))
-        with pytest.raises(ValueError):
-            extend_basis((0, 0))
-
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_randomized_invariants(self, d):
-        rng = random.Random(60 + d)
-        count = 0
-        while count < 100:
-            v = tuple(rng.randint(-6, 6) for _ in range(d))
-            g = 0
-            for x in v:
-                g = gcd(g, abs(x))
-            if g != 1:
-                continue
-            count += 1
-            frame = extend_basis(v)
-            assert frame.columns[0] == v
-            assert abs(int_det(frame_matrix(frame))) == 1
-            for col in frame.columns:
-                assert is_primitive(col)
-            for col in frame.columns[1:]:
-                assert sum(a * b for a, b in zip(v, col)) < 0
+def dot(a, b):
+    """The weight of the monomial u^a along the direction b."""
+    return sum(x * y for x, y in zip(a, b))
 
 
 class TestMonomialWeight:
-    def test_dot_product(self):
-        assert monomial_weight((2, 3), (1, 1)) == 5
-
-    def test_zero_vector(self):
-        assert monomial_weight((0, 0), (7, -3)) == 0
-
-    def test_on_hyperplane(self):
-        assert monomial_weight((1, -1), (1, 1)) == 0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            monomial_weight((1, 2, 3), (1, 1))
-
     def test_supporting_hyperplane_property(self, ledrappier, quad):
         # along an edge's outward normal, both endpoints weigh the same
         # and strictly more than every other vertex
@@ -85,7 +29,7 @@ class TestMonomialWeight:
             poly = hull(f.support())
             for edge in poly.edges:
                 w = outward_normal(poly, edge)
-                weights = [monomial_weight(v, w) for v in poly.vertices]
+                weights = [dot(v, w) for v in poly.vertices]
                 a, b = edge
                 assert weights[a] == weights[b]
                 for i, x in enumerate(weights):
@@ -101,7 +45,7 @@ class TestMonomialWeight:
         assert poly.affine_dim == 3
         for edge in poly.edges:
             w = outward_normal(poly, edge)
-            weights = [monomial_weight(v, w) for v in poly.vertices]
+            weights = [dot(v, w) for v in poly.vertices]
             top = max(weights)
             assert {i for i, x in enumerate(weights) if x == top} == set(edge)
 
