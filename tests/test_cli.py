@@ -425,6 +425,22 @@ class TestSubcommands:
             assert f"``{name}``" in polymix.cli.__doc__
             assert f"`{name}`" in readme
 
+    @pytest.mark.parametrize("name", sorted(polymix.budgets.DEFAULTS))
+    def test_check_at_zero_returns_the_limit(self, monkeypatch, name):
+        # the hull, detector and division counts read the limit this way once
+        # and call check again only past it, so the first exceed is limit + 1
+        budgets = polymix.budgets
+        default = budgets.DEFAULTS[name][0]
+        monkeypatch.delenv("POLYMIX_BUDGET", raising=False)
+        assert budgets.check(name, 0) == default
+        assert budgets.check(name, default) == default
+        with pytest.raises(BudgetExceededError, match=f"^{name} budget: {default + 1} "):
+            budgets.check(name, default + 1)
+        monkeypatch.setenv("POLYMIX_BUDGET", "7")
+        assert budgets.check(name, 0) == 7
+        with pytest.raises(BudgetExceededError, match=f", limit 7$"):
+            budgets.check(name, 8)
+
     @pytest.mark.parametrize("command", ["certify", "analyze"])
     def test_negative_max_k_exits_1(self, capsys, command):
         code = main([command, LED, "--max-k", "-1"])

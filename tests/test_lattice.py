@@ -193,6 +193,25 @@ class TestCompleteToUnimodular:
         with pytest.raises(ValueError):
             complete_to_unimodular((2, 2))
 
+    def test_rejects_zero_and_non_unit_content(self):
+        for v in ((0, 0), (2, 4), (0, 0, 3)):
+            with pytest.raises(ValueError, match="not primitive"):
+                complete_to_unimodular(v)
+
+    @pytest.mark.parametrize("v", [(1, 0), (1, 1), (0, 1)])
+    def test_catalog_inputs(self, v):
+        # the edge normals of the Ledrappier triangle, up to sign
+        m = complete_to_unimodular(v)
+        assert tuple(row[0] for row in m) == v
+        assert abs(int_det([row[:] for row in m])) == 1
+        for j in range(len(v)):
+            assert is_primitive(tuple(row[j] for row in m))
+
+    def test_exact_small_examples(self):
+        assert complete_to_unimodular((1, 0)) == [[1, 0], [0, 1]]
+        assert complete_to_unimodular((1, 1)) == [[1, 0], [1, 1]]
+        assert complete_to_unimodular((0, 0, 1)) == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+
 
 def _inside_polygon(q, pts):
     """Independent 2D containment: orientation tests against the hull cycle."""

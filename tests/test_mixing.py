@@ -357,6 +357,16 @@ class TestCheckRelation:
     def test_single_monomial_never_zero(self, ledrappier):
         assert not relation_value([scalar(2, 2, 1)], [(5, 7)], ledrappier).is_zero
 
+    def test_coefficient_in_the_ideal_vanishes_everywhere(self, ledrappier):
+        # a coefficient that is 0 mod f adds nothing to a relation's truth
+        one = scalar(2, 2, 1)
+        for n in [(0, 0), (5, 7), (2 ** 40, 3)]:
+            assert relation_value([ledrappier], [n], ledrappier).is_zero
+            dilated = [(0, 0), (2, 0), (0, 2), n]
+            assert relation_value([one] * 3 + [ledrappier], dilated, ledrappier).is_zero
+            apart = [(0, 0), (3, 0), (0, 3), n]
+            assert not relation_value([one] * 3 + [ledrappier], apart, ledrappier).is_zero
+
     def test_dimension_mismatch_rejected(self, ledrappier):
         # a 2-D coefficient with a 1-D or a 3-D exponent vector
         for n in ((0,), (0, 0, 1)):
