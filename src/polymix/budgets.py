@@ -7,7 +7,8 @@ detector's placements, the hull's tests and normals, a division's term
 pairs) the path reads the limit that way once, compares its running
 count against it, and calls ``check`` again only once the count passes
 it, which raises.  The search reads the limit once too, to stop counting
-its candidates just past it.  ``POLYMIX_BUDGET`` (an integer) overrides
+its candidates just past it, and ``quotient`` reads the ``residue`` limit
+when f is first prepared as a modulus.  ``POLYMIX_BUDGET`` (an integer) overrides
 every budget at once; when it is unset the defaults below apply.  A
 value that is not a positive integer is a ``ParseError``, read when a
 budget is first checked.

@@ -2,7 +2,7 @@
 
     polymix analyze    POLY.json [--max-k K]
     polymix bounds     POLY.json
-    polymix tightness  SKELETON.json [--tolerance T]
+    polymix tightness  SKELETON.json
     polymix certify    POLY.json --max-k K
     polymix measure    POLY.json --cylinder CYL.json [--shifts JSON] [--method M]
     polymix experiment POLY.json --shape JSON --cylinder CYL.json --k-range LO:HI
@@ -14,11 +14,11 @@ error (malformed input file or inline JSON, such as `true`, a float or a
 string where an integer is expected, a NaN or infinite skeleton vertex
 entry, bytes that are not UTF-8, an integer of more digits than Python
 reads or nesting deeper than its recursion limit; an option value out of
-range -- a negative --max-k, --K, --radius, --coeff-degree or --tolerance,
-a NaN or infinite --tolerance, an --r below 2 -- or a POLYMIX_BUDGET that
-is not a positive integer), 2 degenerate input
-(zero/monomial polynomial, degenerate polytope, or a float skeleton whose
-edge directions leave float range) or a usage error reported by argparse
+range -- a negative --max-k, --K, --radius or --coeff-degree, an --r
+below 2 -- or a POLYMIX_BUDGET that is not a positive integer),
+2 degenerate input (zero/monomial polynomial, degenerate polytope,
+repeated --shape points, or a float skeleton whose edge directions leave
+float range) or a usage error reported by argparse
 (an unknown subcommand or flag, a missing required flag, or a flag value
 of the wrong type, such as --max-k x), 3 budget exceeded
 (the message names the budget, its use and its limit), 4 internal error
@@ -43,8 +43,6 @@ residues, as they are formed).
 
 from __future__ import annotations
 
-import json
-import math
 import os
 import reprlib
 import sys
@@ -52,13 +50,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import budgets, jsonio
-from .errors import (
-    BudgetExceededError,
-    InternalInconsistencyError,
-    ParseError,
-    TrivialQuotientError,
-)
-from .laurent import is_json_int, to_json_dict
+from .errors import BudgetExceededError, InternalInconsistencyError, ParseError
 from .measure import joint_measure, mixing_experiment
 from .mixing import (
     IRREDUCIBILITY_WARNING,
@@ -66,34 +58,15 @@ from .mixing import (
     mixing_bounds,
     search_relations,
 )
-from .redraw import DEFAULT_TOLERANCE, redraw_space
+from .redraw import redraw_space
 from .seqgeom import detect_redrawing
 
 if TYPE_CHECKING:
     import argparse
 
 
-def _parse_inline(text: str, what: str):
-    try:
-        return json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise ParseError(f"bad inline JSON for {what}: {exc}") from exc
-
-
-def _vector_list(data, dim: int, what: str) -> list[tuple[int, ...]]:
-    if not isinstance(data, list) or not data:
-        raise ParseError(f"{what} must be a non-empty list of vectors")
-    out = []
-    for v in data:
-        if not isinstance(v, list) or len(v) != dim or not all(map(is_json_int, v)):
-            raise ParseError(f"{what} entry {reprlib.repr(v)} is not an integer vector of length {dim}")
-        out.append(tuple(v))
-    return out
-
-
 def _at_least(value, lo: int, flag: str):
-    # written so that a NaN fails too
-    if not value >= lo:
+    if value < lo:
         raise ParseError(f"{flag} must be >= {lo}, got {value}")
     return value
 
@@ -104,7 +77,7 @@ def _cmd_analyze(args) -> dict:
     bounds, polytope = mixing_bounds(poly)
     certificate = frobenius_certificate(poly, max_k)
     return {
-        "input": to_json_dict(poly),
+        "input": jsonio.to_json_dict(poly),
         "support": [list(n) for n in sorted(poly.terms)],
         "polytope": jsonio.polytope_json(polytope),
         "bounds": jsonio.bounds_json(bounds),
@@ -117,18 +90,14 @@ def _cmd_bounds(args) -> dict:
     poly = jsonio.load_poly(args.poly)
     bounds, polytope = mixing_bounds(poly)
     return {
-        "input": to_json_dict(poly),
+        "input": jsonio.to_json_dict(poly),
         "polytope": jsonio.polytope_json(polytope),
         "bounds": jsonio.bounds_json(bounds),
     }
 
 
 def _cmd_tightness(args) -> dict:
-    skeleton = jsonio.load_skeleton(args.skeleton)
-    tolerance = _at_least(args.tolerance, 0, "--tolerance")
-    if tolerance == math.inf:
-        raise ParseError(f"--tolerance must be finite, got {tolerance}")
-    return jsonio.redraw_json(redraw_space(skeleton, tolerance=tolerance))
+    return jsonio.redraw_json(redraw_space(jsonio.load_skeleton(args.skeleton)))
 
 
 def _cmd_certify(args) -> dict:
@@ -143,7 +112,7 @@ def _cmd_measure(args) -> dict:
     if args.shifts is None:
         shifts = [(0,) * poly.dim]
     else:
-        shifts = _vector_list(_parse_inline(args.shifts, "--shifts"), poly.dim, "--shifts")
+        shifts = jsonio.parse_vectors(args.shifts, poly.dim, "--shifts")
     events = [(s, cylinder) for s in shifts]
     return jsonio.measure_json(joint_measure(poly, events, method=args.method))
 
@@ -161,7 +130,7 @@ def _parse_k_range(text: str) -> range:
 
 def _cmd_experiment(args) -> dict:
     poly = jsonio.load_poly(args.poly)
-    shape = _vector_list(_parse_inline(args.shape, "--shape"), poly.dim, "--shape")
+    shape = jsonio.parse_vectors(args.shape, poly.dim, "--shape")
     cylinder = jsonio.load_cylinder(args.cylinder, poly.dim)
     rows = mixing_experiment(
         poly,
@@ -189,7 +158,7 @@ def _cmd_experiment(args) -> dict:
 
 def _cmd_detect(args) -> dict:
     poly = jsonio.load_poly(args.poly)
-    points = _vector_list(_parse_inline(args.tuple, "--tuple"), poly.dim, "--tuple")
+    points = jsonio.parse_vectors(args.tuple, poly.dim, "--tuple")
     match = detect_redrawing(poly, points, _at_least(args.K, 0, "--K"))
     return jsonio.match_json(match)
 
@@ -222,9 +191,7 @@ _COMMANDS = {
                         [_POLY, _MAX_K], _cmd_analyze),
     "bounds": _Command("mixing-order bounds only", [_POLY], _cmd_bounds),
     "tightness": _Command("parallel-redrawing dimension of a skeleton",
-                          [("skeleton", {}),
-                           ("--tolerance", {"type": float, "default": DEFAULT_TOLERANCE})],
-                          _cmd_tightness),
+                          [("skeleton", {})], _cmd_tightness),
     "certify": _Command("verify the dilated-support relation up to --max-k",
                         [_POLY, _MAX_K], _cmd_certify),
     "measure": _Command("exact measure of a (joint) cylinder event",
@@ -314,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    except (TrivialQuotientError, ValueError) as exc:
+    except ValueError as exc:
         print(f"degenerate input: {exc}", file=sys.stderr)
         return 2
     except BudgetExceededError as exc:

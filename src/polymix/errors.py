@@ -9,15 +9,17 @@ class ParseError(PolymixError):
     """Malformed input file, schema violation, option or setting."""
 
 
-class TrivialQuotientError(PolymixError):
+class TrivialQuotientError(PolymixError, ValueError):
     """The modulus is zero or a monomial, so the quotient ring is trivial."""
 
 
 class BudgetExceededError(PolymixError):
     """A computation would exceed one of the budgets of ``budgets``.
 
-    Raised only by ``budgets.check``, before the work starts; the message
-    names the budget, its use and its limit.
+    Raised by ``budgets.check``: before the work starts where the size is
+    known up front, and mid-work where a running count passes the limit
+    (the hull's tests, the detector's placements, the residue term pairs).
+    The message names the budget, its use and its limit.
     """
 
 

@@ -1,4 +1,4 @@
-"""Published JSON schemas and canonical serialization.
+"""Published JSON schemas, the parsers that read them, and canonical serialization.
 
 Schemas:
   polynomial   {"p": int, "d": int, "terms": [{"e": [int,...], "c": int}, ...]}
@@ -6,12 +6,15 @@ Schemas:
   skeleton     {"dim": d, "vertices": [[...],...], "edges": [[i,j],...]}
                (vertex entries: ints, floats, or exact rationals "a/b")
   cylinder     {"window": [[int,...],...], "values": [int,...]}
+  vectors      [[int,...],...], inline for --shape, --tuple and --shifts
   certificate  {"shape": [[...]], "coeffs": [...], "verified_k": [...],
                 "frobenius_family": bool}
   fractions    {"num": int, "den": int}
 
-Serialization is canonical: sorted keys, fixed separators, so repeated
-runs on the same input are byte-identical.
+Every integer vector (an exponent, a window point, an edge, an inline
+entry) is read by ``int_vector``, and a schema violation is a
+``ParseError``.  Serialization is canonical: sorted keys, fixed
+separators, so repeated runs on the same input are byte-identical.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .errors import ParseError
-from .laurent import LaurentPoly, from_json_dict, is_json_int, to_json_dict
+from .laurent import LaurentPoly
 from .measure import CylinderSpec, MeasureResult
 from .mixing import MixingBounds, ShapeCertificate
 from .polytope import LatticePolytope
@@ -101,11 +104,68 @@ def _load_json(path: str):
         raise ParseError(f"cannot read JSON from {path}: {exc}") from exc
 
 
+def is_json_int(x) -> bool:
+    """Is x a JSON integer?  ``true`` and ``false`` load as bools, which are ints."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def int_vector(v, dim: int, what: str) -> tuple[int, ...]:
+    """``v``, a JSON list of ``dim`` integers, as a tuple; ``what`` names it in the error."""
+    if not isinstance(v, list) or len(v) != dim or not all(map(is_json_int, v)):
+        raise ParseError(f"{what} {reprlib.repr(v)} is not an integer vector of length {dim}")
+    return tuple(v)
+
+
+def parse_vectors(text: str, dim: int, flag: str) -> list[tuple[int, ...]]:
+    """The inline JSON of ``flag``: a non-empty list of integer vectors of length ``dim``."""
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"bad inline JSON for {flag}: {exc}") from exc
+    if not isinstance(data, list) or not data:
+        raise ParseError(f"{flag} must be a non-empty list of vectors")
+    return [int_vector(v, dim, f"{flag} entry") for v in data]
+
+
+def to_json_dict(g: LaurentPoly) -> dict:
+    return {
+        "p": g.p,
+        "d": g.dim,
+        "terms": [{"e": list(e), "c": g.terms[e]} for e in sorted(g.terms)],
+    }
+
+
+def from_json_dict(data) -> LaurentPoly:
+    """The polynomial of a polynomial JSON object.
+
+    A schema violation is a ``ParseError``; a p that is not a prime or a d
+    below 1 is the ``ValueError`` of the constructor.
+    """
+    if not isinstance(data, dict):
+        raise ParseError("polynomial JSON must be an object")
+    missing = {"p", "d", "terms"} - set(data)
+    if missing:
+        raise ParseError(f"polynomial JSON missing keys: {sorted(missing)}")
+    p, d, terms = data["p"], data["d"], data["terms"]
+    if not is_json_int(p) or not is_json_int(d):
+        raise ParseError("'p' and 'd' must be integers")
+    if not isinstance(terms, list):
+        raise ParseError("'terms' must be a list")
+    pairs = []
+    for t in terms:
+        if not isinstance(t, dict) or "e" not in t or "c" not in t:
+            raise ParseError(f"malformed term {reprlib.repr(t)}")
+        if not is_json_int(t["c"]):
+            raise ParseError(f"term coefficient {reprlib.repr(t['c'])} is not an integer")
+        pairs.append((int_vector(t["e"], d, "term exponent"), t["c"]))
+    return LaurentPoly(p, d, pairs)
+
+
 def load_poly(path: str) -> LaurentPoly:
     data = _load_json(path)
     try:
         return from_json_dict(data)
-    except ValueError as exc:
+    except (ParseError, ValueError) as exc:
         raise ParseError(f"bad polynomial file {path}: {exc}") from exc
 
 
@@ -134,10 +194,11 @@ def load_skeleton(path: str) -> Skeleton:
         raise ParseError(f"skeleton JSON missing key {exc}") from exc
     if not is_json_int(dim):
         raise ParseError(f"skeleton dim {reprlib.repr(dim)} is not an integer")
-    if not isinstance(edges, list) or not all(
-        isinstance(e, list) and len(e) == 2 and all(map(is_json_int, e)) for e in edges
-    ):
-        raise ParseError("skeleton edges must be pairs of integer vertex indices")
+    if not isinstance(vertices, list) or not all(isinstance(v, list) for v in vertices):
+        raise ParseError("skeleton vertices must be a list of lists")
+    if not isinstance(edges, list):
+        raise ParseError("skeleton edges must be a list of vertex index pairs")
+    edges = [int_vector(e, 2, "skeleton edge") for e in edges]
     try:
         positions = [tuple(_rational_entry(x) for x in v) for v in vertices]
         return make_skeleton(dim, positions, edges)
@@ -155,15 +216,14 @@ def load_cylinder(path: str, dim: int) -> CylinderSpec:
         raise ParseError("cylinder 'window' and 'values' must be lists")
     if len(window) != len(values):
         raise ParseError("cylinder window and values differ in length")
+    pairs = []
+    for w, v in zip(window, values):
+        w = int_vector(w, dim, "window point")
+        if not is_json_int(v):
+            raise ParseError(
+                f"window point {reprlib.repr(w)} has the non-integer value {reprlib.repr(v)}")
+        pairs.append((w, v))
     try:
-        pairs = []
-        for w, v in zip(window, values):
-            if not isinstance(w, list) or not all(map(is_json_int, w)) or not is_json_int(v):
-                raise ParseError(
-                    f"window point {reprlib.repr(w)} and value {reprlib.repr(v)} must be integers")
-            if len(w) != dim:
-                raise ParseError(f"window point {reprlib.repr(tuple(w))} does not have dimension {dim}")
-            pairs.append((w, v))
         return CylinderSpec.from_pairs(pairs)
     except ValueError as exc:
         raise ParseError(f"bad cylinder JSON: {exc}") from exc

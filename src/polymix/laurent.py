@@ -290,44 +290,3 @@ def poly_pow(g: LaurentPoly, n: int) -> LaurentPoly:
         n >>= 1
     return result
 
-
-# -- canonical JSON format ---------------------------------------------------
-#
-#   {"p": <int>, "d": <int>, "terms": [{"e": [<int>, ...], "c": <int>}, ...]}
-
-
-def is_json_int(x) -> bool:
-    """Is x a JSON integer?  ``true`` and ``false`` load as bools, which are ints."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def to_json_dict(g: LaurentPoly) -> dict:
-    return {
-        "p": g.p,
-        "d": g.dim,
-        "terms": [{"e": list(e), "c": g.terms[e]} for e in sorted(g.terms)],
-    }
-
-
-def from_json_dict(data: dict) -> LaurentPoly:
-    if not isinstance(data, dict):
-        raise ValueError("polynomial JSON must be an object")
-    missing = {"p", "d", "terms"} - set(data)
-    if missing:
-        raise ValueError(f"polynomial JSON missing keys: {sorted(missing)}")
-    p, d, terms = data["p"], data["d"], data["terms"]
-    if not is_json_int(p) or not is_json_int(d):
-        raise ValueError("'p' and 'd' must be integers")
-    if not isinstance(terms, list):
-        raise ValueError("'terms' must be a list")
-    pairs = []
-    for t in terms:
-        if not isinstance(t, dict) or "e" not in t or "c" not in t:
-            raise ValueError(f"malformed term {reprlib.repr(t)}")
-        e, c = t["e"], t["c"]
-        if not isinstance(e, list) or len(e) != d:
-            raise ValueError(f"term exponent {reprlib.repr(e)} does not have length d={d}")
-        if not all(map(is_json_int, e)) or not is_json_int(c):
-            raise ValueError(f"term {reprlib.repr(t)} has non-integer entries")
-        pairs.append((tuple(e), c))
-    return make_poly(FieldSpec(p), d, pairs)

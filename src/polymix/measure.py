@@ -42,9 +42,9 @@ from operator import add, sub
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from . import budgets, gfp
-from .errors import BudgetExceededError, InternalInconsistencyError, TrivialQuotientError
+from .errors import BudgetExceededError, InternalInconsistencyError
 from .laurent import ExponentVec, LaurentPoly
-from .quotient import monomial_residue
+from .quotient import check_modulus, monomial_residue
 
 if TYPE_CHECKING:
     import numpy as np
@@ -104,11 +104,6 @@ class SolutionSpace:
     dimension: int
 
 
-def _check_modulus(f: LaurentPoly) -> None:
-    if f.is_zero or f.is_monomial:
-        raise TrivialQuotientError("shift space needs a non-monomial relation")
-
-
 def _check_box(box: Box, dim: int) -> None:
     if len(box) != dim:
         raise ValueError(f"box has {len(box)} axes, polynomial has {dim}")
@@ -154,7 +149,7 @@ def _constraint_matrix(f: LaurentPoly, box: Box) -> np.ndarray:
 
 def solution_space(f: LaurentPoly, box: Box) -> SolutionSpace:
     """Basis of the configurations on the box meeting every contained relation."""
-    _check_modulus(f)
+    check_modulus(f)
     box = tuple((int(lo), int(hi)) for lo, hi in box)
     cells = _box_cells(box, f.dim)
     budgets.check("cells", len(cells))
@@ -190,7 +185,7 @@ def box_projected_dimension(
     """
     import numpy as np
 
-    _check_modulus(f)
+    check_modulus(f)
     gfp.check_modulus(f.p)
     box = tuple((int(lo), int(hi)) for lo, hi in box)
     _check_box(box, f.dim)
@@ -291,7 +286,7 @@ def cylinder_measure(
     method: str = "exact",
 ) -> MeasureResult:
     """Haar measure of the event {x restricted to the window = values}."""
-    _check_modulus(f)
+    check_modulus(f)
     for w in cyl.window:
         if len(w) != f.dim:
             raise ValueError(f"window point {w} has wrong dimension")
@@ -324,7 +319,7 @@ def joint_measure(
     a cylinder on W under alpha^n is the cylinder on W + n with the same
     values.
     """
-    _check_modulus(f)
+    check_modulus(f)
     merged = merge_events(events)
     if merged is None:
         return MeasureResult(f.p, None, 0, True, "merge")
@@ -351,8 +346,10 @@ def mixing_experiment(
 
     Each row reports the joint measure of the cylinders shifted by
     k * shape, the product of the single measures, and the gap between
-    them.
+    them.  Repeated shape points never move apart, so they are refused.
     """
+    if len(set(map(tuple, shape))) != len(shape):
+        raise ValueError("shape has repeated points")
     rows: list[ExperimentRow] = []
     product = math.prod((cylinder_measure(f, cyl, method=method).value for cyl in cylinders),
                         start=Fraction(1))
@@ -383,7 +380,7 @@ def brute_force_counts(
     """
     import numpy as np
 
-    _check_modulus(f)
+    check_modulus(f)
     p = f.p
     cells = _box_cells(tuple((int(a), int(b)) for a, b in box), f.dim)
     n_cells = len(cells)

@@ -27,7 +27,7 @@ from . import budgets, quotient
 from .errors import InternalInconsistencyError
 from .laurent import ExponentVec, LaurentPoly, _raw, frobenius_power, zero
 from .polytope import LatticePolytope, hull
-from .quotient import leading_term, monomial_residue, nf, normalize
+from .quotient import check_modulus, leading_term, monomial_residue, nf, normalize
 from .redraw import redraw_space, skeleton_from_polytope
 
 IRREDUCIBILITY_WARNING = (
@@ -48,8 +48,7 @@ class MixingBounds:
 
 def mixing_bounds(f: LaurentPoly) -> tuple[MixingBounds, LatticePolytope]:
     """Mixing-order bounds and the tightness conclusion for f."""
-    if len(f.terms) < 2:
-        raise ValueError("bounds need a polynomial with at least two terms")
+    check_modulus(f)
     poly = hull(f.support())
     v = poly.vertex_count
     size = len(f.terms)
@@ -107,8 +106,7 @@ def frobenius_certificate(f: LaurentPoly, k_max: int) -> ShapeCertificate:
     ``experiment`` budget bounds the k_max + 1 rows of ``verified_k``.
     A failed check raises ``InternalInconsistencyError``.
     """
-    if f.is_zero or f.is_monomial:
-        raise ValueError("certificates need a non-monomial polynomial")
+    check_modulus(f)
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     budgets.check("experiment", k_max + 1)
@@ -231,8 +229,7 @@ def search_relations(
     coefficient-weighted table entries is zero, and no candidate is
     divided.
     """
-    if f.is_zero or f.is_monomial:
-        raise ValueError("search needs a non-monomial polynomial")
+    check_modulus(f)
     if r < 2:
         raise ValueError("shapes need at least two points")
 

@@ -17,10 +17,12 @@ Term order: graded lexicographic, ties between monomials of equal total
 degree broken lexicographically with the *last* variable most
 significant.  Under this order the leading term of 1 + u1 + u2 is u2.
 
-The modulus is prepared once: the first call with a given f normalizes
-it, finds its leading term, the inverse of that coefficient and the tail,
-and keeps them in f's ``_modulus`` slot with two residue tables, the axis
-squares u_i^(2^j) and the monomial residues already computed.  Every later
+``check_modulus`` is the one test that f is a usable modulus: neither
+zero nor a monomial.  The modulus is prepared once: the first call with a
+given f checks it, normalizes it, finds its leading term, the inverse of
+that coefficient and the tail, reads the ``residue`` limit, and keeps
+them in f's ``_modulus`` slot with two residue tables, the axis squares
+u_i^(2^j) and the monomial residues already computed.  Every later
 call with the same f (one query holds one f) reuses them; nothing is kept
 at module level, so the tables go when f does.
 
@@ -37,9 +39,10 @@ remainder is unique, a residue taken from a table, from a neighbour or
 by a fresh division is the same polynomial.  The ``residue`` budget
 bounds the term pairs multiplied for one modulus's tables, in its
 products and neighbour steps and in the division steps that reduce them.
-That count lives with the tables, on the polynomial object, and is never
-reset: a library caller who reuses one f across queries shares one count
-among them, while the command line loads f afresh for each query.
+Its limit is read once, when f is first prepared, and its count lives
+with the tables, on the polynomial object, and is never reset: a library
+caller who reuses one f across queries shares one count among them,
+while the command line loads f afresh for each query.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from .laurent import ExponentVec, LaurentPoly, _raw, monomial, one
 
 __all__ = [
     "Residue",
+    "check_modulus",
     "grlex_key",
     "leading_term",
     "normalize",
@@ -103,6 +107,12 @@ def _heapkey(e: ExponentVec):
     return (-sum(e), tuple(map(neg, reversed(e))))
 
 
+def check_modulus(f: LaurentPoly) -> None:
+    """Raise ``TrivialQuotientError`` when f is zero or a monomial."""
+    if f.is_zero or f.is_monomial:
+        raise TrivialQuotientError("modulus is zero or a monomial, quotient ring is trivial")
+
+
 class _Modulus:
     """Division data of f, computed once, and the residues shared against it.
 
@@ -111,9 +121,10 @@ class _Modulus:
     reuses its axis squares and monomial residues.
     """
 
-    __slots__ = ("p", "lt", "lt_inv", "tail", "squares", "monomials", "spent")
+    __slots__ = ("p", "lt", "lt_inv", "tail", "squares", "monomials", "spent", "limit")
 
     def __init__(self, f: LaurentPoly) -> None:
+        check_modulus(f)
         fhat, _ = normalize(f)
         p = self.p = f.p
         self.lt, lt_c = leading_term(fhat)
@@ -123,22 +134,25 @@ class _Modulus:
         self.squares: dict[tuple[int, int], LaurentPoly] = {}
         self.monomials: dict[ExponentVec, LaurentPoly] = {}
         self.spent = 0  # residue budget use; threads sharing f may lose an update
+        self.limit = budgets.check("residue", 0)
+
+    def charge(self, pairs: int) -> None:
+        """Add term pairs to the ``residue`` use, raising once it passes the limit."""
+        self.spent += pairs
+        if self.spent > self.limit:
+            budgets.check("residue", self.spent)
 
 
 def _prepared(f: LaurentPoly) -> _Modulus:
     prepared = getattr(f, "_modulus", None)
     if prepared is None:
-        if f.is_zero or f.is_monomial:
-            raise TrivialQuotientError(
-                "modulus is zero or a monomial, quotient ring is trivial"
-            )
         prepared = _Modulus(f)
         object.__setattr__(f, "_modulus", prepared)
     return prepared
 
 
 def _divide(work: dict[ExponentVec, int], m: _Modulus, quotient=None,
-            limit: int | None = None) -> dict[ExponentVec, int]:
+            charge: bool = False) -> dict[ExponentVec, int]:
     """Remainder of division by the normalized modulus; consumes ``work``.
 
     Only terms divisible by the leading term enter the heap, largest
@@ -147,8 +161,8 @@ def _divide(work: dict[ExponentVec, int], m: _Modulus, quotient=None,
     are left in place as the remainder.  The remainder is unique (a single
     divisor is a Groebner basis), whatever the order of the steps.  Each
     step's quotient term goes into the dict ``quotient`` when one is given.
-    Given the ``residue`` budget's ``limit``, each step charges its term
-    pairs, its quotient term times the tail, to the modulus's count.
+    With ``charge``, each step charges its term pairs, its quotient term
+    times the tail, to the modulus's ``residue`` count.
     """
     p, lt, lt_inv, tail = m.p, m.lt, m.lt_inv, m.tail
     heap = [(_heapkey(e), e) for e in work if all(map(ge, e, lt))]
@@ -158,10 +172,8 @@ def _divide(work: dict[ExponentVec, int], m: _Modulus, quotient=None,
         c = work.pop(e, None)
         if c is None:
             continue  # stale entry
-        if limit is not None:
-            m.spent += len(tail)
-            if m.spent > limit:
-                budgets.check("residue", m.spent)
+        if charge:
+            m.charge(len(tail))
         q = (c * lt_inv) % p
         base = tuple(map(sub, e, lt))
         if quotient is not None:
@@ -219,11 +231,10 @@ def residue_mul(a: LaurentPoly, b: LaurentPoly, f: LaurentPoly) -> LaurentPoly:
     is formed, and those of its division steps as they run.
     """
     m = _prepared(f)
-    m.spent += len(a.terms) * len(b.terms)
-    limit = budgets.check("residue", m.spent)
+    m.charge(len(a.terms) * len(b.terms))
     g = a * b
     g._check_compatible(f)
-    return _raw(f.field, f.dim, _divide(dict(_lift(g).terms), m, limit=limit))
+    return _raw(f.field, f.dim, _divide(dict(_lift(g).terms), m, charge=True))
 
 
 def power_residue(g: LaurentPoly, n: int, f: LaurentPoly) -> LaurentPoly:
@@ -279,10 +290,9 @@ def monomial_residue(exps: ExponentVec, f: LaurentPoly) -> LaurentPoly:
     for axis, x in enumerate(exps):
         neighbour = m.monomials.get(exps[:axis] + (x - 1,) + exps[axis + 1:]) if x else None
         if neighbour is not None:
-            m.spent += len(neighbour.terms)
-            limit = budgets.check("residue", m.spent)
+            m.charge(len(neighbour.terms))
             step = {e[:axis] + (e[axis] + 1,) + e[axis + 1:]: c for e, c in neighbour.terms.items()}
-            result = _raw(f.field, f.dim, _divide(step, m, limit=limit))
+            result = _raw(f.field, f.dim, _divide(step, m, charge=True))
             break
     else:
         result = nf(one(f.field, f.dim), f)

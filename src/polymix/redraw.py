@@ -18,7 +18,8 @@ joined by such triangles, often one or two on a polytope, and a
 fraction-free integer rank (``lattice.int_rank``).  For float positions
 (irrational catalog solids such as the icosahedron) the constraints are
 written over the d*V vertex coordinates, d - 1 minors per edge
-(``constraint_rows``), and ranked by SVD with a relative tolerance.
+(``constraint_rows``), and ranked by SVD with the relative tolerance
+``TOLERANCE``, which float results report.
 Both systems count against the ``redraw`` budget before they are ranked,
 and so does the triangle scan that forms the exact path's scale classes.
 """
@@ -35,7 +36,7 @@ from .errors import InternalInconsistencyError
 from .lattice import int_rank
 from .polytope import LatticePolytope
 
-DEFAULT_TOLERANCE = 1e-9
+TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,7 @@ def constraint_rows(skeleton: Skeleton) -> list[list]:
     return rows
 
 
-def _rank_approx(rows: list[list], tolerance: float) -> int:
+def _rank_approx(rows: list[list]) -> int:
     if not rows:
         return 0
     import numpy as np  # here, so that exact skeletons never load numpy
@@ -137,7 +138,7 @@ def _rank_approx(rows: list[list], tolerance: float) -> int:
     sv = np.linalg.svd(mat, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > tolerance * sv[0]))
+    return int(np.sum(sv > TOLERANCE * sv[0]))
 
 
 def _edge_classes(directions: list, pairs: list[tuple[int, int]],
@@ -263,7 +264,7 @@ def _exact_dimension(skeleton: Skeleton) -> int:
     return d * components + len(column) - int_rank(rows)
 
 
-def redraw_space(skeleton: Skeleton, tolerance: float = DEFAULT_TOLERANCE) -> RedrawSpace:
+def redraw_space(skeleton: Skeleton) -> RedrawSpace:
     """Dimension of the space of parallel redrawings and the tightness verdict."""
     if not skeleton.edges:
         raise ValueError("skeleton has no edges")
@@ -276,11 +277,11 @@ def redraw_space(skeleton: Skeleton, tolerance: float = DEFAULT_TOLERANCE) -> Re
     else:
         budgets.check("redraw", (d - 1) * len(skeleton.edges) * unknowns)
         try:
-            dimension = unknowns - _rank_approx(constraint_rows(skeleton), tolerance)
+            dimension = unknowns - _rank_approx(constraint_rows(skeleton))
         except OverflowError as exc:  # an integer or rational beyond float range
             raise ValueError(f"a vertex entry is too large for floating point: {exc}") from exc
         arithmetic = "approximate"
-        tol = tolerance
+        tol = TOLERANCE
     if dimension < d + 1:
         raise InternalInconsistencyError(
             f"redrawing space of dimension {dimension} < {d + 1}: "

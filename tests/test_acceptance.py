@@ -94,7 +94,7 @@ def test_criterion_3_tightness_catalog():
         space = redraw_space(skel)
         ok = ok and space.arithmetic == "exact"
         ok = ok and space.dimension == dim and space.tight == tight
-    ico = redraw_space(icosahedron_skeleton(), tolerance=1e-9)
+    ico = redraw_space(icosahedron_skeleton())
     ok = ok and ico.arithmetic == "approximate" and ico.tight and ico.dimension == 4
     report(3, "tightness catalog matches (triangle/square/tet/oct/cube/icosahedron)", ok)
 

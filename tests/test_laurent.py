@@ -5,12 +5,14 @@ import pytest
 
 from polymix import (
     FieldSpec,
+    ParseError,
     frobenius_power,
     make_poly,
     poly_pow,
     zero,
 )
-from polymix.laurent import MAX_PRIME, _is_prime, from_json_dict, to_json_dict
+from polymix.jsonio import from_json_dict, to_json_dict
+from polymix.laurent import MAX_PRIME, _is_prime
 
 from conftest import random_poly
 
@@ -207,7 +209,7 @@ class TestJson:
 
     def test_rejects_wrong_exponent_length(self):
         data = {"p": 2, "d": 2, "terms": [{"e": [0], "c": 1}]}
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             from_json_dict(data)
 
     def test_rejects_non_prime(self):
@@ -216,10 +218,10 @@ class TestJson:
             from_json_dict(data)
 
     def test_rejects_missing_keys(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             from_json_dict({"p": 2, "terms": []})
 
     def test_rejects_non_integer_entries(self):
         data = {"p": 2, "d": 1, "terms": [{"e": [0.5], "c": 1}]}
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             from_json_dict(data)

@@ -2,21 +2,28 @@ import random
 import sys
 import threading
 from itertools import product
+from unittest import mock
 
 import pytest
 
 from polymix import (
     BudgetExceededError,
+    CylinderSpec,
     TrivialQuotientError,
+    cylinder_measure,
+    frobenius_certificate,
     frobenius_power,
+    joint_measure,
     make_poly,
+    mixing_bounds,
     monomial,
     normalize,
     poly_pow,
     reduce,
+    search_relations,
     zero,
 )
-from polymix import quotient
+from polymix import budgets, quotient
 from polymix.quotient import (
     grlex_key,
     leading_term,
@@ -336,6 +343,35 @@ class TestPreparedModulus:
                     monomial_residue((2, 1), f)
                 with pytest.raises(TrivialQuotientError):
                     power_residue(ledrappier, 3, f)
+
+    def test_every_modulus_user_raises_trivial_quotient(self, ledrappier):
+        # one rule and one error class, which callers may catch as ValueError
+        assert issubclass(TrivialQuotientError, ValueError)
+        cell = CylinderSpec.from_pairs([((0, 0), 0)])
+        uses = [
+            lambda f: reduce(ledrappier, f),
+            lambda f: monomial_residue((2, 1), f),
+            lambda f: cylinder_measure(f, cell, method="exact"),
+            lambda f: cylinder_measure(f, cell, method="box"),
+            lambda f: joint_measure(f, [((0, 0), cell), ((1, 0), cell)]),
+            mixing_bounds,
+            lambda f: frobenius_certificate(f, 3),
+            lambda f: search_relations(f, 2, 1),
+        ]
+        message = "^modulus is zero or a monomial, quotient ring is trivial$"
+        for f in (zero(2, 2), monomial(2, 2, (1, 0))):
+            for use in uses:
+                with pytest.raises(TrivialQuotientError, match=message):
+                    use(f)
+
+    def test_residue_limit_read_once_per_modulus(self, square_f3, monkeypatch):
+        # the 156 residues of a 13 x 12 window each charge the count, against
+        # the limit read when the modulus was prepared
+        monkeypatch.delenv("POLYMIX_BUDGET", raising=False)
+        cyl = CylinderSpec.from_pairs(((x, y), 0) for x in range(13) for y in range(12))
+        with mock.patch.object(budgets, "_override", wraps=budgets._override) as reads:
+            assert cylinder_measure(square_f3, cyl).exponent is not None
+        assert reads.call_count == 1
 
     def test_modulus_keeps_equality_and_immutability(self, square_f3):
         twin = make_poly(3, 2, [((0, 0), 1), ((1, 0), 1), ((0, 1), 1), ((1, 1), 2)])

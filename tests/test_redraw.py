@@ -62,7 +62,7 @@ class TestCatalog:
         assert space.dimension == 8 and not space.tight
 
     def test_icosahedron_tight_approximate(self):
-        space = redraw_space(icosahedron_skeleton(), tolerance=1e-9)
+        space = redraw_space(icosahedron_skeleton())
         assert space.arithmetic == "approximate"
         assert space.dimension == 4 and space.tight
 

@@ -95,7 +95,7 @@ ABBREVIATIONS = ["--max", "--tol", "--cyl", "--sh", "--shi", "--me", "--k-r", "-
 SPECIAL = ["--", "-h", "--help", "-x", "-"]
 VALUES = ["3", "0", "12", "-1", "-0.5", "2.5", "1e-9", "nan", "inf", "1e400", "-inf", "junk", "",
           " 7", "exact", "box", "Exact", "[[0,0],[1,0]]", "1:3", "poly.json"]
-GOOD = {"--max-k": ["0", "3", "12"], "--tolerance": ["1e-9", "0", "0.5"],
+GOOD = {"--max-k": ["0", "3", "12"],
         "--cylinder": ["cyl.json"], "--shifts": ["[[0,0],[4,0]]"], "--method": ["exact", "box"],
         "--shape": ["[[0,0],[1,0]]"], "--k-range": ["1:3"], "--tuple": ["[[0,0],[1,0]]"],
         "--K": ["0", "2"], "--r": ["2", "3"], "--radius": ["0", "1"], "--coeff-degree": ["0", "1"]}
