@@ -23,11 +23,18 @@ from math import gcd, prod
 from operator import add, sub
 from typing import Sequence
 
-from . import budgets, quotient
+from . import budgets
 from .errors import InternalInconsistencyError
-from .laurent import ExponentVec, LaurentPoly, _raw, frobenius_power, zero
+from .laurent import ExponentVec, LaurentPoly, frobenius_power, zero
 from .polytope import LatticePolytope, hull
-from .quotient import check_modulus, leading_term, monomial_residue, nf, normalize
+from .quotient import (
+    check_modulus,
+    divides_exactly,
+    leading_term,
+    monomial_residue,
+    nf,
+    normalize,
+)
 from .redraw import redraw_space, skeleton_from_polytope
 
 IRREDUCIBILITY_WARNING = (
@@ -95,6 +102,9 @@ def frobenius_certificate(f: LaurentPoly, k_max: int) -> ShapeCertificate:
     - k = 0: fhat reduces to zero modulo f;
     - k = 1: ``frobenius_power(fhat, 1)`` divided by f leaves remainder
       zero and a quotient g with fhat g the relation read off the shape.
+      ``quotient.divides_exactly`` packs the dilation once, keeps g on
+      packed keys, and forms fhat g and compares it with the relation,
+      both read off f's own terms, in the same packed frame.
 
     Substituting u -> u^(p^(k-1)) is a ring endomorphism, so
     fhat(u^(p^k)) = fhat(u^(p^(k-1))) g(u^(p^(k-1))), a multiple of f by
@@ -120,11 +130,8 @@ def frobenius_certificate(f: LaurentPoly, k_max: int) -> ShapeCertificate:
     if k_max > 0:
         budgets.check("division", prod(f.p * max(axis) // (gcd(*axis) or 1) + 1
                                        for axis in zip(*fhat.terms)))
-        g: dict[ExponentVec, int] = {}
-        dilated = frobenius_power(fhat, 1).terms
-        remainder = quotient._divide(dict(dilated), quotient._prepared(f), g)
         relation = {tuple(f.p * (x - b) for x, b in zip(n, base)): c for n, c in f.terms.items()}
-        if remainder or (fhat * _raw(f.field, f.dim, g)).terms != relation:
+        if not divides_exactly(frobenius_power(fhat, 1).terms, f, relation):
             raise InternalInconsistencyError(
                 "f(u^p) is not f times its division quotient: "
                 "the dilated support relation is unproved"

@@ -28,8 +28,34 @@ at module level, so the tables go when f does.
 
 ``_divide`` is the one division loop.  Every residue comes from it, and
 it can also keep the quotient: the certificate of ``mixing`` divides
-f(u^p) by f and multiplies the quotient back, so it does not rest on the
-division alone.
+f(u^p) by f and multiplies the quotient back (``divides_exactly``), so it
+does not rest on the division alone.
+
+Packed monomials (Monagan and Pearce, CASC 2007): ``_divide`` works on
+ints, not tuples.
+
+- Key layout: a non-negative exponent vector e of total degree t is the
+  int whose fields hold, from the top, t, e_d, ..., e_1, ``width`` bits
+  each.  Int order is then the grlex order above, and the key of a
+  product of monomials is the sum of their keys.
+- Guard bits: the top bit of each field is never set by its value.  With
+  G the mask of these bits, key k is divisible by the leading key l
+  exactly when ((k | G) - l) & G == G: a field of k smaller than l's
+  borrows from its own guard bit, never from the next field.
+- Width: the dividend's largest total degree D and a guard bit, rounded
+  up to a multiple of 8.  A division step replaces a term by smaller
+  ones, so no term, quotient term, or quotient term times a term of f
+  passes degree D, and no field overflows.  ``_Modulus.frame`` packs f's
+  leading term and tail once per width and keeps them with f.
+- Precondition: every exponent is non-negative.  ``reduce`` and
+  ``residue_mul`` meet it through ``_lift``, ``monomial_residue``
+  through its checked exponents and reduced neighbours, and the
+  certificate through normalization.
+- Early exit: the callers on tuple keys (``reduce``, ``residue_mul``,
+  ``monomial_residue``) first scan the dividend for a term divisible by
+  the leading term, and return it as it is when there is none.  Only
+  when there is one do they pack it, divide and unpack the remainder.
+  Packed keys never leave this module.
 
 ``monomial_residue`` is the one routine that derives monomial residues:
 from a kept neighbour u^(e - e_i) in one short division when it can, by
@@ -49,7 +75,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from operator import add, ge, neg, sub
+from operator import ge, mul
+from typing import Mapping, NamedTuple
 
 from . import budgets
 from .errors import TrivialQuotientError
@@ -58,6 +85,7 @@ from .laurent import ExponentVec, LaurentPoly, _raw, monomial, one
 __all__ = [
     "Residue",
     "check_modulus",
+    "divides_exactly",
     "grlex_key",
     "leading_term",
     "normalize",
@@ -102,9 +130,31 @@ def _lift(g: LaurentPoly) -> LaurentPoly:
     return g
 
 
-def _heapkey(e: ExponentVec):
-    # min-heap key of the grlex order: the largest monomial pops first
-    return (-sum(e), tuple(map(neg, reversed(e))))
+def _width(degree: int) -> int:
+    """Bits per packed field: ``degree`` and a guard bit, rounded up to a multiple of 8."""
+    return (degree.bit_length() + 8) // 8 * 8
+
+
+def _weights(dim: int, width: int) -> tuple[int, ...]:
+    """Packing multipliers: e_i counts once in field i and once, in t, in field dim."""
+    top = 1 << dim * width
+    return tuple((1 << i * width) + top for i in range(dim))
+
+
+def _pack(e: ExponentVec, weights: tuple[int, ...]) -> int:
+    """The packed key t e_d ... e_1 of a non-negative exponent vector."""
+    return sum(map(mul, e, weights))
+
+
+class _Frame(NamedTuple):
+    """The normalized modulus packed at one field width."""
+
+    weights: tuple[int, ...]
+    shifts: range  # field i of a key is key >> shifts[i] & mask
+    mask: int
+    guard: int  # the guard bit of every field
+    lt: int
+    tail: tuple[tuple[int, int], ...]
 
 
 def check_modulus(f: LaurentPoly) -> None:
@@ -121,7 +171,8 @@ class _Modulus:
     reuses its axis squares and monomial residues.
     """
 
-    __slots__ = ("p", "lt", "lt_inv", "tail", "squares", "monomials", "spent", "limit")
+    __slots__ = ("p", "lt", "lt_inv", "tail", "frames", "squares", "monomials", "spent",
+                 "limit")
 
     def __init__(self, f: LaurentPoly) -> None:
         check_modulus(f)
@@ -130,11 +181,25 @@ class _Modulus:
         self.lt, lt_c = leading_term(fhat)
         self.lt_inv = pow(lt_c, p - 2, p) if p > 2 else 1
         self.tail = [(e, c) for e, c in fhat.terms.items() if e != self.lt]
+        self.frames: dict[int, _Frame] = {}  # width -> f packed at that width
         # (axis, j) -> residue of u_axis^(2^j); exps -> residue of u^exps
         self.squares: dict[tuple[int, int], LaurentPoly] = {}
         self.monomials: dict[ExponentVec, LaurentPoly] = {}
         self.spent = 0  # residue budget use; threads sharing f may lose an update
         self.limit = budgets.check("residue", 0)
+
+    def frame(self, width: int) -> _Frame:
+        """The leading term and the tail packed at ``width``, built once per width."""
+        frame = self.frames.get(width)
+        if frame is None:
+            dim = len(self.lt)
+            weights = _weights(dim, width)
+            guard = sum(1 << (i * width + width - 1) for i in range(dim + 1))
+            tail = tuple((_pack(e, weights), c) for e, c in self.tail)
+            frame = _Frame(weights, range(0, dim * width, width), (1 << width) - 1, guard,
+                           _pack(self.lt, weights), tail)
+            self.frames[width] = frame
+        return frame
 
     def charge(self, pairs: int) -> None:
         """Add term pairs to the ``residue`` use, raising once it passes the limit."""
@@ -151,44 +216,103 @@ def _prepared(f: LaurentPoly) -> _Modulus:
     return prepared
 
 
-def _divide(work: dict[ExponentVec, int], m: _Modulus, quotient=None,
-            charge: bool = False) -> dict[ExponentVec, int]:
+def _divide(work: dict[int, int], m: _Modulus, frame: _Frame, quotient=None,
+            charge: bool = False) -> dict[int, int]:
     """Remainder of division by the normalized modulus; consumes ``work``.
 
-    Only terms divisible by the leading term enter the heap, largest
-    first.  Replacing one introduces only strictly smaller terms, so a
-    lazy heap with stale entries is enough, and the terms never divisible
-    are left in place as the remainder.  The remainder is unique (a single
-    divisor is a Groebner basis), whatever the order of the steps.  Each
-    step's quotient term goes into the dict ``quotient`` when one is given.
-    With ``charge``, each step charges its term pairs, its quotient term
-    times the tail, to the modulus's ``residue`` count.
+    ``work`` maps packed keys of ``frame``'s width to coefficients.  Only
+    terms divisible by the leading term enter the heap, largest first.
+    Replacing one introduces only strictly smaller terms, so a lazy heap
+    with stale entries is enough, and the terms never divisible are left
+    in place as the remainder.  The remainder is unique (a single divisor
+    is a Groebner basis), whatever the order of the steps.  Each step's
+    packed quotient term goes into the dict ``quotient`` when one is
+    given.  With ``charge``, each step charges its term pairs, its
+    quotient term times the tail, to the modulus's ``residue`` count.
     """
-    p, lt, lt_inv, tail = m.p, m.lt, m.lt_inv, m.tail
-    heap = [(_heapkey(e), e) for e in work if all(map(ge, e, lt))]
+    p, lt_inv = m.p, m.lt_inv
+    guard, lt, tail = frame.guard, frame.lt, frame.tail
+    push = heapq.heappush
+    heap = [-k for k in work if ((k | guard) - lt) & guard == guard]  # a max-heap
     heapq.heapify(heap)
     while heap:
-        e = heapq.heappop(heap)[1]
-        c = work.pop(e, None)
+        k = -heapq.heappop(heap)
+        c = work.pop(k, None)
         if c is None:
             continue  # stale entry
         if charge:
             m.charge(len(tail))
         q = (c * lt_inv) % p
-        base = tuple(map(sub, e, lt))
+        base = k - lt
         if quotient is not None:
             quotient[base] = q
-        for fe, fc in tail:
-            te = tuple(map(add, base, fe))
-            old = work.get(te)
+        for fk, fc in tail:
+            t = base + fk
+            old = work.get(t)
             nc = ((old or 0) - q * fc) % p
             if nc:
-                if old is None and all(map(ge, te, lt)):
-                    heapq.heappush(heap, (_heapkey(te), te))
-                work[te] = nc
+                if old is None and ((t | guard) - lt) & guard == guard:
+                    push(heap, -t)
+                work[t] = nc
             elif old is not None:
-                del work[te]
+                del work[t]
     return work
+
+
+def _reduced(work: dict[ExponentVec, int], m: _Modulus,
+             charge: bool = False) -> dict[ExponentVec, int]:
+    """Remainder of a dividend on non-negative exponent vectors; may be ``work`` itself.
+
+    A dividend with no term divisible by the leading term is its own
+    remainder and is returned at once; any other is packed, divided and
+    unpacked.
+    """
+    lt = m.lt
+    for e in work:
+        if all(map(ge, e, lt)):
+            break
+    else:
+        return work
+    frame = m.frame(_width(max(map(sum, work))))
+    weights, shifts, mask = frame.weights, frame.shifts, frame.mask
+    # _pack, inlined to save a call per term
+    vectors = {sum(map(mul, e, weights)): e for e in work}
+    remainder = _divide(dict(zip(vectors, work.values())), m, frame, charge=charge)
+    # most remainder terms are dividend terms the division never touched
+    return {vectors.get(k) or tuple([k >> s & mask for s in shifts]): c
+            for k, c in remainder.items()}
+
+
+def _product(a: list[tuple[int, int]], b: dict[int, int], p: int) -> dict[int, int]:
+    """Product of two packed polynomials over F_p, term pairs summed in full."""
+    out: dict[int, int] = {}
+    get = out.get
+    for ka, ca in a:
+        for kb, cb in b.items():
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    return {k: r for k, c in out.items() if (r := c % p)}
+
+
+def divides_exactly(dividend: Mapping[ExponentVec, int], f: LaurentPoly,
+                    product: Mapping[ExponentVec, int]) -> bool:
+    """Whether fhat divides ``dividend`` with quotient g such that fhat g is ``product``.
+
+    fhat is f normalized.  Both term maps have non-negative exponents.
+    The division runs in one packed frame, whose width covers the largest
+    total degree of the dividend, of ``product`` and of f's leading term;
+    the quotient stays packed, and fhat, read off f's own terms, times
+    the quotient is compared with ``product`` in the same frame.  True
+    exactly when the remainder is zero and the product matches.
+    """
+    m = _prepared(f)
+    frame = m.frame(_width(max(map(sum, (*dividend, *product, m.lt)))))
+    weights = frame.weights
+    g: dict[int, int] = {}
+    if _divide({_pack(e, weights): c for e, c in dividend.items()}, m, frame, g):
+        return False
+    fhat = [(_pack(e, weights), c) for e, c in normalize(f)[0].terms.items()]
+    return _product(fhat, g, f.p) == {_pack(e, weights): c for e, c in product.items()}
 
 
 @dataclass(frozen=True)
@@ -215,8 +339,7 @@ def reduce(g: LaurentPoly, f: LaurentPoly) -> Residue:
     """
     g._check_compatible(f)
     m = _prepared(f)
-    remainder = _divide(dict(_lift(g).terms), m)
-    return Residue(_raw(g.field, g.dim, remainder))
+    return Residue(_raw(g.field, g.dim, _reduced(dict(_lift(g).terms), m)))
 
 
 def nf(g: LaurentPoly, f: LaurentPoly) -> LaurentPoly:
@@ -234,7 +357,7 @@ def residue_mul(a: LaurentPoly, b: LaurentPoly, f: LaurentPoly) -> LaurentPoly:
     m.charge(len(a.terms) * len(b.terms))
     g = a * b
     g._check_compatible(f)
-    return _raw(f.field, f.dim, _divide(dict(_lift(g).terms), m, charge=True))
+    return _raw(f.field, f.dim, _reduced(dict(_lift(g).terms), m, charge=True))
 
 
 def power_residue(g: LaurentPoly, n: int, f: LaurentPoly) -> LaurentPoly:
@@ -292,7 +415,7 @@ def monomial_residue(exps: ExponentVec, f: LaurentPoly) -> LaurentPoly:
         if neighbour is not None:
             m.charge(len(neighbour.terms))
             step = {e[:axis] + (e[axis] + 1,) + e[axis + 1:]: c for e, c in neighbour.terms.items()}
-            result = _raw(f.field, f.dim, _divide(step, m, charge=True))
+            result = _raw(f.field, f.dim, _reduced(step, m, charge=True))
             break
     else:
         result = nf(one(f.field, f.dim), f)

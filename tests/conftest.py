@@ -48,12 +48,13 @@ def generic_poly(rng: random.Random, p: int, nterms=5, span=3):
     return make_poly(p, 2, [(e, rng.randint(1, p - 1)) for e in rng.sample(points, nterms)])
 
 
-def divide_from_scratch(g, f):
+def divide_from_scratch(g, f, quotient=None):
     """Residue of g mod <f> by textbook division, sharing nothing with quotient.
 
     Normalizes f, lifts g out of negative exponents, and cancels the
     grlex-largest divisible term until none is left (last variable most
-    significant on degree ties).
+    significant on degree ties).  Each step's quotient term goes into the
+    dict ``quotient`` when one is given.
     """
     p = f.p
 
@@ -72,6 +73,8 @@ def divide_from_scratch(g, f):
             return make_poly(p, g.dim, work.items())
         e = max(divisible, key=key)
         q = work[e] * inv % p
+        if quotient is not None:
+            quotient[tuple(a - b for a, b in zip(e, lt))] = q
         for fe, fc in fhat.items():
             te = tuple(a - b + c for a, b, c in zip(e, lt, fe))
             value = (work.get(te, 0) - q * fc) % p

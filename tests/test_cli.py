@@ -250,6 +250,22 @@ class TestSubcommands:
         code, _ = run(capsys, "measure", LED, "--cylinder", CELL, "--method", "box")
         assert code == 3
 
+    def test_certify_exponents_past_64_bits(self, capsys, tmp_path):
+        # 1 + u1^(10^30) + u2 over F_2: f(u^2) has total degree 2 * 10^30, so
+        # every exponent of the division needs a field wider than 64 bits
+        big = 10 ** 30
+        poly = tmp_path / "wide.json"
+        poly.write_text(json.dumps({"p": 2, "d": 2, "terms": [
+            {"e": [0, 0], "c": 1}, {"e": [big, 0], "c": 1}, {"e": [0, 1], "c": 1}]}))
+        code, out = run(capsys, "certify", str(poly), "--max-k", "2")
+        assert code == 0
+        assert out == json.dumps({
+            "coeffs": [1, 1, 1],
+            "frobenius_family": True,
+            "shape": [[0, 0], [0, 1], [big, 0]],
+            "verified_k": [0, 1, 2],
+        }, indent=2) + "\n"
+
     def test_huge_prime_certify_exits_3_at_once(self, capsys, tmp_path):
         # primality of 10^18 + 3 is decided at once, so the division budget answers
         poly = tmp_path / "p1e18.json"

@@ -269,12 +269,20 @@ def _dilate_and_shift(g, k):
     return frobenius_power(g, k).shift((0,) * (g.dim - 1) + (1,)) if k else g
 
 
-_DIVIDE = quotient._divide
+_PRODUCT = quotient._product
+_FRAME = quotient._Modulus.frame
 
 
-def _divide_dropping_a_tail_term(work, m, quotient=None):
-    short = SimpleNamespace(p=m.p, lt=m.lt, lt_inv=m.lt_inv, tail=m.tail[1:])
-    return _DIVIDE(work, short, quotient)
+def _product_dropping_a_term(a, b, p):
+    out = _PRODUCT(a, b, p)
+    if len(out) > 1:
+        del out[max(out)]
+    return out
+
+
+def _frame_dropping_a_tail_term(m, width):
+    frame = _FRAME(m, width)
+    return frame._replace(tail=frame.tail[1:])
 
 
 # a division that never revisits the terms its steps create
@@ -286,10 +294,10 @@ _HEAPQ_LOSING_PUSHES = SimpleNamespace(
 _CERTIFICATE_MUTANTS = pytest.mark.parametrize(
     "target, mutant",
     [
-        ("polymix.laurent.LaurentPoly.__mul__", _dropping_mul(LaurentPoly.__mul__)),
+        ("polymix.quotient._product", _product_dropping_a_term),
         ("polymix.mixing.frobenius_power", _dilate_by_p_squared),
         ("polymix.mixing.frobenius_power", _dilate_and_shift),
-        ("polymix.quotient._divide", _divide_dropping_a_tail_term),
+        ("polymix.quotient._Modulus.frame", _frame_dropping_a_tail_term),
         ("polymix.quotient.heapq", _HEAPQ_LOSING_PUSHES),
     ],
     ids=[

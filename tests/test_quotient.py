@@ -34,6 +34,11 @@ from polymix.quotient import (
 
 from conftest import divide_from_scratch, generic_poly, random_poly
 
+# total degrees on both sides of the packed width steps: 8 bits up to 127,
+# 16 bits up to 2^15 - 1, 48 bits for 2^39 up to 2^47 - 1
+WIDTH_STEPS = [(127, 8), (128, 16), (2 ** 15 - 1, 16), (2 ** 15, 24),
+               (2 ** 39 - 1, 40), (2 ** 39, 48), (2 ** 40 - 1, 48), (2 ** 40, 48)]
+
 
 class TestTermOrder:
     def test_last_variable_wins_degree_ties(self):
@@ -423,3 +428,75 @@ class TestPreparedModulus:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
+
+
+def _scaled_division(rng, p, d, degree):
+    """A modulus g(u^s) and a dividend of total degree ``degree`` on the same scale.
+
+    The dividend's terms are s a + r with a small and one offset r per
+    term, so the division takes a few steps however large s is.
+    """
+    s = degree // (3 * d + 3)
+    while True:
+        g = random_poly(rng, p, d, max_terms=3, lo=0, hi=2, nonzero=True)
+        if not g.is_monomial:
+            break
+    f = make_poly(p, d, [(tuple(s * x for x in e), c) for e, c in g.terms.items()])
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        e = [s * rng.randint(0, 3) + rng.randint(0, 2) for _ in range(d)]
+        terms[tuple(e)] = rng.randint(1, p - 1)
+    top = max(terms, key=sum)
+    terms[top[:-1] + (top[-1] + degree - sum(top),)] = terms.pop(top)
+    return f, make_poly(p, d, terms.items())
+
+
+def _unpack(key, d, width):
+    # e_1 ... e_d from the low fields of a packed key
+    return tuple(key >> i * width & (1 << width) - 1 for i in range(d))
+
+
+class TestPackedDivision:
+    """The division on packed keys against tuple arithmetic."""
+
+    def test_width_steps(self):
+        for degree, width in WIDTH_STEPS:
+            assert quotient._width(degree) == width
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_divide_matches_division_from_scratch(self, d):
+        rng = random.Random(70 + d)
+        for degree, width in WIDTH_STEPS:
+            for p in (2, 3, 7):
+                f, g = _scaled_division(rng, p, d, degree)
+                assert max(map(sum, g.terms)) == degree
+                m = quotient._prepared(f)
+                frame = m.frame(width)
+                packed = {quotient._pack(e, frame.weights): c for e, c in g.terms.items()}
+                q_packed = {}
+                remainder = quotient._divide(packed, m, frame, q_packed)
+                q_expected = {}
+                expected = divide_from_scratch(g, f, q_expected)
+                for result, terms in ((remainder, expected.terms), (q_packed, q_expected)):
+                    assert {_unpack(k, d, width): c for k, c in result.items()} == terms
+                assert nf(g, f) == expected
+
+    def test_packed_order_is_grlex(self):
+        rng = random.Random(75)
+        for d in (1, 2, 3, 5):
+            for degree, width in WIDTH_STEPS:
+                bound = degree // d
+                vectors = {tuple(rng.choice((0, 1, bound - 1, bound, rng.randint(0, bound)))
+                                 for _ in range(d)) for _ in range(40)}
+                weights = quotient._weights(d, width)
+                keys = {e: quotient._pack(e, weights) for e in vectors}
+                assert sorted(vectors, key=keys.get) == sorted(vectors, key=grlex_key)
+                guard = sum(1 << (i * width + width - 1) for i in range(d + 1))
+                for a in vectors:
+                    assert _unpack(keys[a], d, width) == a
+                    for b in vectors:
+                        divisible = ((keys[a] | guard) - keys[b]) & guard == guard
+                        assert divisible == all(x >= y for x, y in zip(a, b))
+                        if sum(a) + sum(b) <= degree:
+                            ab = tuple(x + y for x, y in zip(a, b))
+                            assert keys[a] + keys[b] == quotient._pack(ab, weights)
