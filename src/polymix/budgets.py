@@ -1,17 +1,13 @@
-"""Hard budgets for the expensive operations, checked in one place.
+"""Hard budgets for the expensive operations, metered in one place.
 
-Each expensive path calls ``check`` with its budget's name and the size
-it is about to use, before doing the work.  ``check(name, 0)`` passes
-and returns the limit.  Where the size is not known up front (the
-detector's placements, the hull's tests and normals, a division's term
-pairs) the path reads the limit that way once, compares its running
-count against it, and calls ``check`` again only once the count passes
-it, which raises.  The search reads the limit once too, to stop counting
-its candidates just past it, and ``quotient`` reads the ``residue`` limit
-when f is first prepared as a modulus.  ``POLYMIX_BUDGET`` (an integer) overrides
-every budget at once; when it is unset the defaults below apply.  A
-value that is not a positive integer is a ``ParseError``, read when a
-budget is first checked.
+A ``Meter`` holds one named budget's limit, read once when it is made,
+and its use: ``charge(n)`` adds n and raises ``BudgetExceededError`` as
+soon as the use passes the limit.  A path whose size is known up front
+calls ``check``, a meter charged once, before the work starts; one whose
+size grows as it runs keeps a meter and charges it as the work is done.
+``POLYMIX_BUDGET`` (an integer) overrides every budget at once; when it
+is unset the defaults below apply.  A value that is not a positive
+integer is a ``ParseError``, read when a meter is made.
 """
 
 import os
@@ -49,11 +45,27 @@ def _override() -> int | None:
     return value
 
 
-def check(name: str, used: int) -> int:
-    """Return the named budget's limit, raising ``BudgetExceededError`` when ``used`` exceeds it."""
-    default, counts = DEFAULTS[name]
-    limit = _override() or default
-    if used > limit:
-        # Decimal prints an integer of any length; str(int) refuses past 4,300 digits
-        raise BudgetExceededError(f"{name} budget: {Decimal(used)} {counts}, limit {limit}")
-    return limit
+class Meter:
+    """The use of the named budget against its limit; not locked, so threads
+    that share a meter may lose an update."""
+
+    __slots__ = ("name", "limit", "used")
+
+    def __init__(self, name: str) -> None:
+        default = DEFAULTS[name][0]
+        self.name = name
+        self.limit = _override() or default
+        self.used = 0
+
+    def charge(self, n: int) -> None:
+        """Add n to the use, raising ``BudgetExceededError`` once it passes the limit."""
+        self.used += n
+        if self.used > self.limit:
+            # Decimal prints an integer of any length; str(int) refuses past 4,300 digits
+            raise BudgetExceededError(f"{self.name} budget: {Decimal(self.used)} "
+                                      f"{DEFAULTS[self.name][1]}, limit {self.limit}")
+
+
+def check(name: str, used: int) -> None:
+    """Raise ``BudgetExceededError`` when ``used`` exceeds the named budget's limit."""
+    Meter(name).charge(used)

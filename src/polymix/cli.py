@@ -26,19 +26,16 @@ of the wrong type, such as --max-k x), 3 budget exceeded
 (128 + SIGPIPE, as a shell reports for ``yes | head``).  The environment
 variable POLYMIX_BUDGET overrides every budget of ``budgets``: ``cells``
 (box cells), ``enumeration`` (brute-force configurations), ``search``
-(search candidates, multiplied factor by factor until they pass the
-limit), ``division`` (the monomials of the certificate's division box on
-the lattice of f's exponent gcds),
-``detector`` (the detector's placements), ``hull`` (the visibility
-tests of a convex hull, outside-set assignments and the walk to the
-facets a point sees, plus k for each facet normal it builds in
-dimension k), ``redraw`` (the neighbour tests
-of the triangle scan and the cells of the rank system of a skeleton's
-redrawings, each checked on its own), ``experiment`` (the rows over k:
-those of --k-range, or 0..--max-k for certify and analyze, checked
-before the first) and ``residue`` (the term pairs of
-the quotient products and divisions behind one polynomial's monomial
-residues, as they are formed).
+(search candidates), ``division`` (the monomials of the certificate's
+division box on the lattice of f's exponent gcds), ``detector`` (the
+detector's placements), ``hull`` (the visibility tests of a convex hull,
+outside-set assignments and the walk to the facets a point sees, plus k
+for each facet normal it builds in dimension k), ``redraw`` (the
+neighbour tests of the triangle scan, or the cells of the rank system of
+a skeleton's redrawings), ``experiment`` (the rows over k: those of
+--k-range, or 0..--max-k for certify and analyze) and ``residue`` (the
+term pairs of the quotient products and divisions behind one
+polynomial's monomial residues).
 """
 
 from __future__ import annotations

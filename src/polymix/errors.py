@@ -16,10 +16,8 @@ class TrivialQuotientError(PolymixError, ValueError):
 class BudgetExceededError(PolymixError):
     """A computation would exceed one of the budgets of ``budgets``.
 
-    Raised by ``budgets.check``: before the work starts where the size is
-    known up front, and mid-work where a running count passes the limit
-    (the hull's tests, the detector's placements, the residue term pairs).
-    The message names the budget, its use and its limit.
+    Raised by a ``budgets.Meter`` whose use passes its limit.  The message
+    names the budget, its use and its limit.
     """
 
 

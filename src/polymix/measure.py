@@ -350,13 +350,13 @@ def mixing_experiment(
     """
     if len(set(map(tuple, shape))) != len(shape):
         raise ValueError("shape has repeated points")
+    if len(shape) != len(cylinders):
+        raise ValueError("one cylinder per shape point is required")
     rows: list[ExperimentRow] = []
     product = math.prod((cylinder_measure(f, cyl, method=method).value for cyl in cylinders),
                         start=Fraction(1))
     for k in k_range:
         shifts = [tuple(k * x for x in v) for v in shape]
-        if len(shifts) != len(cylinders):
-            raise ValueError("one cylinder per shape point is required")
         try:
             joint = joint_measure(f, list(zip(shifts, cylinders)), method=method).value
         except BudgetExceededError:

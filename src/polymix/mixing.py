@@ -192,23 +192,23 @@ def _candidate_count(n_points: int, r: int, p: int, monos: int, limit: int) -> i
     """
     if r > n_points:
         return 0
-    used = 1
+    count = 1
     # comb(n, i) grows with i up to n / 2, so the running binomial passes
     # the limit only if comb(n, r) does
     for i in range(min(r, n_points - r)):
-        used = used * (n_points - i) // (i + 1)
-        if used > limit:
-            return used
+        count = count * (n_points - i) // (i + 1)
+        if count > limit:
+            return count
     pool = 1
     for _ in range(monos):
         pool *= p
         if pool - 1 > limit:
             break
     for _ in range(r):
-        used *= pool - 1
-        if used > limit:
+        count *= pool - 1
+        if count > limit:
             break
-    return used
+    return count
 
 
 def search_relations(
@@ -243,8 +243,8 @@ def search_relations(
     p, d = f.p, f.dim
     n_points = (2 * shape_radius + 1) ** d
     monos = (coeff_degree_bound + 1) ** d
-    limit = budgets.check("search", 0)  # the limit, which no use of 0 passes
-    budgets.check("search", _candidate_count(n_points, r, p, monos, limit))
+    search = budgets.Meter("search")
+    search.charge(_candidate_count(n_points, r, p, monos, search.limit))
     points = list(product(range(2 * shape_radius + 1), repeat=d))
     shapes = [s for s in combinations(points, r) if not any(map(min, zip(*s)))]
     if not shapes:  # r > n_points: the budget counted no candidate, so build no pool

@@ -133,10 +133,9 @@ def _beneath_beyond(
     the rule holds at k = 1 too, where the ridge is empty.  Only the k+1
     facets of the starting simplex take cofactor normals (``_normal``).
 
-    The ``hull`` budget counts every visibility test (assignment,
-    reassignment and the walk's) and k for each facet normal built.  Its
-    limit is read once, and the count is compared with it before each
-    batch of normals.  Returns ``_faces`` of the finished hull.
+    The ``hull`` budget is charged each visibility test (assignment,
+    reassignment and the walk's) as it is made, and k for each facet
+    normal before it is built.  Returns ``_faces`` of the finished hull.
     """
     k = len(pts[0])
     n = len(pts)
@@ -153,14 +152,10 @@ def _beneath_beyond(
     facets: dict[tuple[IntVec, ...], tuple[IntVec, int, list[IntVec]]] = {}
     # ridge -> the facets through it, two once a step is done
     ridges: dict[tuple[IntVec, ...], list[tuple[IntVec, ...]]] = {}
-    used = 0  # budget use: visibility tests, and k per facet normal
-    limit = budgets.check("hull", 0)  # the limit, read once; no use of 0 passes it
+    charge = budgets.Meter("hull").charge  # visibility tests, and k per facet normal
 
     def add(cones) -> list[tuple[IntVec, ...]]:
-        nonlocal used
-        used += k * len(cones)
-        if used > limit:
-            budgets.check("hull", used)
+        charge(k * len(cones))
         keys = []
         for corners, normal in cones:
             key = tuple(sorted(corners))
@@ -171,14 +166,13 @@ def _beneath_beyond(
         return keys
 
     def assign(points, keys) -> None:
-        nonlocal used
         candidates = [facets[key] for key in keys]
         for q in points:
             for tests, (normal, offset, outside) in enumerate(candidates, 1):
                 if _dot(normal, q) < offset:
                     outside.append(q)
                     break
-            used += tests
+            charge(tests)
 
     # k+1 times the simplex's centroid: an integral point strictly inside it
     centre = tuple(sum(col) for col in zip(*simplex))
@@ -217,7 +211,7 @@ def _beneath_beyond(
                     interior.append(ridge)
                 else:
                     horizon.append((ridge, facets[c], facets[other], other))
-        used += len(beyond) - 1  # the start is known to be visible
+        charge(len(beyond) - 1)  # the start is known to be visible
         orphans = []
         for c in walk:
             orphans += facets.pop(c)[2]

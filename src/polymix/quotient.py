@@ -20,8 +20,8 @@ significant.  Under this order the leading term of 1 + u1 + u2 is u2.
 ``check_modulus`` is the one test that f is a usable modulus: neither
 zero nor a monomial.  The modulus is prepared once: the first call with a
 given f checks it, normalizes it, finds its leading term, the inverse of
-that coefficient and the tail, reads the ``residue`` limit, and keeps
-them in f's ``_modulus`` slot with two residue tables, the axis squares
+that coefficient and the tail, and keeps them in f's ``_modulus`` slot
+with a ``residue`` meter and two residue tables, the axis squares
 u_i^(2^j) and the monomial residues already computed.  Every later
 call with the same f (one query holds one f) reuses them; nothing is kept
 at module level, so the tables go when f does.
@@ -65,10 +65,9 @@ remainder is unique, a residue taken from a table, from a neighbour or
 by a fresh division is the same polynomial.  The ``residue`` budget
 bounds the term pairs multiplied for one modulus's tables, in its
 products and neighbour steps and in the division steps that reduce them.
-Its limit is read once, when f is first prepared, and its count lives
-with the tables, on the polynomial object, and is never reset: a library
-caller who reuses one f across queries shares one count among them,
-while the command line loads f afresh for each query.
+Its meter lives with the tables, on the polynomial object, and is never
+reset: a library caller who reuses one f across queries shares one count
+among them, while the command line loads f afresh for each query.
 """
 
 from __future__ import annotations
@@ -171,8 +170,7 @@ class _Modulus:
     reuses its axis squares and monomial residues.
     """
 
-    __slots__ = ("p", "lt", "lt_inv", "tail", "frames", "squares", "monomials", "spent",
-                 "limit")
+    __slots__ = ("p", "lt", "lt_inv", "tail", "frames", "squares", "monomials", "residue")
 
     def __init__(self, f: LaurentPoly) -> None:
         check_modulus(f)
@@ -185,8 +183,7 @@ class _Modulus:
         # (axis, j) -> residue of u_axis^(2^j); exps -> residue of u^exps
         self.squares: dict[tuple[int, int], LaurentPoly] = {}
         self.monomials: dict[ExponentVec, LaurentPoly] = {}
-        self.spent = 0  # residue budget use; threads sharing f may lose an update
-        self.limit = budgets.check("residue", 0)
+        self.residue = budgets.Meter("residue")
 
     def frame(self, width: int) -> _Frame:
         """The leading term and the tail packed at ``width``, built once per width."""
@@ -200,12 +197,6 @@ class _Modulus:
                            _pack(self.lt, weights), tail)
             self.frames[width] = frame
         return frame
-
-    def charge(self, pairs: int) -> None:
-        """Add term pairs to the ``residue`` use, raising once it passes the limit."""
-        self.spent += pairs
-        if self.spent > self.limit:
-            budgets.check("residue", self.spent)
 
 
 def _prepared(f: LaurentPoly) -> _Modulus:
@@ -241,7 +232,7 @@ def _divide(work: dict[int, int], m: _Modulus, frame: _Frame, quotient=None,
         if c is None:
             continue  # stale entry
         if charge:
-            m.charge(len(tail))
+            m.residue.charge(len(tail))
         q = (c * lt_inv) % p
         base = k - lt
         if quotient is not None:
@@ -354,7 +345,7 @@ def residue_mul(a: LaurentPoly, b: LaurentPoly, f: LaurentPoly) -> LaurentPoly:
     is formed, and those of its division steps as they run.
     """
     m = _prepared(f)
-    m.charge(len(a.terms) * len(b.terms))
+    m.residue.charge(len(a.terms) * len(b.terms))
     g = a * b
     g._check_compatible(f)
     return _raw(f.field, f.dim, _reduced(dict(_lift(g).terms), m, charge=True))
@@ -413,7 +404,7 @@ def monomial_residue(exps: ExponentVec, f: LaurentPoly) -> LaurentPoly:
     for axis, x in enumerate(exps):
         neighbour = m.monomials.get(exps[:axis] + (x - 1,) + exps[axis + 1:]) if x else None
         if neighbour is not None:
-            m.charge(len(neighbour.terms))
+            m.residue.charge(len(neighbour.terms))
             step = {e[:axis] + (e[axis] + 1,) + e[axis + 1:]: c for e, c in neighbour.terms.items()}
             result = _raw(f.field, f.dim, _reduced(step, m, charge=True))
             break

@@ -156,8 +156,7 @@ def detect_redrawing(
             first, last = sorted((a, b), key=rank.__getitem__)
             closing[last].append((first, dirs[(first, last)]))
 
-    tried = 0
-    limit = budgets.check("detector", 0)  # the limit, read once; no use of 0 passes it
+    charge = budgets.Meter("detector").charge
 
     def search(cap: int) -> tuple[list[int], list[IntVec]] | None:
         assigned: list[int] = [0] * v
@@ -186,14 +185,11 @@ def detect_redrawing(
             )
 
         def place(depth: int) -> bool:
-            nonlocal tried
             if depth == v:
                 return True
             vx = order[depth]
             for t, q in candidates(vx):
-                tried += 1
-                if tried > limit:
-                    budgets.check("detector", tried)
+                charge(1)
                 if all(
                     _is_positive_multiple(tuple(map(sub, q, position[w])), d0)
                     for w, d0 in closing[vx]

@@ -316,8 +316,8 @@ class TestSubcommands:
             # only 495 root placements at K = 4, but every child placement counts too
             ("detector", None, ["detect", LED, "--tuple", "[[0,0],[1000,0],[0,3]]",
                                 "--K", "4"], 10 ** 4 + 1, 10 ** 4),
-            # visibility tests plus 5 per facet normal, before a step's normals
-            ("hull", None, ["bounds", "CLOUD5"], 100_092, 10 ** 5),
+            # visibility tests plus 5 per facet normal, stopped at the first crossing
+            ("hull", None, ["bounds", "CLOUD5"], 100_062, 10 ** 5),
             # (d - 1) rows per cycle, 32^2 cycles, over the 33^2 - 1 tree edges
             ("redraw", None, ["tightness", "GRID33"], 1024 * 1088, 10 ** 6),
             # (d - 1) rows per edge, 30 edges, over 3 * 12 vertex coordinates
@@ -414,49 +414,110 @@ class TestSubcommands:
             _parse_k_range(f"0:{10 ** 30}")
 
     def test_only_budgets_raises_budget_exceeded(self):
-        raisers = []
+        # and only budgets reads a limit: no other module reads the defaults
+        # or the override, or calls check(name, 0) to learn the limit
+        raisers, readers = [], []
         for path in sorted((SRC / "polymix").glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Raise) and node.exc is not None:
                     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                     if getattr(exc, "id", None) == "BudgetExceededError":
                         raisers.append(path.name)
+                if path.name == "budgets.py":
+                    continue
+                if (isinstance(node, ast.Attribute) and node.attr in ("DEFAULTS", "_override")
+                        or isinstance(node, ast.Name) and node.id in ("DEFAULTS", "_override")
+                        or isinstance(node, ast.alias) and node.name in ("DEFAULTS",
+                                                                         "_override")):
+                    readers.append(path.name)
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "check"
+                        and getattr(node.func.value, "id", None) == "budgets"
+                        and isinstance(node.args[1], ast.Constant) and node.args[1].value == 0):
+                    readers.append(path.name)
         assert raisers == ["budgets.py"]
+        assert readers == []
 
     def test_budget_names_are_declared_used_and_documented(self):
-        # every name passed to budgets.check is a budget, and every budget is
-        # checked somewhere in src/ and named in the cli docstring and the README
+        # every name passed to budgets.check or budgets.Meter is a budget, and
+        # every budget is charged somewhere in src/ and named in the cli
+        # docstring and the README
         import polymix.budgets
         import polymix.cli
 
-        checked = set()
+        charged = set()
         for path in sorted((SRC / "polymix").glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
                 if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                        and node.func.attr == "check"
+                        and node.func.attr in ("check", "Meter")
                         and getattr(node.func.value, "id", None) == "budgets"):
-                    checked.add(ast.literal_eval(node.args[0]))
-        assert checked == set(polymix.budgets.DEFAULTS)
+                    charged.add(ast.literal_eval(node.args[0]))
+        assert charged == set(polymix.budgets.DEFAULTS)
         readme = (SRC.parent / "README.md").read_text()
         for name in polymix.budgets.DEFAULTS:
             assert f"``{name}``" in polymix.cli.__doc__
             assert f"`{name}`" in readme
 
     @pytest.mark.parametrize("name", sorted(polymix.budgets.DEFAULTS))
-    def test_check_at_zero_returns_the_limit(self, monkeypatch, name):
-        # the hull, detector and division counts read the limit this way once
-        # and call check again only past it, so the first exceed is limit + 1
+    def test_meter_limit_is_the_default_or_the_override(self, monkeypatch, name):
+        # check is a meter charged once, so its first exceed is limit + 1
         budgets = polymix.budgets
         default = budgets.DEFAULTS[name][0]
         monkeypatch.delenv("POLYMIX_BUDGET", raising=False)
-        assert budgets.check(name, 0) == default
-        assert budgets.check(name, default) == default
+        assert budgets.Meter(name).limit == default
+        budgets.check(name, default)
         with pytest.raises(BudgetExceededError, match=f"^{name} budget: {default + 1} "):
             budgets.check(name, default + 1)
         monkeypatch.setenv("POLYMIX_BUDGET", "7")
-        assert budgets.check(name, 0) == 7
+        assert budgets.Meter(name).limit == 7
         with pytest.raises(BudgetExceededError, match=f", limit 7$"):
             budgets.check(name, 8)
+
+    def test_meter_reads_the_limit_once(self, monkeypatch):
+        monkeypatch.setenv("POLYMIX_BUDGET", "7")
+        meter = polymix.budgets.Meter("hull")
+        monkeypatch.setenv("POLYMIX_BUDGET", "100")
+        meter.charge(7)
+        with pytest.raises(BudgetExceededError, match=", limit 7$"):
+            meter.charge(1)
+        monkeypatch.setenv("POLYMIX_BUDGET", "x")  # a later bad value is never read
+        with pytest.raises(BudgetExceededError, match=", limit 7$"):
+            meter.charge(0)
+
+    def test_meter_charges_up_to_the_limit_and_raises_past_it(self, monkeypatch):
+        monkeypatch.delenv("POLYMIX_BUDGET", raising=False)
+        meter = polymix.budgets.Meter("detector")
+        meter.charge(9_999)
+        meter.charge(0)
+        meter.charge(1)  # a use equal to the limit passes
+        with pytest.raises(BudgetExceededError) as raised:
+            meter.charge(1)
+        assert str(raised.value) == (
+            "detector budget: 10001 placements tried over every cap, limit 10000")
+        other = polymix.budgets.Meter("detector")  # each meter counts its own use
+        other.charge(10_000)
+
+    def test_meter_message_prints_any_use(self, monkeypatch):
+        monkeypatch.delenv("POLYMIX_BUDGET", raising=False)
+        with pytest.raises(BudgetExceededError) as raised:
+            polymix.budgets.Meter("cells").charge(10 ** 5000)
+        assert str(raised.value) == (
+            f"cells budget: 1{'0' * 5000} cells of a constraint box, limit 10000")
+
+    @pytest.mark.parametrize("env, code", [("6", 3), ("7", 3), ("8", 3), ("9", 0)])
+    def test_hull_stops_at_its_last_assignment(self, capsys, monkeypatch, tmp_path, env,
+                                                code):
+        # 6 for the first triangle's normals, then 3 tests to assign the last point
+        monkeypatch.setenv("POLYMIX_BUDGET", env)
+        poly = tmp_path / "triangle.json"
+        poly.write_text(json.dumps({"p": 2, "d": 2, "terms": [
+            {"e": e, "c": 1} for e in ([0, 0], [2, 3], [3, 0], [4, 0])]}))
+        assert main(["bounds", str(poly)]) == code
+        captured = capsys.readouterr()
+        if code == 3:
+            assert captured.err == (
+                f"budget exceeded: hull budget: 9 visibility tests (assignment and walk), "
+                f"plus k per facet normal, of a k-dimensional hull, limit {env}\n")
 
     @pytest.mark.parametrize("command", ["certify", "analyze"])
     def test_negative_max_k_exits_1(self, capsys, command):

@@ -166,6 +166,11 @@ class TestMixingExperiment:
         rows = mixing_experiment(ledrappier, [(0, 0)], [cell(0)], [1, 2])
         assert all(row.gap == 0 for row in rows)
 
+    @pytest.mark.parametrize("k_range", [range(0), range(1, 3)])
+    def test_one_cylinder_per_shape_point(self, ledrappier, k_range):
+        with pytest.raises(ValueError, match="one cylinder per shape point"):
+            mixing_experiment(ledrappier, [(0, 0), (1, 0)], [cell(0)], k_range)
+
 
 class TestBruteForce:
     def test_triangle_counts(self, ledrappier):

@@ -4,6 +4,7 @@ import random
 import time
 from itertools import combinations, product
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
@@ -19,7 +20,7 @@ from polymix import (
     search_relations,
     zero,
 )
-from polymix import laurent, quotient
+from polymix import budgets, laurent, quotient
 from polymix.cli import main
 from polymix.laurent import frobenius_power
 from polymix.mixing import _candidate_count, relation_value
@@ -471,6 +472,13 @@ class TestSearchRelations:
     def test_budget_enforced(self, ledrappier):
         with pytest.raises(BudgetExceededError):
             search_relations(ledrappier, 3, 12, 0)
+
+    def test_search_reads_the_budget_once_per_meter(self, monkeypatch, ledrappier):
+        # one read for the search meter, one for the modulus's residue meter
+        monkeypatch.delenv("POLYMIX_BUDGET", raising=False)
+        with mock.patch.object(budgets, "_override", wraps=budgets._override) as reads:
+            search_relations(ledrappier, 3, 1, 0)
+        assert reads.call_count == 2
 
     def test_candidate_count_is_exact_up_to_the_limit(self):
         # past the limit it may stop early, but only at a partial product

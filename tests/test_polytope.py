@@ -742,10 +742,34 @@ class TestQuickhullAgainstLexicographicInsertion:
         assert faces(hull(pts)) == faces(poly)
 
     def test_one_hull_reads_the_budget_once(self, monkeypatch):
-        # 126 batches of normals, each compared against the limit read
-        # before the first
+        # every test and normal is charged to one meter, which read the limit
+        # when it was made
         monkeypatch.delenv("POLYMIX_BUDGET", raising=False)
         pts = self.roadmap_5d_cloud()
         with mock.patch.object(budgets, "_override", wraps=budgets._override) as reads:
             hull(pts)
         assert reads.call_count == 1
+
+    def test_answers_at_its_use_and_stops_one_below(self, monkeypatch):
+        # every charge is checked, the last assignment's too, so the smallest
+        # limit a hull answers at is the use it ends with
+        meters = []
+
+        class Recorded(budgets.Meter):
+            def __init__(self, name):
+                super().__init__(name)
+                meters.append(self)
+
+        monkeypatch.setattr(budgets, "Meter", Recorded)
+        rng = random.Random(25)
+        for _ in range(40):
+            d = rng.randint(2, 5)
+            pts = [tuple(rng.randint(0, 9) for _ in range(d)) for _ in range(rng.randint(6, 60))]
+            monkeypatch.delenv("POLYMIX_BUDGET", raising=False)
+            poly = hull(pts)
+            used = meters[-1].used
+            monkeypatch.setenv("POLYMIX_BUDGET", str(used))
+            assert faces(hull(pts)) == faces(poly)
+            monkeypatch.setenv("POLYMIX_BUDGET", str(used - 1))
+            with pytest.raises(BudgetExceededError, match=f", limit {used - 1}$"):
+                hull(pts)
