@@ -18,8 +18,6 @@ from .laurent import (
     make_poly,
     monomial,
     one,
-    poly_pow,
-    zero,
 )
 from .measure import (
     CylinderSpec,
@@ -76,11 +74,9 @@ __all__ = [
     "normalize",
     "one",
     "outward_normal",
-    "poly_pow",
     "reduce",
     "redraw_space",
     "search_relations",
     "skeleton_from_polytope",
     "solution_space",
-    "zero",
 ]

@@ -17,8 +17,9 @@ reads or nesting deeper than its recursion limit; an option value out of
 range -- a negative --max-k, --K, --radius or --coeff-degree, an --r
 below 2 -- or a POLYMIX_BUDGET that is not a positive integer),
 2 degenerate input (zero/monomial polynomial, degenerate polytope,
-repeated --shape points, or a float skeleton whose edge directions leave
-float range) or a usage error reported by argparse
+repeated --shape points, a --k-range holding 0 for two or more --shape
+points, or a float skeleton whose edge directions leave float range) or
+a usage error reported by argparse
 (an unknown subcommand or flag, a missing required flag, or a flag value
 of the wrong type, such as --max-k x), 3 budget exceeded
 (the message names the budget, its use and its limit), 4 internal error

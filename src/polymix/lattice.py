@@ -23,10 +23,6 @@ def content(v) -> int:
     return g
 
 
-def is_primitive(v) -> bool:
-    return content(v) == 1
-
-
 def primitive(v) -> IntVec:
     """Divide out the content; errors on the zero vector."""
     g = content(v)
@@ -162,7 +158,7 @@ def complete_to_unimodular(v: IntVec) -> list[list[int]]:
     V^-1 = det V * adj V; M is that inverse transposed, its first column
     multiplied by e.
     """
-    if not is_primitive(v):
+    if content(v) != 1:
         raise ValueError(f"{v} is not primitive")
     d = len(v)
     vcols, _ = column_reduce([v], d)

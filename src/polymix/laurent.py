@@ -163,13 +163,6 @@ class LaurentPoly:
                 merged.pop(e, None)
         return _raw(self.field, self.dim, merged)
 
-    def __neg__(self) -> "LaurentPoly":
-        p = self.p
-        return _raw(self.field, self.dim, {e: p - c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check_compatible(other)
         p = self.p
@@ -184,13 +177,6 @@ class LaurentPoly:
                 else:
                     out.pop(e, None)
         return _raw(self.field, self.dim, out)
-
-    def scale(self, c: int) -> "LaurentPoly":
-        """Multiply by the scalar c."""
-        c %= self.p
-        if c == 0:
-            return _raw(self.field, self.dim, {})
-        return _raw(self.field, self.dim, {e: (c * v) % self.p for e, v in self.terms.items()})
 
     def shift(self, m: ExponentVec) -> "LaurentPoly":
         """Multiply by the monomial u^m."""
@@ -246,10 +232,6 @@ def make_poly(
     return LaurentPoly(field, dim, [(tuple(e), c) for e, c in terms])
 
 
-def zero(field: FieldSpec | int, dim: int) -> LaurentPoly:
-    return LaurentPoly(field, dim)
-
-
 def one(field: FieldSpec | int, dim: int) -> LaurentPoly:
     return LaurentPoly(field, dim, [((0,) * dim, 1)])
 
@@ -275,18 +257,3 @@ def frobenius_power(g: LaurentPoly, k: int) -> LaurentPoly:
         g.dim,
         {tuple(scale * x for x in e): c for e, c in g.terms.items()},
     )
-
-
-def poly_pow(g: LaurentPoly, n: int) -> LaurentPoly:
-    """g**n by repeated squaring (n >= 0)."""
-    if n < 0:
-        raise ValueError("negative powers are not defined for general polynomials")
-    result = one(g.field, g.dim)
-    base = g
-    while n:
-        if n & 1:
-            result = result * base
-        base = base * base
-        n >>= 1
-    return result
-

@@ -72,12 +72,6 @@ class CylinderSpec:
         items = sorted((tuple(w), int(v)) for w, v in pairs)
         return cls(tuple(w for w, _ in items), tuple(v for _, v in items))
 
-    def translated(self, shift: Sequence[int]) -> "CylinderSpec":
-        return CylinderSpec.from_pairs(
-            (tuple(a + b for a, b in zip(w, shift)), v)
-            for w, v in zip(self.window, self.values)
-        )
-
 
 @dataclass(frozen=True)
 class MeasureResult:
@@ -346,12 +340,16 @@ def mixing_experiment(
 
     Each row reports the joint measure of the cylinders shifted by
     k * shape, the product of the single measures, and the gap between
-    them.  Repeated shape points never move apart, so they are refused.
+    them.  Repeated shape points never move apart, and k = 0 dilates two
+    or more points to one, so both are refused.
     """
     if len(set(map(tuple, shape))) != len(shape):
         raise ValueError("shape has repeated points")
     if len(shape) != len(cylinders):
         raise ValueError("one cylinder per shape point is required")
+    k_range = list(k_range)
+    if len(shape) > 1 and 0 in k_range:
+        raise ValueError("k = 0 dilates every shape point to the origin")
     rows: list[ExperimentRow] = []
     product = math.prod((cylinder_measure(f, cyl, method=method).value for cyl in cylinders),
                         start=Fraction(1))

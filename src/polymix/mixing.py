@@ -25,7 +25,7 @@ from typing import Sequence
 
 from . import budgets
 from .errors import InternalInconsistencyError
-from .laurent import ExponentVec, LaurentPoly, frobenius_power, zero
+from .laurent import ExponentVec, LaurentPoly, frobenius_power
 from .polytope import LatticePolytope, hull
 from .quotient import (
     check_modulus,
@@ -164,7 +164,7 @@ def relation_value(
             raise ValueError(f"exponent vector {tuple(n)} has wrong dimension")
         shifted += [(tuple(map(add, m, n)), c) for m, c in a.terms.items()]
     if not shifted:
-        return zero(f.field, f.dim)
+        return LaurentPoly(f.field, f.dim)
     shift = tuple(map(min, zip(*(e for e, _ in shifted))))
     return LaurentPoly(f.field, f.dim, [
         (e, c * v)

@@ -40,7 +40,7 @@ class RedrawMatch:
     difference is an exact positive rational multiple of its polytope
     edge direction.
     ``homothety`` is the scale and translation that carry the vertices
-    onto their snapped points, or None for a redrawing that is not a
+    onto their perturbed points, or None for a redrawing that is not a
     dilation of N(f), which only a non-tight polytope admits.
     """
 
@@ -49,13 +49,6 @@ class RedrawMatch:
     perturbations: tuple[IntVec, ...]
     K: int
     homothety: tuple[Fraction, tuple[Fraction, ...]] | None
-
-    @property
-    def snapped(self) -> tuple[IntVec, ...]:
-        return tuple(
-            tuple(a + b for a, b in zip(pt, d))
-            for pt, d in zip(self.points, self.perturbations)
-        )
 
 
 def _positive_step(q_from: IntVec, pt: IntVec, dir0: IntVec, cap: int) -> list[int]:

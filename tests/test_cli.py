@@ -29,7 +29,10 @@ MONO = str(FIXTURES / "monomial.json")
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse ends help and usage errors this way
+        code = exc.code
     out = capsys.readouterr().out
     return code, out
 
@@ -659,6 +662,14 @@ class TestSubcommands:
         assert (code, captured.out) == (2, "")
         assert captured.err == "degenerate input: shape has repeated points\n"
 
+    def test_k_zero_row_exits_2(self, capsys):
+        # k = 0 puts both points at the origin, where the row printed gap 1/4
+        code = main(["experiment", LED, "--shape", "[[0,0],[1,0]]", "--cylinder", CELL,
+                     "--k-range", "0:1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "degenerate input: k = 0 dilates every shape point to the origin\n"
+
     @pytest.mark.parametrize(
         "argv, flag",
         [
@@ -962,6 +973,12 @@ def test_golden_stdout(capsys, case):
     code, out = run(capsys, *argv)
     assert code == case["exit"]
     assert out == (GOLDEN / f"{case['name']}.stdout").read_text()
+
+
+def test_every_golden_stdout_has_one_case():
+    names = [case["name"] for case in json.loads((GOLDEN / "cases.json").read_text())]
+    assert len(names) == len(set(names))
+    assert sorted(names) == sorted(path.stem for path in GOLDEN.glob("*.stdout"))
 
 
 def test_console_script_targets_cli_main():

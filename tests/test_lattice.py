@@ -14,7 +14,6 @@ from polymix.lattice import (
     content,
     int_det,
     int_rank,
-    is_primitive,
     primitive,
 )
 from polymix.redraw import constraint_rows
@@ -40,9 +39,9 @@ class TestPrimitive:
         with pytest.raises(ValueError):
             primitive((0, 0, 0))
 
-    def test_is_primitive(self):
-        assert is_primitive((3, 5))
-        assert not is_primitive((2, 4))
+    def test_content_one_means_primitive(self):
+        assert content((3, 5)) == 1
+        assert content((2, 4)) != 1
 
 
 class TestDeterminant:
@@ -205,7 +204,7 @@ class TestCompleteToUnimodular:
         assert tuple(row[0] for row in m) == v
         assert abs(int_det([row[:] for row in m])) == 1
         for j in range(len(v)):
-            assert is_primitive(tuple(row[j] for row in m))
+            assert content(tuple(row[j] for row in m)) == 1
 
     def test_exact_small_examples(self):
         assert complete_to_unimodular((1, 0)) == [[1, 0], [0, 1]]

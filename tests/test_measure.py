@@ -171,6 +171,15 @@ class TestMixingExperiment:
         with pytest.raises(ValueError, match="one cylinder per shape point"):
             mixing_experiment(ledrappier, [(0, 0), (1, 0)], [cell(0)], k_range)
 
+    def test_k_zero_refused_for_two_or_more_points(self, ledrappier):
+        # every point dilates to the origin, so a row would compare one
+        # cylinder with itself; a single point has nothing to merge
+        for k_range in ([0], range(-1, 2), iter([2, 0])):
+            with pytest.raises(ValueError, match="^k = 0 dilates every shape point"):
+                mixing_experiment(ledrappier, [(0, 0), (1, 0)], [cell(0)] * 2, k_range)
+        rows = mixing_experiment(ledrappier, [(1, 0)], [cell(0)], range(0, 2))
+        assert [(row.k, row.gap) for row in rows] == [(0, 0), (1, 0)]
+
 
 class TestBruteForce:
     def test_triangle_counts(self, ledrappier):
@@ -259,7 +268,7 @@ class TestHaarProperties:
             base = cylinder_measure(f, cyl).value
             for _ in range(20):
                 m = (rng.randint(-6, 6), rng.randint(-6, 6))
-                moved = cyl.translated(m)
+                moved = merge_events([(m, cyl)])
                 assert cylinder_measure(f, moved).value == base
 
     def test_box_margins_reported(self, ledrappier):
@@ -596,7 +605,7 @@ class TestLargePrimes:
         answers = {}
         for method in ("exact", "box"):
             for argv in (["measure"],
-                         ["experiment", "--shape", "[[0,0],[5,0]]", "--k-range", "0:2"]):
+                         ["experiment", "--shape", "[[0,0],[5,0]]", "--k-range", "1:3"]):
                 code = main([*argv, str(poly), "--cylinder", str(cyl), "--method", method])
                 assert code == 0
                 answers[method, argv[0]] = json.loads(capsys.readouterr().out)
@@ -604,4 +613,4 @@ class TestLargePrimes:
         assert answers["exact", "measure"]["value"] == answers["box", "measure"]["value"]
         assert answers["exact", "experiment"] == answers["box", "experiment"]
         assert [row["joint"] for row in answers["exact", "experiment"]["rows"]] == [
-            {"num": 1, "den": p ** 4}] + [{"num": 1, "den": p ** 8}] * 2
+            {"num": 1, "den": p ** 8}] * 3

@@ -9,6 +9,7 @@ import pytest
 from polymix import (
     BudgetExceededError,
     CylinderSpec,
+    LaurentPoly,
     TrivialQuotientError,
     cylinder_measure,
     frobenius_certificate,
@@ -18,10 +19,8 @@ from polymix import (
     mixing_bounds,
     monomial,
     normalize,
-    poly_pow,
     reduce,
     search_relations,
-    zero,
 )
 from polymix import budgets, quotient
 from polymix.quotient import (
@@ -33,6 +32,7 @@ from polymix.quotient import (
 )
 
 from conftest import divide_from_scratch, generic_poly, random_poly
+from reference import poly_pow
 
 # total degrees on both sides of the packed width steps: 8 bits up to 127,
 # 16 bits up to 2^15 - 1, 48 bits for 2^39 up to 2^47 - 1
@@ -84,7 +84,7 @@ class TestNormalize:
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            normalize(zero(2, 2))
+            normalize(LaurentPoly(2, 2))
 
 
 class TestReduce:
@@ -103,7 +103,7 @@ class TestReduce:
 
     def test_trivial_quotient_errors(self, ledrappier):
         with pytest.raises(TrivialQuotientError):
-            reduce(ledrappier, zero(2, 2))
+            reduce(ledrappier, LaurentPoly(2, 2))
         with pytest.raises(TrivialQuotientError):
             reduce(ledrappier, monomial(2, 2, (1, 0)))
 
@@ -138,7 +138,7 @@ class TestIdealMembership:
         assert nf(g, ledrappier).terms == {(1, 0): 1, (2, 0): 1}
 
     def test_zero_polynomial(self, ledrappier):
-        assert reduce(zero(2, 2), ledrappier).is_zero
+        assert reduce(LaurentPoly(2, 2), ledrappier).is_zero
 
     def test_quotient_normal_form_property(self, all_fixtures):
         # reduce(q*f + h) == reduce(h) for polynomial q, h
@@ -340,7 +340,7 @@ class TestPreparedModulus:
             monomial_residue((0, 4097), twin)
 
     def test_trivial_moduli_still_raise(self, ledrappier):
-        for f in (zero(2, 2), monomial(2, 2, (1, 0)), monomial(2, 2, (0, 0))):
+        for f in (LaurentPoly(2, 2), monomial(2, 2, (1, 0)), monomial(2, 2, (0, 0))):
             for _ in range(2):  # a failed preparation leaves nothing behind
                 with pytest.raises(TrivialQuotientError):
                     reduce(ledrappier, f)
@@ -364,7 +364,7 @@ class TestPreparedModulus:
             lambda f: search_relations(f, 2, 1),
         ]
         message = "^modulus is zero or a monomial, quotient ring is trivial$"
-        for f in (zero(2, 2), monomial(2, 2, (1, 0))):
+        for f in (LaurentPoly(2, 2), monomial(2, 2, (1, 0))):
             for use in uses:
                 with pytest.raises(TrivialQuotientError, match=message):
                     use(f)
@@ -384,7 +384,7 @@ class TestPreparedModulus:
         monomial_residue((6, 5), square_f3)
         nf(monomial(3, 2, (3, 3)), square_f3)
         assert square_f3 == twin and twin == square_f3
-        assert square_f3 != square_f3.scale(2)
+        assert square_f3 != square_f3 * monomial(3, 2, (0, 0), 2)
         assert square_f3.terms == terms_before
         with pytest.raises(AttributeError):
             square_f3.terms = {}

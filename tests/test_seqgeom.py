@@ -21,6 +21,11 @@ def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
+def snapped(match):
+    """The matched points after adding their perturbations."""
+    return tuple(tuple(map(sum, zip(pt, d))) for pt, d in zip(match.points, match.perturbations))
+
+
 class TestMonomialWeight:
     def test_supporting_hyperplane_property(self, ledrappier, quad):
         # along an edge's outward normal, both endpoints weigh the same
@@ -79,9 +84,9 @@ class TestDetectRedrawing:
     def test_pairing_invariant(self, ledrappier):
         match = detect_redrawing(ledrappier, [(0, 0), (17, 0), (0, 16)], 1)
         poly = hull(ledrappier.support())
-        snapped = match.snapped
+        moved = snapped(match)
         for (a, b), (s, t) in match.pairing:
-            diff = tuple(x - y for x, y in zip(snapped[t], snapped[s]))
+            diff = tuple(x - y for x, y in zip(moved[t], moved[s]))
             direction = tuple(
                 x - y for x, y in zip(poly.vertices[b], poly.vertices[a])
             )
@@ -123,10 +128,10 @@ class TestDetectRedrawing:
                 assert match.K == max(max(map(abs, d)) for d in match.perturbations)
                 if match.K:
                     assert detect_redrawing(f, pts, match.K - 1) is None
-                snapped = match.snapped
+                moved = snapped(match)
                 for (a, b), (s, tt) in match.pairing:
                     diff = tuple(
-                        x - y for x, y in zip(snapped[tt], snapped[s])
+                        x - y for x, y in zip(moved[tt], moved[s])
                     )
                     direction = tuple(
                         x - y for x, y in zip(verts[b], verts[a])
@@ -260,14 +265,14 @@ class TestHomothety:
     def test_frobenius_tuple_is_fixed_point(self, ledrappier):
         pts = [(0, 0), (8, 0), (0, 8)]
         match = detect_redrawing(ledrappier, pts, 0)
-        assert match.snapped == tuple(pts)
+        assert snapped(match) == tuple(pts)
         scale, translation = match.homothety
         assert scale == 8
         assert all(t == 0 for t in translation)
 
     def test_unit_perturbed_recovers_scale(self, ledrappier):
         match = detect_redrawing(ledrappier, [(0, 0), (17, 0), (0, 16)], 1)
-        assert match.snapped == ((0, 0), (16, 0), (0, 16))
+        assert snapped(match) == ((0, 0), (16, 0), (0, 16))
         assert match.homothety[0] == 16
 
     def test_non_homothetic_redrawing_fails(self, square_f3):
