@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 from . import budgets, gfp
 from .errors import BudgetExceededError, InternalInconsistencyError
 from .laurent import ExponentVec, LaurentPoly
-from .quotient import check_modulus, monomial_residue
+from .quotient import check_modulus, window_residues
 
 if TYPE_CHECKING:
     import numpy as np
@@ -206,27 +206,26 @@ def _exact_measure(f: LaurentPoly, cyl: CylinderSpec) -> MeasureResult:
 
     lambda annihilates the window projection iff sum lambda_w u^w lies in
     <f>, so the projected dimension is the rank of the residues.  Each
-    residue is inserted keyed (0, monomial), with the cylinder value under
-    (1,) when it is nonzero: (1,) leads a kept row exactly when some
+    residue is inserted on the packed keys of ``window_residues``, with
+    the cylinder value, when nonzero, under its top key.  That key sits
+    above every monomial key, so it leads a kept row exactly when some
     annihilator is nonzero on the values.  A common monomial shift (a
-    unit) clears negative exponents first.  The points are asked in the
-    window's order, lexicographic as ``from_pairs`` stores it, so
-    ``monomial_residue`` finds a neighbour u^(w - e_i) in the window
-    kept, and inserted shortest residue first:
-    a point whose residue is one monomial gives a one-key row, which
+    unit) clears negative exponents first.  The points are walked in the
+    window's lexicographic order, so each finds a neighbour u^(w - e_i)
+    kept, and inserted shortest residue first: a one-monomial residue
     clears that monomial from every later row in one step.
     """
     p = f.p
     shift = tuple(min(w[i] for w in cyl.window) for i in range(f.dim))
-    residues = [(monomial_residue(tuple(map(sub, w, shift)), f).terms, v % p)
-                for w, v in zip(cyl.window, cyl.values)]
+    residues, top = window_residues([tuple(map(sub, w, shift)) for w in cyl.window], f)
     echelon: dict = {}
-    for terms, v in sorted(residues, key=lambda tv: len(tv[0])):
-        row = {(0, e): c for e, c in terms.items()}
+    values = (v % p for v in cyl.values)
+    for terms, v in sorted(zip(residues, values), key=lambda tv: len(tv[0])):
+        row = dict(terms)
         if v:
-            row[(1,)] = v
+            row[top] = v
         gfp.insert_row(echelon, row, p)
-    exponent = None if (1,) in echelon else len(echelon)
+    exponent = None if top in echelon else len(echelon)
     return MeasureResult(p, exponent, 0, True, "exact")
 
 

@@ -21,10 +21,9 @@ significant.  Under this order the leading term of 1 + u1 + u2 is u2.
 zero nor a monomial.  The modulus is prepared once: the first call with a
 given f checks it, normalizes it, finds its leading term, the inverse of
 that coefficient and the tail, and keeps them in f's ``_modulus`` slot
-with a ``residue`` meter and two residue tables, the axis squares
-u_i^(2^j) and the monomial residues already computed.  Every later
-call with the same f (one query holds one f) reuses them; nothing is kept
-at module level, so the tables go when f does.
+with a ``residue`` meter and the residue tables.  Every later call with
+the same f (one query holds one f) reuses them; nothing is kept at
+module level, so the tables go when f does.
 
 ``_divide`` is the one division loop.  Every residue comes from it, and
 it can also keep the quotient: the certificate of ``mixing`` divides
@@ -47,27 +46,28 @@ ints, not tuples.
   ones, so no term, quotient term, or quotient term times a term of f
   passes degree D, and no field overflows.  ``_Modulus.frame`` packs f's
   leading term and tail once per width and keeps them with f.
-- Precondition: every exponent is non-negative.  ``reduce`` and
-  ``residue_mul`` meet it through ``_lift``, ``monomial_residue``
-  through its checked exponents and reduced neighbours, and the
-  certificate through normalization.
-- Early exit: the callers on tuple keys (``reduce``, ``residue_mul``,
-  ``monomial_residue``) first scan the dividend for a term divisible by
-  the leading term, and return it as it is when there is none.  Only
-  when there is one do they pack it, divide and unpack the remainder.
-  Packed keys never leave this module.
+- Precondition: every exponent is non-negative.  ``reduce`` meets it
+  by a monomial shift, the residues by their checked exponents, and the
+  certificate by normalization.
+- Tables: the axis squares u_i^(2^j) and the monomial residues are kept
+  packed, one set per width, and only the widest is filled.  A walk
+  takes its width from its largest total degree before it starts; a
+  wider set is seeded by repacking a snapshot of the one before.
+- Keys leave this module in one place, ``window_residues``, as opaque
+  ints whose only use is their order and one key above them all; the
+  other callers get polynomials, unpacked once.
 
-``monomial_residue`` is the one routine that derives monomial residues:
-from a kept neighbour u^(e - e_i) in one short division when it can, by
-square-and-multiply on the axis squares otherwise.  ``measure`` reads a
-window's residues from it and ``mixing`` sums them.  Because the
-remainder is unique, a residue taken from a table, from a neighbour or
-by a fresh division is the same polynomial.  The ``residue`` budget
-bounds the term pairs multiplied for one modulus's tables, in its
-products and neighbour steps and in the division steps that reduce them.
-Its meter lives with the tables, on the polynomial object, and is never
-reset: a library caller who reuses one f across queries shares one count
-among them, while the command line loads f afresh for each query.
+``window_residues`` (for ``measure``) and ``monomial_residue`` (for
+``mixing``) derive every monomial residue: from a kept neighbour
+u^(e - e_i) in one short division when they can, by square-and-multiply
+on the axis squares otherwise, and neither builds an exponent tuple.
+The remainder is unique, so a residue from a table, a neighbour or a
+fresh division is the same polynomial.  The ``residue`` budget bounds
+the term pairs multiplied for one modulus's tables, in its products and
+neighbour steps and in the division steps that reduce them.  Its meter
+lives on the polynomial object and is never reset: a library caller who
+reuses one f across queries shares one count among them, while the
+command line loads f afresh for each query.
 """
 
 from __future__ import annotations
@@ -75,11 +75,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from operator import ge, mul
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import budgets
 from .errors import TrivialQuotientError
-from .laurent import ExponentVec, LaurentPoly, _raw, monomial, one
+from .laurent import ExponentVec, LaurentPoly, _raw
 
 __all__ = [
     "Residue",
@@ -90,8 +90,8 @@ __all__ = [
     "normalize",
     "reduce",
     "nf",
-    "residue_mul",
     "monomial_residue",
+    "window_residues",
     "power_residue",
 ]
 
@@ -119,14 +119,6 @@ def normalize(g: LaurentPoly) -> tuple[LaurentPoly, ExponentVec]:
     shift = g.min_exponents()
     neg = tuple(-s for s in shift)
     return g.shift(neg), shift
-
-
-def _lift(g: LaurentPoly) -> LaurentPoly:
-    # Clear negative exponents only; polynomials (and zero) pass through unchanged.
-    shift = tuple(min(0, m) for m in g.min_exponents()) if g.terms else (0,) * g.dim
-    if any(shift):
-        g = g.shift(tuple(-s for s in shift))
-    return g
 
 
 def _width(degree: int) -> int:
@@ -162,6 +154,10 @@ def check_modulus(f: LaurentPoly) -> None:
         raise TrivialQuotientError("modulus is zero or a monomial, quotient ring is trivial")
 
 
+def _repack(key: int, old: _Frame, new: _Frame) -> int:  # same exponents, wider frame
+    return sum((key >> s & old.mask) * w for s, w in zip(old.shifts, new.weights))
+
+
 class _Modulus:
     """Division data of f, computed once, and the residues shared against it.
 
@@ -170,7 +166,7 @@ class _Modulus:
     reuses its axis squares and monomial residues.
     """
 
-    __slots__ = ("p", "lt", "lt_inv", "tail", "frames", "squares", "monomials", "residue")
+    __slots__ = ("p", "lt", "lt_inv", "tail", "frames", "sets", "residue")
 
     def __init__(self, f: LaurentPoly) -> None:
         check_modulus(f)
@@ -180,9 +176,8 @@ class _Modulus:
         self.lt_inv = pow(lt_c, p - 2, p) if p > 2 else 1
         self.tail = [(e, c) for e, c in fhat.terms.items() if e != self.lt]
         self.frames: dict[int, _Frame] = {}  # width -> f packed at that width
-        # (axis, j) -> residue of u_axis^(2^j); exps -> residue of u^exps
-        self.squares: dict[tuple[int, int], LaurentPoly] = {}
-        self.monomials: dict[ExponentVec, LaurentPoly] = {}
+        # width -> {(axis, j): residue of u_axis^(2^j)}, {key of e: residue of u^e}
+        self.sets: dict[int, tuple[dict, dict]] = {}
         self.residue = budgets.Meter("residue")
 
     def frame(self, width: int) -> _Frame:
@@ -197,6 +192,25 @@ class _Modulus:
                            _pack(self.lt, weights), tail)
             self.frames[width] = frame
         return frame
+
+    def tables(self, width: int) -> tuple[_Frame, dict, dict]:
+        """The frame and tables of the widest set, at least ``width`` wide; only it is filled.
+
+        A wider set is seeded by repacking a snapshot of the one before and
+        published with ``setdefault``, so a thread still filling the
+        narrower set never sees it change.
+        """
+        widest = max(self.sets, default=0)
+        if widest < width:
+            old, new = self.frames.get(widest), self.frame(width)
+            squares, monomials = self.sets.get(widest, ({}, {}))
+            self.sets.setdefault(width, (
+                {i: {_repack(k, old, new): c for k, c in r.items()}
+                 for i, r in list(squares.items())},
+                {_repack(e, old, new): {_repack(k, old, new): c for k, c in r.items()}
+                 for e, r in list(monomials.items())}))
+            widest = width
+        return (self.frame(widest), *self.sets[widest])
 
 
 def _prepared(f: LaurentPoly) -> _Modulus:
@@ -250,8 +264,7 @@ def _divide(work: dict[int, int], m: _Modulus, frame: _Frame, quotient=None,
     return work
 
 
-def _reduced(work: dict[ExponentVec, int], m: _Modulus,
-             charge: bool = False) -> dict[ExponentVec, int]:
+def _reduced(work: dict[ExponentVec, int], m: _Modulus) -> dict[ExponentVec, int]:
     """Remainder of a dividend on non-negative exponent vectors; may be ``work`` itself.
 
     A dividend with no term divisible by the leading term is its own
@@ -268,13 +281,13 @@ def _reduced(work: dict[ExponentVec, int], m: _Modulus,
     weights, shifts, mask = frame.weights, frame.shifts, frame.mask
     # _pack, inlined to save a call per term
     vectors = {sum(map(mul, e, weights)): e for e in work}
-    remainder = _divide(dict(zip(vectors, work.values())), m, frame, charge=charge)
+    remainder = _divide(dict(zip(vectors, work.values())), m, frame)
     # most remainder terms are dividend terms the division never touched
     return {vectors.get(k) or tuple([k >> s & mask for s in shifts]): c
             for k, c in remainder.items()}
 
 
-def _product(a: list[tuple[int, int]], b: dict[int, int], p: int) -> dict[int, int]:
+def _product(a: Iterable[tuple[int, int]], b: dict[int, int], p: int) -> dict[int, int]:
     """Product of two packed polynomials over F_p, term pairs summed in full."""
     out: dict[int, int] = {}
     get = out.get
@@ -283,6 +296,17 @@ def _product(a: list[tuple[int, int]], b: dict[int, int], p: int) -> dict[int, i
             k = ka + kb
             out[k] = get(k, 0) + ca * cb
     return {k: r for k, c in out.items() if (r := c % p)}
+
+
+def _multiply(a: dict[int, int], b: dict[int, int], m: _Modulus, frame: _Frame) -> dict[int, int]:
+    """Product in the quotient ring, reduced at once; charges its term pairs and steps."""
+    m.residue.charge(len(a) * len(b))
+    return _divide(_product(a.items(), b, m.p), m, frame, charge=True)
+
+
+def _unpacked(f: LaurentPoly, r: dict[int, int], frame: _Frame) -> LaurentPoly:
+    shifts, mask = frame.shifts, frame.mask
+    return _raw(f.field, f.dim, {tuple([k >> s & mask for s in shifts]): c for k, c in r.items()})
 
 
 def divides_exactly(dividend: Mapping[ExponentVec, int], f: LaurentPoly,
@@ -330,7 +354,10 @@ def reduce(g: LaurentPoly, f: LaurentPoly) -> Residue:
     """
     g._check_compatible(f)
     m = _prepared(f)
-    return Residue(_raw(g.field, g.dim, _reduced(dict(_lift(g).terms), m)))
+    lift = [-min(0, x) for x in g.min_exponents()] if g.terms else ()
+    if any(lift):  # clear negative exponents only
+        g = g.shift(tuple(lift))
+    return Residue(_raw(g.field, g.dim, _reduced(dict(g.terms), m)))
 
 
 def nf(g: LaurentPoly, f: LaurentPoly) -> LaurentPoly:
@@ -338,85 +365,89 @@ def nf(g: LaurentPoly, f: LaurentPoly) -> LaurentPoly:
     return reduce(g, f).value
 
 
-def residue_mul(a: LaurentPoly, b: LaurentPoly, f: LaurentPoly) -> LaurentPoly:
-    """Product in the quotient ring, reduced immediately.
-
-    Its term pairs are charged to the ``residue`` budget before the product
-    is formed, and those of its division steps as they run.
-    """
-    m = _prepared(f)
-    m.residue.charge(len(a.terms) * len(b.terms))
-    g = a * b
-    g._check_compatible(f)
-    return _raw(f.field, f.dim, _reduced(dict(_lift(g).terms), m, charge=True))
-
-
 def power_residue(g: LaurentPoly, n: int, f: LaurentPoly) -> LaurentPoly:
-    """Residue of g**n by square-and-multiply in the quotient ring.
+    """Residue of g**n by square-and-multiply in the quotient ring, each step reduced.
 
-    Required for exponents far beyond what term-by-term division could
-    handle; each intermediate stays reduced.
+    The products run packed in one frame, wide enough for the last
+    square: 2n times the total degree of g's residue.
     """
     if n < 0:
         raise ValueError("negative powers are not defined")
-    result = nf(one(g.field, g.dim), f)
+    m = _prepared(f)
     base = nf(g, f)
+    frame = m.frame(_width(2 * n * max(map(sum, base.terms), default=0)))
+    base = {_pack(e, frame.weights): c for e, c in base.terms.items()}
+    result = {0: 1}
     while n:
         if n & 1:
-            result = residue_mul(result, base, f)
-        base = residue_mul(base, base, f)
+            result = _multiply(result, base, m, frame)
+        base = _multiply(base, base, m, frame)
         n >>= 1
-    return result
+    return _unpacked(f, result, frame)
 
 
-def _axis_square(f: LaurentPoly, m: _Modulus, axis: int, j: int) -> LaurentPoly:
-    """Residue of u_axis^(2^j), the square of the one for j - 1."""
-    result = m.squares.get((axis, j))
-    if result is None:
-        if j == 0:
-            result = nf(monomial(f.field, f.dim, [int(i == axis) for i in range(f.dim)]), f)
-        else:
-            half = _axis_square(f, m, axis, j - 1)
-            result = residue_mul(half, half, f)
-        m.squares[axis, j] = result
-    return result
+def _walk(points: Sequence[ExponentVec], f: LaurentPoly) -> tuple[list[dict[int, int]], _Frame]:
+    """Packed residues of u^w for the points w, in order, and the frame of their keys.
+
+    Each point has one non-negative entry per variable of f.  A residue
+    not kept yet is u_i times a kept neighbour u^(w - e_i), ``weights[i]``
+    added to each of its keys, divided once; or else the product of the
+    axis squares u_i^(2^j) picked by the bits of each exponent.
+    """
+    for w in points:
+        if min(w) < 0:
+            raise ValueError(f"exponents must be non-negative, got {w}")
+        if len(w) != f.dim:
+            raise ValueError(f"exponent vector {w} has wrong dimension")
+    m = _prepared(f)
+    frame, squares, monomials = m.tables(_width(max(map(sum, points), default=0)))
+    weights = frame.weights
+    residues = []
+    for w in points:
+        key = sum(map(mul, w, weights))
+        result = monomials.get(key)
+        if result is None:
+            for axis, x in enumerate(w):
+                neighbour = monomials.get(key - weights[axis]) if x else None
+                if neighbour is not None:
+                    m.residue.charge(len(neighbour))
+                    step = weights[axis]
+                    result = _divide({k + step: c for k, c in neighbour.items()}, m, frame,
+                                     charge=True)
+                    break
+            else:
+                result = {0: 1}
+                for axis, e in enumerate(w):
+                    square = None
+                    for j in range(e.bit_length()):  # u_axis^(2^j), the square of the last
+                        half, square = square, squares.get((axis, j))
+                        if square is None:
+                            square = squares[axis, j] = (
+                                _multiply(half, half, m, frame) if j
+                                else _divide({weights[axis]: 1}, m, frame))
+                        if e >> j & 1:
+                            result = _multiply(result, square, m, frame)
+            monomials[key] = result
+        residues.append(result)
+    return residues, frame
 
 
 def monomial_residue(exps: ExponentVec, f: LaurentPoly) -> LaurentPoly:
     """Residue of the monomial u^exps: one non-negative entry per variable of f.
 
-    Results are kept with f.  When a neighbour u^(exps - e_i) is already
-    kept, the residue is one short division of u_i times the neighbour's,
-    so a walk over a window or a box in lexicographic order divides once
-    per point.  Otherwise it is the product of the axis squares u_i^(2^j)
-    picked by the bits of each exponent, so dilated exponents like 2^12
-    cost a handful of quotient multiplications.
+    Results are kept with f, so a walk over a window or a box in
+    lexicographic order divides once per point, and dilated exponents
+    like 2^12 cost a handful of quotient multiplications.
     """
-    if min(exps) < 0:
-        raise ValueError(f"exponents must be non-negative, got {exps}")
-    m = _prepared(f)
-    exps = tuple(exps)
-    result = m.monomials.get(exps)
-    if result is not None:
-        return result
-    if len(exps) != f.dim:  # checked on a miss only: no such key is ever kept
-        raise ValueError(f"exponent vector {exps} has wrong dimension")
-    for axis, x in enumerate(exps):
-        neighbour = m.monomials.get(exps[:axis] + (x - 1,) + exps[axis + 1:]) if x else None
-        if neighbour is not None:
-            m.residue.charge(len(neighbour.terms))
-            step = {e[:axis] + (e[axis] + 1,) + e[axis + 1:]: c for e, c in neighbour.terms.items()}
-            result = _raw(f.field, f.dim, _reduced(step, m, charge=True))
-            break
-    else:
-        result = nf(one(f.field, f.dim), f)
-        for axis, e in enumerate(exps):
-            j = 0
-            while e:
-                if e & 1:
-                    result = residue_mul(result, _axis_square(f, m, axis, j), f)
-                e >>= 1
-                j += 1
-    m.monomials[exps] = result
-    return result
+    (residue,), frame = _walk([exps], f)
+    return _unpacked(f, residue, frame)
 
+
+def window_residues(points: Sequence[ExponentVec], f: LaurentPoly) -> tuple[list[dict], int]:
+    """Packed residues of u^w for the window points w, in order, and a key above them all.
+
+    The keys are opaque ints whose order is the monomial order.  The
+    residues are the kept ones, so a caller copies one before changing it.
+    """
+    residues, frame = _walk(points, f)
+    return residues, 1 << (f.dim + 1) * frame.mask.bit_length()

@@ -257,11 +257,11 @@ class TestResidueShortcuts:
         assert r.terms == {(0, 0): 1, (4096, 0): 1}
 
     def test_wrong_length_exponents_rejected_and_never_kept(self, ledrappier):
-        kept = quotient._prepared(ledrappier).monomials
+        tables = quotient._prepared(ledrappier).sets
         for e in ((3, 4, 5), (3,)):
             with pytest.raises(ValueError, match="wrong dimension"):
                 monomial_residue(e, ledrappier)
-            assert e not in kept
+            assert not tables
         assert monomial_residue((3, 4), ledrappier) == nf(monomial(2, 2, (3, 4)), ledrappier)
 
     def test_laurent_modulus_defines_same_ideal(self, ledrappier):
@@ -300,8 +300,8 @@ class TestPreparedModulus:
         # in lexicographic order every point after the first has a kept
         # neighbour u^(e - e_i), so square-and-multiply runs only once
         calls = []
-        real = quotient.residue_mul
-        monkeypatch.setattr(quotient, "residue_mul", lambda *a: calls.append(a) or real(*a))
+        real = quotient._product
+        monkeypatch.setattr(quotient, "_product", lambda *a: calls.append(a) or real(*a))
         for f in _moduli(all_fixtures):
             counts = []
             for e in sorted(product(range(3, 9), range(2, 8))):
@@ -309,6 +309,27 @@ class TestPreparedModulus:
                 assert monomial_residue(e, f) == divide_from_scratch(monomial(f.p, 2, e), f)
                 counts.append(len(calls) - before)
             assert counts[0] > 0 and not any(counts[1:])
+
+    def test_residues_across_width_steps(self, ledrappier):
+        # one modulus asked on both sides of the 8/16- and 16/24-bit steps,
+        # so the packed tables are seeded wider twice, then a rectangle
+        # walk through window_residues across the 8/16-bit step: every
+        # residue is the division's and the count is the one-table count
+        exps = [(100, 27), (101, 27), (0, 127), (0, 128), (64, 63), (64, 64),
+                (2 ** 15 - 6, 5), (2 ** 15 - 5, 5), (2 ** 15 - 40, 39), (2 ** 15 - 39, 39)]
+        random.Random(33).shuffle(exps)
+        assert [quotient._width(sum(e)) for e in exps[:5]] == [8, 8, 16, 16, 24]
+        for e in exps:
+            assert monomial_residue(e, ledrappier) == divide_from_scratch(
+                monomial(2, 2, e), ledrappier)
+        walk = sorted(product(range(120, 126), range(2, 8)))
+        residues, top = quotient.window_residues(walk, ledrappier)
+        width = (top.bit_length() - 1) // 3
+        assert width == 24 and all(k < top for r in residues for k in r)
+        for e, r in zip(walk, residues):
+            expected = divide_from_scratch(monomial(2, 2, e), ledrappier).terms
+            assert {_unpack(k, 2, width): c for k, c in r.items()} == expected
+        assert quotient._prepared(ledrappier).residue.used == 936
 
     def test_moduli_used_in_turn_keep_their_own_residues(self, all_fixtures):
         rng = random.Random(34)
@@ -404,6 +425,9 @@ class TestPreparedModulus:
         f = make_poly(3, 2, [((0, 0), 1), ((1, 0), 2), ((1, 2), 1)])
         twin = make_poly(3, 2, f.terms.items())
         exps = [(rng.randint(0, 300), rng.randint(0, 300)) for _ in range(12)]
+        # total degrees on both sides of 127/128: some threads seed the
+        # 16-bit tables while others still walk the 8-bit ones
+        exps += [(60, 60), (64, 63), (0, 127), (64, 64), (127, 1), (100, 40)]
         expected = {e: monomial_residue(e, twin) for e in exps}
         start = threading.Barrier(6)
         wrong = []
@@ -412,9 +436,12 @@ class TestPreparedModulus:
             order = list(exps)
             random.Random(seed).shuffle(order)
             start.wait(timeout=30)
-            for e in order:
-                if monomial_residue(e, f) != expected[e]:
-                    wrong.append(e)
+            try:
+                for e in order:
+                    if monomial_residue(e, f) != expected[e]:
+                        wrong.append(e)
+            except Exception as exc:  # pytest would only warn about it
+                wrong.append(exc)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -55,6 +55,11 @@ KEPT = {
     "polytope.outward_normal": (BENCH, "polytope.outward_normal"),
     "polytope._pull_back": ("called only by outward_normal", "polytope.outward_normal"),
     "quotient.power_residue": (BENCH, "quotient.power_residue"),
+    "laurent.LaurentPoly.__mul__": (
+        "the benchmark's laurent.mul target, and value API: polynomials multiply",
+        "laurent.LaurentPoly.__mul__"),
+    "laurent.monomial": ("a constructor README.md documents", None),
+    "laurent.one": ("a constructor README.md documents", None),
     "laurent.LaurentPoly.__add__": (
         "value API: the tests' ring-axiom and linearity oracles add polynomials", None),
     "laurent.LaurentPoly.__eq__": ("value API: polynomials compare by their terms", None),
