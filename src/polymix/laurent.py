@@ -23,7 +23,7 @@ from __future__ import annotations
 import operator
 import reprlib
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 ExponentVec = tuple[int, ...]
 
@@ -238,6 +238,15 @@ def one(field: FieldSpec | int, dim: int) -> LaurentPoly:
 
 def monomial(field: FieldSpec | int, dim: int, exps: Iterable[int], coeff: int = 1) -> LaurentPoly:
     return LaurentPoly(field, dim, [(tuple(exps), coeff)])
+
+
+def check_vectors(vectors: Iterable[Sequence[int]], dim: int, what: str) -> None:
+    """Raise ``ValueError`` at the first vector, named as ``what``, that is not ``dim`` ints."""
+    for v in vectors:
+        if len(v) != dim:
+            raise ValueError(f"{what} {tuple(v)} has wrong dimension")
+        if not isinstance(sum(v), int):  # a float or Fraction entry makes the sum one too
+            raise ValueError(f"{what} {tuple(v)} has non-integer entries")
 
 
 def frobenius_power(g: LaurentPoly, k: int) -> LaurentPoly:

@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from . import budgets, gfp
 from .errors import BudgetExceededError, InternalInconsistencyError
-from .laurent import ExponentVec, LaurentPoly
+from .laurent import ExponentVec, LaurentPoly, check_vectors
 from .quotient import check_modulus, window_residues
 
 if TYPE_CHECKING:
@@ -280,9 +280,7 @@ def cylinder_measure(
 ) -> MeasureResult:
     """Haar measure of the event {x restricted to the window = values}."""
     check_modulus(f)
-    for w in cyl.window:
-        if len(w) != f.dim:
-            raise ValueError(f"window point {w} has wrong dimension")
+    check_vectors(cyl.window, f.dim, "window point")
     if method == "exact":
         return _exact_measure(f, cyl)
     if method == "box":
@@ -313,6 +311,7 @@ def joint_measure(
     values.
     """
     check_modulus(f)
+    check_vectors([shift for shift, _ in events], f.dim, "shift")
     merged = merge_events(events)
     if merged is None:
         return MeasureResult(f.p, None, 0, True, "merge")
@@ -338,10 +337,12 @@ def mixing_experiment(
     """Joint vs product measures along dilations of a shape.
 
     Each row reports the joint measure of the cylinders shifted by
-    k * shape, the product of the single measures, and the gap between
-    them.  Repeated shape points never move apart, and k = 0 dilates two
-    or more points to one, so both are refused.
+    k * shape, the product of the single measures (one per distinct
+    cylinder), and the gap between them.  Repeated shape points never
+    move apart, and k = 0 dilates two or more points to one, so both are
+    refused.
     """
+    check_vectors(shape, f.dim, "shape point")
     if len(set(map(tuple, shape))) != len(shape):
         raise ValueError("shape has repeated points")
     if len(shape) != len(cylinders):
@@ -350,8 +351,9 @@ def mixing_experiment(
     if len(shape) > 1 and 0 in k_range:
         raise ValueError("k = 0 dilates every shape point to the origin")
     rows: list[ExperimentRow] = []
-    product = math.prod((cylinder_measure(f, cyl, method=method).value for cyl in cylinders),
-                        start=Fraction(1))
+    single = {cyl: cylinder_measure(f, cyl, method=method).value
+              for cyl in dict.fromkeys(cylinders)}
+    product = math.prod(map(single.get, cylinders), start=Fraction(1))
     for k in k_range:
         shifts = [tuple(k * x for x in v) for v in shape]
         try:

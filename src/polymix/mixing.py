@@ -25,7 +25,7 @@ from typing import Sequence
 
 from . import budgets
 from .errors import InternalInconsistencyError
-from .laurent import ExponentVec, LaurentPoly, frobenius_power
+from .laurent import ExponentVec, LaurentPoly, check_vectors, frobenius_power
 from .polytope import LatticePolytope, hull
 from .quotient import (
     check_modulus,
@@ -157,11 +157,10 @@ def relation_value(
     """
     if len(coefficients) != len(exponents):
         raise ValueError("one coefficient per exponent vector is required")
+    check_vectors(exponents, f.dim, "exponent vector")
     shifted = []
     for a, n in zip(coefficients, exponents):
         a._check_compatible(f)
-        if len(n) != f.dim:
-            raise ValueError(f"exponent vector {tuple(n)} has wrong dimension")
         shifted += [(tuple(map(add, m, n)), c) for m, c in a.terms.items()]
     if not shifted:
         return LaurentPoly(f.field, f.dim)
@@ -239,6 +238,10 @@ def search_relations(
     check_modulus(f)
     if r < 2:
         raise ValueError("shapes need at least two points")
+    if shape_radius < 0:
+        raise ValueError(f"shape radius must be >= 0, got {shape_radius}")
+    if coeff_degree_bound < 0:
+        raise ValueError(f"coefficient degree bound must be >= 0, got {coeff_degree_bound}")
 
     p, d = f.p, f.dim
     n_points = (2 * shape_radius + 1) ** d

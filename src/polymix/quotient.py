@@ -41,18 +41,17 @@ ints, not tuples.
   G the mask of these bits, key k is divisible by the leading key l
   exactly when ((k | G) - l) & G == G: a field of k smaller than l's
   borrows from its own guard bit, never from the next field.
-- Width: the dividend's largest total degree D and a guard bit, rounded
-  up to a multiple of 8.  A division step replaces a term by smaller
-  ones, so no term, quotient term, or quotient term times a term of f
-  passes degree D, and no field overflows.  ``_Modulus.frame`` packs f's
-  leading term and tail once per width and keeps them with f.
+- Width: the largest total degree D asked for, or f's own when larger,
+  and a guard bit, rounded up to a multiple of 8.  A division step
+  replaces a term by smaller ones, so no term, quotient term, or quotient
+  term times a term of f passes degree D, and no field overflows.
 - Precondition: every exponent is non-negative.  ``reduce`` meets it
   by a monomial shift, the residues by their checked exponents, and the
   certificate by normalization.
-- Tables: the axis squares u_i^(2^j) and the monomial residues are kept
-  packed, one set per width, and only the widest is filled.  A walk
-  takes its width from its largest total degree before it starts; a
-  wider set is seeded by repacking a snapshot of the one before.
+- Tables: one frame per modulus, picked by ``_Modulus.tables`` alone.
+  f keeps the widest frame asked for so far, with the axis squares
+  u_i^(2^j) and the monomial residues packed in it; a wider request
+  repacks them.
 - Keys leave this module in one place, ``window_residues``, as opaque
   ints whose only use is their order and one key above them all; the
   other callers get polynomials, unpacked once.
@@ -74,12 +73,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from operator import ge, mul
+from operator import mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import budgets
 from .errors import TrivialQuotientError
-from .laurent import ExponentVec, LaurentPoly, _raw
+from .laurent import ExponentVec, LaurentPoly, _raw, check_vectors
 
 __all__ = [
     "Residue",
@@ -166,7 +165,7 @@ class _Modulus:
     reuses its axis squares and monomial residues.
     """
 
-    __slots__ = ("p", "lt", "lt_inv", "tail", "frames", "sets", "residue")
+    __slots__ = ("p", "lt", "lt_inv", "tail", "packed", "residue")
 
     def __init__(self, f: LaurentPoly) -> None:
         check_modulus(f)
@@ -175,42 +174,35 @@ class _Modulus:
         self.lt, lt_c = leading_term(fhat)
         self.lt_inv = pow(lt_c, p - 2, p) if p > 2 else 1
         self.tail = [(e, c) for e, c in fhat.terms.items() if e != self.lt]
-        self.frames: dict[int, _Frame] = {}  # width -> f packed at that width
-        # width -> {(axis, j): residue of u_axis^(2^j)}, {key of e: residue of u^e}
-        self.sets: dict[int, tuple[dict, dict]] = {}
+        # the widest frame, {(axis, j): residue of u_axis^(2^j)}, {key of e: residue of u^e}
+        self.packed: tuple[_Frame, dict, dict] | None = None
         self.residue = budgets.Meter("residue")
 
-    def frame(self, width: int) -> _Frame:
-        """The leading term and the tail packed at ``width``, built once per width."""
-        frame = self.frames.get(width)
-        if frame is None:
+    def tables(self, degree: int) -> tuple[_Frame, dict, dict]:
+        """f's packed frame, wide enough for total degree ``degree`` and f, and its tables.
+
+        The one place a field width is picked: f keeps the widest frame
+        asked for so far.  A wider request repacks a snapshot of the
+        tables into a new frame and replaces the state in one assignment,
+        so a thread still filling the old tables keeps a consistent set.
+        """
+        packed = self.packed
+        width = _width(max(degree, sum(self.lt)))
+        if packed is None or packed[0].mask.bit_length() < width:
             dim = len(self.lt)
             weights = _weights(dim, width)
-            guard = sum(1 << (i * width + width - 1) for i in range(dim + 1))
-            tail = tuple((_pack(e, weights), c) for e, c in self.tail)
-            frame = _Frame(weights, range(0, dim * width, width), (1 << width) - 1, guard,
-                           _pack(self.lt, weights), tail)
-            self.frames[width] = frame
-        return frame
-
-    def tables(self, width: int) -> tuple[_Frame, dict, dict]:
-        """The frame and tables of the widest set, at least ``width`` wide; only it is filled.
-
-        A wider set is seeded by repacking a snapshot of the one before and
-        published with ``setdefault``, so a thread still filling the
-        narrower set never sees it change.
-        """
-        widest = max(self.sets, default=0)
-        if widest < width:
-            old, new = self.frames.get(widest), self.frame(width)
-            squares, monomials = self.sets.get(widest, ({}, {}))
-            self.sets.setdefault(width, (
+            new = _Frame(weights, range(0, dim * width, width), (1 << width) - 1,
+                         sum(1 << (i * width + width - 1) for i in range(dim + 1)),
+                         _pack(self.lt, weights),
+                         tuple((_pack(e, weights), c) for e, c in self.tail))
+            old, squares, monomials = packed or (None, {}, {})
+            packed = self.packed = (
+                new,
                 {i: {_repack(k, old, new): c for k, c in r.items()}
                  for i, r in list(squares.items())},
                 {_repack(e, old, new): {_repack(k, old, new): c for k, c in r.items()}
-                 for e, r in list(monomials.items())}))
-            widest = width
-        return (self.frame(widest), *self.sets[widest])
+                 for e, r in list(monomials.items())})
+        return packed
 
 
 def _prepared(f: LaurentPoly) -> _Modulus:
@@ -264,29 +256,6 @@ def _divide(work: dict[int, int], m: _Modulus, frame: _Frame, quotient=None,
     return work
 
 
-def _reduced(work: dict[ExponentVec, int], m: _Modulus) -> dict[ExponentVec, int]:
-    """Remainder of a dividend on non-negative exponent vectors; may be ``work`` itself.
-
-    A dividend with no term divisible by the leading term is its own
-    remainder and is returned at once; any other is packed, divided and
-    unpacked.
-    """
-    lt = m.lt
-    for e in work:
-        if all(map(ge, e, lt)):
-            break
-    else:
-        return work
-    frame = m.frame(_width(max(map(sum, work))))
-    weights, shifts, mask = frame.weights, frame.shifts, frame.mask
-    # _pack, inlined to save a call per term
-    vectors = {sum(map(mul, e, weights)): e for e in work}
-    remainder = _divide(dict(zip(vectors, work.values())), m, frame)
-    # most remainder terms are dividend terms the division never touched
-    return {vectors.get(k) or tuple([k >> s & mask for s in shifts]): c
-            for k, c in remainder.items()}
-
-
 def _product(a: Iterable[tuple[int, int]], b: dict[int, int], p: int) -> dict[int, int]:
     """Product of two packed polynomials over F_p, term pairs summed in full."""
     out: dict[int, int] = {}
@@ -314,14 +283,14 @@ def divides_exactly(dividend: Mapping[ExponentVec, int], f: LaurentPoly,
     """Whether fhat divides ``dividend`` with quotient g such that fhat g is ``product``.
 
     fhat is f normalized.  Both term maps have non-negative exponents.
-    The division runs in one packed frame, whose width covers the largest
-    total degree of the dividend, of ``product`` and of f's leading term;
-    the quotient stays packed, and fhat, read off f's own terms, times
-    the quotient is compared with ``product`` in the same frame.  True
-    exactly when the remainder is zero and the product matches.
+    The division runs in f's packed frame, wide enough for the largest
+    total degree of the dividend and of ``product``; the quotient stays
+    packed, and fhat, read off f's own terms, times the quotient is
+    compared with ``product`` in the same frame.  True exactly when the
+    remainder is zero and the product matches.
     """
     m = _prepared(f)
-    frame = m.frame(_width(max(map(sum, (*dividend, *product, m.lt)))))
+    frame = m.tables(max(map(sum, (*dividend, *product)), default=0))[0]
     weights = frame.weights
     g: dict[int, int] = {}
     if _divide({_pack(e, weights): c for e, c in dividend.items()}, m, frame, g):
@@ -357,7 +326,9 @@ def reduce(g: LaurentPoly, f: LaurentPoly) -> Residue:
     lift = [-min(0, x) for x in g.min_exponents()] if g.terms else ()
     if any(lift):  # clear negative exponents only
         g = g.shift(tuple(lift))
-    return Residue(_raw(g.field, g.dim, _reduced(dict(g.terms), m)))
+    frame = m.tables(max(map(sum, g.terms), default=0))[0]
+    work = {_pack(e, frame.weights): c for e, c in g.terms.items()}
+    return Residue(_unpacked(f, _divide(work, m, frame), frame))
 
 
 def nf(g: LaurentPoly, f: LaurentPoly) -> LaurentPoly:
@@ -368,14 +339,14 @@ def nf(g: LaurentPoly, f: LaurentPoly) -> LaurentPoly:
 def power_residue(g: LaurentPoly, n: int, f: LaurentPoly) -> LaurentPoly:
     """Residue of g**n by square-and-multiply in the quotient ring, each step reduced.
 
-    The products run packed in one frame, wide enough for the last
+    The products run packed in f's frame, wide enough for the last
     square: 2n times the total degree of g's residue.
     """
     if n < 0:
         raise ValueError("negative powers are not defined")
     m = _prepared(f)
     base = nf(g, f)
-    frame = m.frame(_width(2 * n * max(map(sum, base.terms), default=0)))
+    frame = m.tables(2 * n * max(map(sum, base.terms), default=0))[0]
     base = {_pack(e, frame.weights): c for e, c in base.terms.items()}
     result = {0: 1}
     while n:
@@ -394,13 +365,12 @@ def _walk(points: Sequence[ExponentVec], f: LaurentPoly) -> tuple[list[dict[int,
     added to each of its keys, divided once; or else the product of the
     axis squares u_i^(2^j) picked by the bits of each exponent.
     """
+    check_vectors(points, f.dim, "exponent vector")
     for w in points:
         if min(w) < 0:
             raise ValueError(f"exponents must be non-negative, got {w}")
-        if len(w) != f.dim:
-            raise ValueError(f"exponent vector {w} has wrong dimension")
     m = _prepared(f)
-    frame, squares, monomials = m.tables(_width(max(map(sum, points), default=0)))
+    frame, squares, monomials = m.tables(max(map(sum, points), default=0))
     weights = frame.weights
     residues = []
     for w in points:

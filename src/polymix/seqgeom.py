@@ -24,7 +24,7 @@ from typing import Sequence
 
 from . import budgets
 from .lattice import primitive
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, check_vectors
 from .polytope import hull
 
 IntVec = tuple[int, ...]
@@ -116,12 +116,13 @@ def detect_redrawing(
     """
     if tolerance_K < 0:
         raise ValueError("tolerance must be >= 0")
+    check_vectors(points, f.dim, "point")
     poly = hull(f.support())
     if poly.affine_dim < 2:
         raise ValueError(
             f"detector needs a polytope of affine dimension >= 2, got {poly.affine_dim}"
         )
-    pts = [tuple(int(x) for x in p) for p in points]
+    pts = [tuple(q) for q in points]
     verts = poly.vertices
     v = len(verts)
     if len(pts) < v:

@@ -104,6 +104,12 @@ class TestCylinderMeasure:
         with pytest.raises(Exception):
             cylinder_measure(f, cell(0))
 
+    @pytest.mark.parametrize("method", ["exact", "box"])
+    def test_non_integer_window_refused(self, ledrappier, method):
+        cyl = CylinderSpec(((0.5, 0), (1, 0)), (0, 1))
+        with pytest.raises(ValueError, match="non-integer"):
+            cylinder_measure(ledrappier, cyl, method=method)
+
     def test_values_are_p_powers(self, all_fixtures):
         rng = random.Random(42)
         for f in all_fixtures:
@@ -144,6 +150,12 @@ class TestJointMeasure:
         ev = [((0, 0), cell(0)), ((0, 0), cell(0))]
         assert joint_measure(ledrappier, ev).value == Fraction(1, 2)
 
+    def test_shift_of_wrong_dimension_refused(self, ledrappier):
+        # merging would drop the third axis and answer as for (0, 0) and (1, 0)
+        ev = [((0, 0, 1), cell(0)), ((1, 0, 0), cell(0))]
+        with pytest.raises(ValueError, match="wrong dimension"):
+            joint_measure(ledrappier, ev)
+
 
 class TestMixingExperiment:
     def test_non_mixing_gap(self, ledrappier):
@@ -170,6 +182,25 @@ class TestMixingExperiment:
     def test_one_cylinder_per_shape_point(self, ledrappier, k_range):
         with pytest.raises(ValueError, match="one cylinder per shape point"):
             mixing_experiment(ledrappier, [(0, 0), (1, 0)], [cell(0)], k_range)
+
+    @pytest.mark.parametrize("k_range", [range(0), range(1, 3)])
+    def test_shape_of_wrong_dimension_refused(self, ledrappier, k_range):
+        with pytest.raises(ValueError, match="wrong dimension"):
+            mixing_experiment(ledrappier, [(0, 0, 0), (1, 0, 1)], [cell(0)] * 2, k_range)
+
+    def test_product_measures_each_distinct_cylinder_once(self, ledrappier, monkeypatch):
+        calls = []
+        real = measure._exact_measure
+        monkeypatch.setattr(measure, "_exact_measure",
+                            lambda f, cyl: calls.append(cyl) or real(f, cyl))
+        pair = CylinderSpec.from_pairs([((0, 0), 1), ((1, 0), 0)])
+        shape = [(0, 0), (3, 0), (0, 3), (3, 3)]
+        rows = mixing_experiment(ledrappier, shape, [cell(0), pair, cell(0), pair], [])
+        assert rows == [] and calls == [cell(0), pair]
+        rows = mixing_experiment(ledrappier, shape, [cell(0), pair, cell(0), pair], [2, 5])
+        assert len(calls) == 2 + 2 + 2  # two single measures, one joint per k
+        for row in rows:
+            assert row.product == Fraction(1, 2) ** 2 * Fraction(1, 4) ** 2
 
     def test_k_zero_refused_for_two_or_more_points(self, ledrappier):
         # every point dilates to the origin, so a row would compare one

@@ -270,7 +270,7 @@ def _dilate_and_shift(g, k):
 
 
 _PRODUCT = quotient._product
-_FRAME = quotient._Modulus.frame
+_TABLES = quotient._Modulus.tables
 
 
 def _product_dropping_a_term(a, b, p):
@@ -280,9 +280,9 @@ def _product_dropping_a_term(a, b, p):
     return out
 
 
-def _frame_dropping_a_tail_term(m, width):
-    frame = _FRAME(m, width)
-    return frame._replace(tail=frame.tail[1:])
+def _frame_dropping_a_tail_term(m, degree):
+    frame, *tables = _TABLES(m, degree)
+    return (frame._replace(tail=frame.tail[1:]), *tables)
 
 
 # a division that never revisits the terms its steps create
@@ -297,7 +297,7 @@ _CERTIFICATE_MUTANTS = pytest.mark.parametrize(
         ("polymix.quotient._product", _product_dropping_a_term),
         ("polymix.mixing.frobenius_power", _dilate_by_p_squared),
         ("polymix.mixing.frobenius_power", _dilate_and_shift),
-        ("polymix.quotient._Modulus.frame", _frame_dropping_a_tail_term),
+        ("polymix.quotient._Modulus.tables", _frame_dropping_a_tail_term),
         ("polymix.quotient.heapq", _HEAPQ_LOSING_PUSHES),
     ],
     ids=[
@@ -467,6 +467,13 @@ class TestSearchRelations:
     def test_r_below_two_rejected(self, ledrappier):
         with pytest.raises(ValueError):
             search_relations(ledrappier, 1, 1, 0)
+
+    def test_negative_radius_or_coefficient_degree_rejected(self, ledrappier):
+        # both used to build empty ranges and answer that nothing was found
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            search_relations(ledrappier, 2, -1, 0)
+        with pytest.raises(ValueError, match="degree bound must be >= 0"):
+            search_relations(ledrappier, 2, 1, -1)
 
     def test_budget_enforced(self, ledrappier):
         with pytest.raises(BudgetExceededError):

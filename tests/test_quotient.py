@@ -24,6 +24,7 @@ from polymix import (
 )
 from polymix import budgets, quotient
 from polymix.quotient import (
+    divides_exactly,
     grlex_key,
     leading_term,
     monomial_residue,
@@ -257,11 +258,11 @@ class TestResidueShortcuts:
         assert r.terms == {(0, 0): 1, (4096, 0): 1}
 
     def test_wrong_length_exponents_rejected_and_never_kept(self, ledrappier):
-        tables = quotient._prepared(ledrappier).sets
+        m = quotient._prepared(ledrappier)
         for e in ((3, 4, 5), (3,)):
             with pytest.raises(ValueError, match="wrong dimension"):
                 monomial_residue(e, ledrappier)
-            assert not tables
+            assert m.packed is None
         assert monomial_residue((3, 4), ledrappier) == nf(monomial(2, 2, (3, 4)), ledrappier)
 
     def test_laurent_modulus_defines_same_ideal(self, ledrappier):
@@ -330,6 +331,56 @@ class TestPreparedModulus:
             expected = divide_from_scratch(monomial(2, 2, e), ledrappier).terms
             assert {_unpack(k, 2, width): c for k, c in r.items()} == expected
         assert quotient._prepared(ledrappier).residue.used == 936
+
+    def test_small_divisions_after_a_wide_walk(self, all_fixtures):
+        # the walk widens f's one frame to 24 bits, and nf and the
+        # certificate's exact division then run in it
+        rng = random.Random(36)
+        for f in _moduli(all_fixtures):
+            m = quotient._prepared(f)
+            wide = (2 ** 15, 0) if m.lt[1] else (0, 2 ** 15)  # its own residue
+            assert monomial_residue(wide, f) == monomial(f.p, 2, wide)
+            fhat = normalize(f)[0]
+            for _ in range(10):
+                g = random_poly(rng, f.p, 2, max_terms=5, lo=0, hi=5)
+                assert nf(g, f) == divide_from_scratch(g, f)
+                multiple = fhat * random_poly(rng, f.p, 2, max_terms=3, lo=0, hi=3, nonzero=True)
+                assert divides_exactly(multiple.terms, f, multiple.terms)
+                assert not divides_exactly(multiple.terms, f, (multiple + fhat).terms)
+                dividend = multiple + g
+                assert divides_exactly(dividend.terms, f, dividend.terms) == \
+                    divide_from_scratch(dividend, f).is_zero
+            assert m.packed[0].mask.bit_length() == 24
+
+    def test_small_window_after_a_wide_nf(self, all_fixtures):
+        # a division at total degree 2^15 widens f's one frame to 24 bits,
+        # and a small window then walks in it
+        rng = random.Random(37)
+        for f in _moduli(all_fixtures):
+            wide = (2 ** 15, 0) if quotient._prepared(f).lt[1] else (0, 2 ** 15)
+            g = monomial(f.p, 2, wide) + random_poly(rng, f.p, 2, max_terms=4, lo=0, hi=5)
+            assert nf(g, f) == divide_from_scratch(g, f)
+            walk = sorted(product(range(4), range(3)))
+            residues, top = quotient.window_residues(walk, f)
+            width = (top.bit_length() - 1) // 3
+            assert width == 24
+            for e, r in zip(walk, residues):
+                expected = divide_from_scratch(monomial(f.p, 2, e), f).terms
+                assert {_unpack(k, 2, width): c for k, c in r.items()} == expected
+
+    def test_modulus_of_higher_degree_than_the_points(self):
+        # f's own terms need wider fields than the points do: the frame
+        # is wide enough for both
+        rng = random.Random(38)
+        for _ in range(12):
+            a = rng.randint(128, 400)
+            f = make_poly(2, 2, [((0, 0), 1), ((rng.randint(1, a), 0), 1),
+                                 ((rng.randint(0, a // 2), a), 1)])
+            for _ in range(5):
+                e = (rng.randint(0, 60), rng.randint(0, 60))
+                assert monomial_residue(e, f) == divide_from_scratch(monomial(2, 2, e), f)
+            g = random_poly(rng, 2, 2, max_terms=3, lo=0, hi=20, nonzero=True)
+            assert power_residue(g, 3, f) == divide_from_scratch(poly_pow(g, 3), f)
 
     def test_moduli_used_in_turn_keep_their_own_residues(self, all_fixtures):
         rng = random.Random(34)
@@ -498,7 +549,8 @@ class TestPackedDivision:
                 f, g = _scaled_division(rng, p, d, degree)
                 assert max(map(sum, g.terms)) == degree
                 m = quotient._prepared(f)
-                frame = m.frame(width)
+                frame = m.tables(degree)[0]
+                assert frame.mask.bit_length() == width
                 packed = {quotient._pack(e, frame.weights): c for e, c in g.terms.items()}
                 q_packed = {}
                 remainder = quotient._divide(packed, m, frame, q_packed)

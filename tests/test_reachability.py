@@ -7,6 +7,10 @@ its reason.  ``KEPT`` may only shrink: an entry that a case reaches, or
 whose function is gone, fails as well.  An entry kept for the benchmark
 names its root, the function that ``perfbench/`` names (a ``TARGETS``
 entry of ``tracing.py`` or an import of ``run.py``) and that keeps it.
+
+Every name a module of the package imports is used in it, re-exported
+in its ``__all__``, or imported for its side effect on a line marked
+``# noqa: F401``.
 """
 
 import ast
@@ -147,3 +151,23 @@ def test_every_benchmark_root_is_still_named_under_perfbench():
     assert sorted(roots - bench) == []
     for name, (reason, root) in KEPT.items():
         assert reason and (root is None or root in KEPT), name
+
+
+def test_every_import_is_used_or_exported():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text()
+        tree = ast.parse(source)
+        lines = source.splitlines()
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in node.targets):
+                used |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__" and \
+                    "# noqa: F401" not in lines[node.lineno - 1]:
+                unused += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                           if (alias.asname or alias.name).split(".")[0] not in used]
+    assert not unused, f"imported but never used: {unused}"

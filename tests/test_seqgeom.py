@@ -67,6 +67,15 @@ class TestDetectRedrawing:
         assert match is not None and match.K == 1
         assert match.perturbations == ((0, 0), (-1, 0), (0, 0))
 
+    @pytest.mark.parametrize("points, message", [
+        ([(0, 0, 0), (2, 0, 5), (0, 2, 1)], "wrong dimension"),  # zip would drop the third axis
+        ([(0,), (2,), (0,)], "wrong dimension"),
+        ([(0.5, 0), (2, 0), (0, 2)], "non-integer"),  # int() would round it to a match
+    ], ids=["3-D", "1-D", "float"])
+    def test_points_that_are_not_integer_vectors_of_f_refused(self, ledrappier, points, message):
+        with pytest.raises(ValueError, match=message):
+            detect_redrawing(ledrappier, points, 0)
+
     def test_wrong_direction_no_match(self, ledrappier):
         assert detect_redrawing(ledrappier, [(0, 0), (16, 0), (16, 16)], 0) is None
 
