@@ -12,7 +12,6 @@ from .errors import (
     TrivialQuotientError,
 )
 from .laurent import (
-    FieldSpec,
     LaurentPoly,
     frobenius_power,
     make_poly,
@@ -45,7 +44,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetExceededError",
     "CylinderSpec",
-    "FieldSpec",
     "InternalInconsistencyError",
     "LatticePolytope",
     "LaurentPoly",

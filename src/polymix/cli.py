@@ -78,7 +78,7 @@ def _cmd_analyze(args) -> dict:
         "input": jsonio.to_json_dict(poly),
         "support": [list(n) for n in sorted(poly.terms)],
         "polytope": jsonio.polytope_json(polytope),
-        "bounds": jsonio.bounds_json(bounds),
+        "bounds": bounds._asdict(),
         "certificate": jsonio.certificate_json(certificate),
         "warnings": [IRREDUCIBILITY_WARNING],
     }
@@ -90,12 +90,13 @@ def _cmd_bounds(args) -> dict:
     return {
         "input": jsonio.to_json_dict(poly),
         "polytope": jsonio.polytope_json(polytope),
-        "bounds": jsonio.bounds_json(bounds),
+        "bounds": bounds._asdict(),
     }
 
 
 def _cmd_tightness(args) -> dict:
-    return jsonio.redraw_json(redraw_space(jsonio.load_skeleton(args.skeleton)))
+    space = redraw_space(jsonio.load_skeleton(args.skeleton))._asdict()
+    return {key: value for key, value in space.items() if value is not None}  # no tolerance when exact
 
 
 def _cmd_certify(args) -> dict:
@@ -137,21 +138,12 @@ def _cmd_experiment(args) -> dict:
         _parse_k_range(args.k_range),
         method=args.method,
     )
-    out_rows = []
-    for row in rows:
-        if not row.available:
-            out_rows.append({"k": row.k, "available": False})
-            continue
-        out_rows.append(
-            {
-                "k": row.k,
-                "available": True,
-                "joint": jsonio.fraction_json(row.joint),
-                "product": jsonio.fraction_json(row.product),
-                "gap": jsonio.fraction_json(row.gap),
-            }
-        )
-    return {"rows": out_rows}
+    # an unavailable row has no joint, product or gap; the rest are fractions
+    return {"rows": [
+        {key: value if key in ("k", "available") else jsonio.fraction_json(value)
+         for key, value in row._asdict().items() if value is not None}
+        for row in rows
+    ]}
 
 
 def _cmd_detect(args) -> dict:

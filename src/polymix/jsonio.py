@@ -29,9 +29,9 @@ from json.encoder import encode_basestring_ascii
 from .errors import ParseError
 from .laurent import LaurentPoly
 from .measure import CylinderSpec, MeasureResult
-from .mixing import MixingBounds, ShapeCertificate
+from .mixing import ShapeCertificate
 from .polytope import LatticePolytope
-from .redraw import RedrawSpace, Skeleton, make_skeleton
+from .redraw import Skeleton, make_skeleton
 from .seqgeom import RedrawMatch
 
 
@@ -238,30 +238,6 @@ def polytope_json(poly: LatticePolytope) -> dict:
         "vertices": [list(v) for v in poly.vertices],
         "edges": [list(e) for e in poly.edges],
         "affine_dim": poly.affine_dim,
-    }
-
-
-def redraw_json(space: RedrawSpace) -> dict:
-    out = {
-        "dimension": space.dimension,
-        "tight": space.tight,
-        "arithmetic": space.arithmetic,
-        "constraint_rank": space.constraint_rank,
-    }
-    if space.tolerance is not None:
-        out["tolerance"] = space.tolerance
-    return out
-
-
-def bounds_json(bounds: MixingBounds) -> dict:
-    return {
-        "vertex_count": bounds.vertex_count,
-        "support_size": bounds.support_size,
-        "lower": bounds.lower,
-        "upper": bounds.upper,
-        "polytope_tight": bounds.polytope_tight,
-        "redraw_dimension": bounds.redraw_dimension,
-        "conclusion": bounds.conclusion,
     }
 
 

@@ -1,5 +1,10 @@
 """Sparse Laurent polynomials over a prime field F_p.
 
+The prime is a plain int p < ``MAX_PRIME``, given to every constructor
+(``LaurentPoly(p, d, terms)``, ``make_poly``, ``one``, ``monomial``) and
+read back as ``.p``.  The constructor decides its primality once, by
+Miller-Rabin, and every polynomial computed from it shares it unchecked.
+
 A polynomial is a finite map from exponent vectors (tuples of ``dim``
 integers, negative entries allowed) to coefficients in {1, ..., p-1}.  The
 zero polynomial is the empty map.  Every constructor canonicalizes --
@@ -22,7 +27,6 @@ from __future__ import annotations
 
 import operator
 import reprlib
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 ExponentVec = tuple[int, ...]
@@ -56,44 +60,31 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """A prime field F_p with p < MAX_PRIME; primality is verified by Miller-Rabin."""
-
-    p: int
-
-    def __post_init__(self) -> None:
-        if isinstance(self.p, int) and self.p >= MAX_PRIME:
-            raise ValueError(f"modulus {reprlib.repr(self.p)} is too large: "
-                             f"primality is decided for p < {MAX_PRIME}")
-        if not isinstance(self.p, int) or not _is_prime(self.p):
-            raise ValueError(f"modulus {reprlib.repr(self.p)} is not a prime integer")
-
-
-def _as_field(field: FieldSpec | int) -> FieldSpec:
-    return field if isinstance(field, FieldSpec) else FieldSpec(field)
-
-
 class LaurentPoly:
     """Canonical sparse Laurent polynomial over F_p.
 
-    Do not mutate ``terms``; treat instances as values.  ``_modulus`` is
+    ``p`` must be a prime int below ``MAX_PRIME``: a larger int is
+    refused as too large, anything else as not a prime integer.  Do not
+    mutate ``terms``; treat instances as values.  ``_modulus`` is
     left unset until ``quotient`` prepares the polynomial as a modulus.
     """
 
-    __slots__ = ("field", "dim", "terms", "_modulus")
+    __slots__ = ("p", "dim", "terms", "_modulus")
 
     def __init__(
         self,
-        field: FieldSpec | int,
+        p: int,
         dim: int,
         terms: Mapping[ExponentVec, int] | Iterable[tuple[ExponentVec, int]] = (),
     ) -> None:
-        field = _as_field(field)
+        if isinstance(p, int) and p >= MAX_PRIME:
+            raise ValueError(f"modulus {reprlib.repr(p)} is too large: "
+                             f"primality is decided for p < {MAX_PRIME}")
+        if not isinstance(p, int) or not _is_prime(p):
+            raise ValueError(f"modulus {reprlib.repr(p)} is not a prime integer")
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        p = field.p
         canonical: dict[ExponentVec, int] = {}
         for exps, coeff in items:
             exps = tuple(exps)
@@ -108,7 +99,7 @@ class LaurentPoly:
                 canonical[exps] = c
             else:
                 canonical.pop(exps, None)
-        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "terms", canonical)
 
@@ -116,10 +107,6 @@ class LaurentPoly:
         raise AttributeError("LaurentPoly is immutable")
 
     # -- basic queries ----------------------------------------------------
-
-    @property
-    def p(self) -> int:
-        return self.field.p
 
     @property
     def is_zero(self) -> bool:
@@ -161,7 +148,7 @@ class LaurentPoly:
                 merged[e] = nc
             else:
                 merged.pop(e, None)
-        return _raw(self.field, self.dim, merged)
+        return _raw(self.p, self.dim, merged)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check_compatible(other)
@@ -176,14 +163,14 @@ class LaurentPoly:
                     out[e] = nc
                 else:
                     out.pop(e, None)
-        return _raw(self.field, self.dim, out)
+        return _raw(self.p, self.dim, out)
 
     def shift(self, m: ExponentVec) -> "LaurentPoly":
         """Multiply by the monomial u^m."""
         if len(m) != self.dim:
             raise ValueError(f"shift vector {m} has wrong length")
         return _raw(
-            self.field,
+            self.p,
             self.dim,
             {tuple(a + b for a, b in zip(e, m)): c for e, c in self.terms.items()},
         )
@@ -211,10 +198,10 @@ class LaurentPoly:
         return f"<{' + '.join(parts)} over F_{self.p}>"
 
 
-def _raw(field: FieldSpec, dim: int, canonical: dict[ExponentVec, int]) -> LaurentPoly:
-    # internal constructor for term maps that are already canonical
+def _raw(p: int, dim: int, canonical: dict[ExponentVec, int]) -> LaurentPoly:
+    # internal constructor for a checked prime and a term map that is already canonical
     poly = object.__new__(LaurentPoly)
-    object.__setattr__(poly, "field", field)
+    object.__setattr__(poly, "p", p)
     object.__setattr__(poly, "dim", dim)
     object.__setattr__(poly, "terms", canonical)
     return poly
@@ -224,20 +211,20 @@ def _raw(field: FieldSpec, dim: int, canonical: dict[ExponentVec, int]) -> Laure
 
 
 def make_poly(
-    field: FieldSpec | int,
+    p: int,
     dim: int,
     terms: Iterable[tuple[Iterable[int], int]],
 ) -> LaurentPoly:
     """Build a canonical polynomial from (exponent vector, coefficient) pairs."""
-    return LaurentPoly(field, dim, [(tuple(e), c) for e, c in terms])
+    return LaurentPoly(p, dim, [(tuple(e), c) for e, c in terms])
 
 
-def one(field: FieldSpec | int, dim: int) -> LaurentPoly:
-    return LaurentPoly(field, dim, [((0,) * dim, 1)])
+def one(p: int, dim: int) -> LaurentPoly:
+    return LaurentPoly(p, dim, [((0,) * dim, 1)])
 
 
-def monomial(field: FieldSpec | int, dim: int, exps: Iterable[int], coeff: int = 1) -> LaurentPoly:
-    return LaurentPoly(field, dim, [(tuple(exps), coeff)])
+def monomial(p: int, dim: int, exps: Iterable[int], coeff: int = 1) -> LaurentPoly:
+    return LaurentPoly(p, dim, [(tuple(exps), coeff)])
 
 
 def check_vectors(vectors: Iterable[Sequence[int]], dim: int, what: str) -> None:
@@ -262,7 +249,7 @@ def frobenius_power(g: LaurentPoly, k: int) -> LaurentPoly:
         return g
     scale = g.p ** k
     return _raw(
-        g.field,
+        g.p,
         g.dim,
         {tuple(scale * x for x in e): c for e, c in g.terms.items()},
     )

@@ -36,10 +36,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import add, sub
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from . import budgets, gfp
 from .errors import BudgetExceededError, InternalInconsistencyError
@@ -52,29 +52,37 @@ if TYPE_CHECKING:
 Box = Sequence[tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class CylinderSpec:
-    """A finite window with a fixed F_p value at each of its points."""
+class CylinderSpec(namedtuple("CylinderSpec", "window values")):
+    """A finite window with a fixed F_p value at each of its points.
 
-    window: tuple[ExponentVec, ...]
-    values: tuple[int, ...]
+    The window is a non-empty tuple of distinct int vectors of one
+    length, and the values are ints, one per point.
+    """
 
-    def __post_init__(self):
-        if not self.window:
+    __slots__ = ()
+
+    def __new__(cls, window: tuple[ExponentVec, ...], values: tuple[int, ...]):
+        if not window:
             raise ValueError("cylinder window must be non-empty")
-        if len(set(self.window)) != len(self.window):
+        check_vectors(window, len(window[0]), "window point")
+        if len(set(window)) != len(window):
             raise ValueError("cylinder window has repeated points")
-        if len(self.window) != len(self.values):
+        if len(window) != len(values):
             raise ValueError("window and values have different lengths")
+        for v in values:
+            if not isinstance(v, int):
+                raise ValueError(f"cylinder value {v!r} is not an integer")
+        return super().__new__(cls, window, values)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks as well
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[Sequence[int], int]]) -> "CylinderSpec":
-        items = sorted((tuple(w), int(v)) for w, v in pairs)
+        items = sorted(((tuple(w), v) for w, v in pairs), key=lambda item: item[0])
         return cls(tuple(w for w, _ in items), tuple(v for _, v in items))
 
 
-@dataclass(frozen=True)
-class MeasureResult:
+class MeasureResult(NamedTuple):
     """Exact measure: zero when ``exponent`` is None, else p^-exponent."""
 
     p: int
@@ -90,8 +98,7 @@ class MeasureResult:
         return Fraction(1, self.p ** self.exponent)
 
 
-@dataclass
-class SolutionSpace:
+class SolutionSpace(NamedTuple):
     box: tuple[tuple[int, int], ...]
     cells: list[ExponentVec]
     basis: np.ndarray  # one solution per row, entries in {0..p-1}
@@ -280,7 +287,8 @@ def cylinder_measure(
 ) -> MeasureResult:
     """Haar measure of the event {x restricted to the window = values}."""
     check_modulus(f)
-    check_vectors(cyl.window, f.dim, "window point")
+    if len(cyl.window[0]) != f.dim:
+        raise ValueError(f"window point {cyl.window[0]} has wrong dimension")
     if method == "exact":
         return _exact_measure(f, cyl)
     if method == "box":
@@ -292,6 +300,8 @@ def merge_events(events: Sequence[tuple[Sequence[int], CylinderSpec]]) -> Cylind
     """Union of shifted cylinders; None signals a conflicting overlap."""
     merged: dict[ExponentVec, int] = {}
     for shift, cyl in events:
+        if len(shift) != len(cyl.window[0]):
+            raise ValueError(f"shift {tuple(shift)} has wrong dimension")
         for w, v in zip(cyl.window, cyl.values):
             w = tuple(map(add, w, shift))
             if merged.setdefault(w, v) != v:
@@ -318,8 +328,7 @@ def joint_measure(
     return cylinder_measure(f, merged, method=method)
 
 
-@dataclass(frozen=True)
-class ExperimentRow:
+class ExperimentRow(NamedTuple):
     k: int
     available: bool
     joint: Fraction | None = None

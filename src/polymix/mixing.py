@@ -17,15 +17,14 @@ the caller*, never verified; reports carry a warning to that effect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd, prod
 from operator import add, sub
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import budgets
 from .errors import InternalInconsistencyError
-from .laurent import ExponentVec, LaurentPoly, check_vectors, frobenius_power
+from .laurent import ExponentVec, LaurentPoly, _raw, check_vectors, frobenius_power
 from .polytope import LatticePolytope, hull
 from .quotient import (
     check_modulus,
@@ -42,8 +41,7 @@ IRREDUCIBILITY_WARNING = (
 )
 
 
-@dataclass(frozen=True)
-class MixingBounds:
+class MixingBounds(NamedTuple):
     vertex_count: int
     support_size: int
     lower: int
@@ -76,8 +74,7 @@ def mixing_bounds(f: LaurentPoly) -> tuple[MixingBounds, LatticePolytope]:
     )
 
 
-@dataclass(frozen=True)
-class ShapeCertificate:
+class ShapeCertificate(NamedTuple):
     """A shape with coefficients making the dilated relation vanish mod f.
 
     ``frobenius_family`` marks the support-of-f pattern, for which the
@@ -163,9 +160,9 @@ def relation_value(
         a._check_compatible(f)
         shifted += [(tuple(map(add, m, n)), c) for m, c in a.terms.items()]
     if not shifted:
-        return LaurentPoly(f.field, f.dim)
+        return LaurentPoly(f.p, f.dim)
     shift = tuple(map(min, zip(*(e for e, _ in shifted))))
-    return LaurentPoly(f.field, f.dim, [
+    return LaurentPoly(f.p, f.dim, [
         (e, c * v)
         for x, c in shifted
         for e, v in monomial_residue(tuple(map(sub, x, shift)), f).terms.items()
@@ -178,7 +175,7 @@ def _coefficient_space(f: LaurentPoly, degree_bound: int) -> list[LaurentPoly]:
     polys = []
     for coeffs in product(range(f.p), repeat=len(monos)):
         if any(coeffs):
-            polys.append(LaurentPoly(f.field, f.dim, list(zip(monos, coeffs))))
+            polys.append(_raw(f.p, f.dim, {m: c for m, c in zip(monos, coeffs) if c}))
     return polys
 
 

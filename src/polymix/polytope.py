@@ -31,10 +31,9 @@ No floating point appears anywhere in this module.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import combinations
 from operator import mul, sub
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import budgets
 from .errors import InternalInconsistencyError
@@ -50,22 +49,20 @@ from .lattice import (
 IntVec = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Facet:
+class Facet(NamedTuple):
     vertex_indices: tuple[int, ...]
     inward_normal: IntVec  # in face-computation coordinates, primitive
     offset: int            # inward_normal . x == offset on the facet
 
 
-@dataclass
-class LatticePolytope:
+class LatticePolytope(NamedTuple):
     dim: int
     affine_dim: int
     vertices: list[IntVec]            # original coordinates
     edges: list[tuple[int, int]]      # index pairs into vertices (i < j)
     facets: list[Facet]               # sorted by (inward normal, offset); empty for a point
     face_vertices: list[IntVec]       # vertices in face-computation coordinates
-    _proj_cols: list[list[int]] | None = field(default=None, repr=False)
+    proj_cols: list[list[int]] | None = None  # onto face coordinates when affine_dim < dim
 
     @property
     def vertex_count(self) -> int:
@@ -352,9 +349,9 @@ def _pull_back(poly: LatticePolytope, w: IntVec) -> IntVec:
     of (x - base) @ V, the functional w . pi(x) equals W . (x - base) for
     W = V[:, :k] @ w; unimodularity keeps W primitive when w is.
     """
-    if poly._proj_cols is None:
+    if poly.proj_cols is None:
         return w
-    lifted = combine_columns(poly._proj_cols, w, poly.dim)
+    lifted = combine_columns(poly.proj_cols, w, poly.dim)
     return primitive(lifted)
 
 

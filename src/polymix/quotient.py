@@ -72,7 +72,6 @@ command line loads f afresh for each query.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -275,7 +274,7 @@ def _multiply(a: dict[int, int], b: dict[int, int], m: _Modulus, frame: _Frame) 
 
 def _unpacked(f: LaurentPoly, r: dict[int, int], frame: _Frame) -> LaurentPoly:
     shifts, mask = frame.shifts, frame.mask
-    return _raw(f.field, f.dim, {tuple([k >> s & mask for s in shifts]): c for k, c in r.items()})
+    return _raw(f.p, f.dim, {tuple([k >> s & mask for s in shifts]): c for k, c in r.items()})
 
 
 def divides_exactly(dividend: Mapping[ExponentVec, int], f: LaurentPoly,
@@ -299,8 +298,7 @@ def divides_exactly(dividend: Mapping[ExponentVec, int], f: LaurentPoly,
     return _product(fhat, g, f.p) == {_pack(e, weights): c for e, c in product.items()}
 
 
-@dataclass(frozen=True)
-class Residue:
+class Residue(NamedTuple):
     """Division remainder of a (lifted) element modulo f.
 
     A Laurent input is lifted by the smallest monomial making it a

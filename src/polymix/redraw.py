@@ -26,10 +26,10 @@ and so does the triangle scan that forms the exact path's scale classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import isfinite
 from numbers import Rational
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import budgets
 from .errors import InternalInconsistencyError
@@ -39,38 +39,38 @@ from .polytope import LatticePolytope
 TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class Skeleton:
-    dim: int
-    positions: tuple[tuple, ...]
-    edges: tuple[tuple[int, int], ...]
+class Skeleton(namedtuple("Skeleton", "dim positions edges")):
+    """Vertex positions in R^dim and edges as pairs of int vertex indices."""
 
-    def __post_init__(self):
-        if self.dim < 1:
+    __slots__ = ()
+
+    def __new__(cls, dim: int, positions: tuple[tuple, ...], edges: tuple[tuple[int, int], ...]):
+        if dim < 1:
             raise ValueError("ambient dimension must be >= 1")
-        if len(set(self.positions)) != len(self.positions):
+        if len(set(positions)) != len(positions):
             raise ValueError("repeated vertex positions")
-        for p in self.positions:
-            if len(p) != self.dim:
-                raise ValueError(f"position {p} does not have dimension {self.dim}")
+        for p in positions:
+            if len(p) != dim:
+                raise ValueError(f"position {p} does not have dimension {dim}")
             if any(isinstance(x, float) and not isfinite(x) for x in p):
                 raise ValueError(f"position {p} is not finite")
-        n = len(self.positions)
-        for s, t in self.edges:
+        n = len(positions)
+        for s, t in edges:
+            if not (isinstance(s, int) and isinstance(t, int)):
+                raise ValueError(f"edge ({s},{t}) has a non-integer endpoint")
             if s == t:
                 raise ValueError(f"edge ({s},{t}) has equal endpoints")
             if not (0 <= s < n and 0 <= t < n):
                 raise ValueError(f"edge ({s},{t}) references a missing vertex")
-            if all(a == b for a, b in zip(self.positions[s], self.positions[t])):
+            if all(a == b for a, b in zip(positions[s], positions[t])):
                 raise ValueError(f"edge ({s},{t}) has zero length")
+        return super().__new__(cls, dim, positions, edges)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks as well
 
 
 def make_skeleton(dim: int, positions: Sequence[Sequence], edges: Sequence[Sequence[int]]) -> Skeleton:
-    return Skeleton(
-        dim,
-        tuple(tuple(p) for p in positions),
-        tuple((int(s), int(t)) for s, t in edges),
-    )
+    return Skeleton(dim, tuple(tuple(p) for p in positions), tuple(tuple(e) for e in edges))
 
 
 def skeleton_from_polytope(poly: LatticePolytope) -> Skeleton:
@@ -86,8 +86,7 @@ def skeleton_from_polytope(poly: LatticePolytope) -> Skeleton:
     return make_skeleton(len(positions[0]), positions, poly.edges)
 
 
-@dataclass(frozen=True)
-class RedrawSpace:
+class RedrawSpace(NamedTuple):
     dimension: int
     tight: bool
     arithmetic: str           # "exact" or "approximate"

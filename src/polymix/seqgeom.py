@@ -16,11 +16,10 @@ translation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from operator import sub
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import budgets
 from .lattice import primitive
@@ -30,8 +29,7 @@ from .polytope import hull
 IntVec = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class RedrawMatch:
+class RedrawMatch(NamedTuple):
     """A tuple matched, within perturbations of sup-norm <= K, to N(f).
 
     ``pairing`` gives, for each polytope edge (a, b), the tuple indices

@@ -12,7 +12,7 @@ def poly_pow(g: LaurentPoly, n: int) -> LaurentPoly:
     """g**n by repeated squaring (n >= 0)."""
     if n < 0:
         raise ValueError("negative powers are not defined for general polynomials")
-    result = one(g.field, g.dim)
+    result = one(g.p, g.dim)
     base = g
     while n:
         if n & 1:

@@ -4,7 +4,6 @@ from math import isqrt
 import pytest
 
 from polymix import (
-    FieldSpec,
     LaurentPoly,
     ParseError,
     frobenius_power,
@@ -45,9 +44,9 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_poly(2, 2, [((0, 0, 0), 1)])
 
-    def test_fieldspec_accepts_primes(self):
+    def test_accepts_primes(self):
         for p in (2, 3, 5, 7, 97):
-            assert FieldSpec(p).p == p
+            assert LaurentPoly(p, 1).p == p
 
 
 def primes_below(n):
@@ -80,18 +79,18 @@ class TestPrimality:
         # strong pseudoprimes to the bases 2..7 and 2..23 respectively
         assert not _is_prime(n)
         with pytest.raises(ValueError, match="not a prime"):
-            FieldSpec(n)
+            LaurentPoly(n, 1)
 
     def test_large_primes(self):
         for p in (10 ** 18 + 3, 2 ** 61 - 1, 2 ** 31 - 1):
-            assert FieldSpec(p).p == p
+            assert LaurentPoly(p, 1).p == p
         assert not _is_prime((2 ** 31 - 1) * (2 ** 61 - 1))
 
     def test_refuses_primes_beyond_the_limit(self):
         with pytest.raises(ValueError, match=str(MAX_PRIME)):
-            FieldSpec(2 ** 89 - 1)
+            LaurentPoly(2 ** 89 - 1, 1)
         with pytest.raises(ValueError, match="too large"):
-            FieldSpec(MAX_PRIME)
+            LaurentPoly(MAX_PRIME, 1)
 
 
 class TestArithmetic:

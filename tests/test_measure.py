@@ -106,9 +106,8 @@ class TestCylinderMeasure:
 
     @pytest.mark.parametrize("method", ["exact", "box"])
     def test_non_integer_window_refused(self, ledrappier, method):
-        cyl = CylinderSpec(((0.5, 0), (1, 0)), (0, 1))
-        with pytest.raises(ValueError, match="non-integer"):
-            cylinder_measure(ledrappier, cyl, method=method)
+        with pytest.raises(ValueError, match="non-integer"):  # refused by the cylinder itself
+            cylinder_measure(ledrappier, CylinderSpec(((0.5, 0), (1, 0)), (0, 1)), method=method)
 
     def test_values_are_p_powers(self, all_fixtures):
         rng = random.Random(42)
@@ -155,6 +154,35 @@ class TestJointMeasure:
         ev = [((0, 0, 1), cell(0)), ((1, 0, 0), cell(0))]
         with pytest.raises(ValueError, match="wrong dimension"):
             joint_measure(ledrappier, ev)
+
+    def test_merge_refuses_a_shift_of_another_dimension(self):
+        # adding the 3-D shifts to 2-D points would drop their third entry
+        # and merge (0, 0) and (1, 0)
+        with pytest.raises(ValueError, match="wrong dimension"):
+            merge_events([((0, 0, 1), cell(0)), ((1, 0, 0), cell(0))])
+
+    def test_cylinder_of_another_dimension_refused(self, ledrappier):
+        # a 2-D shift would cut the 3-D window to (0, 0) and (1, 0) and answer 1/4
+        cyl = CylinderSpec(((0, 0, 5), (1, 0, 0)), (1, 1))
+        with pytest.raises(ValueError, match="wrong dimension"):
+            joint_measure(ledrappier, [((0, 0), cyl)])
+
+
+class TestCylinderSpec:
+    @pytest.mark.parametrize("value", ["3", 0.9])
+    def test_value_that_is_not_an_int_refused(self, value):
+        # not read as int("3") = 3 or int(0.9) = 0
+        with pytest.raises(ValueError, match="is not an integer"):
+            CylinderSpec.from_pairs([((0, 0), 1), ((1, 0), value)])
+
+    def test_points_of_unequal_length_refused(self):
+        with pytest.raises(ValueError, match=r"window point \(1, 0, 0\) has wrong dimension"):
+            CylinderSpec(((0, 0), (1, 0, 0)), (0, 0))
+
+    def test_replace_checks_as_the_constructor_does(self):
+        with pytest.raises(ValueError, match="non-integer"):
+            cell(0)._replace(window=((0.5, 0),))
+        assert cell(0)._replace(values=(1,)) == cell(1)
 
 
 class TestMixingExperiment:

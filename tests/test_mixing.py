@@ -166,7 +166,7 @@ def residue_walk(f, k_max):
     for k in range(k_max + 1):
         if k:
             residues = [frobenius_residue(r, 1, f) for r in residues]
-        acc = LaurentPoly(f.field, f.dim)
+        acc = LaurentPoly(f.p, f.dim)
         for n, r in zip(shape, residues):
             acc = acc + r * monomial(f.p, f.dim, (0,) * f.dim, f.terms[n])
         verdicts.append(nf(acc, f).is_zero)
@@ -255,7 +255,7 @@ def _dropping_mul(orig):
         if len(out.terms) > 1:
             terms = dict(out.terms)
             del terms[max(terms)]
-            out = LaurentPoly(out.field, out.dim, terms)
+            out = LaurentPoly(out.p, out.dim, terms)
         return out
 
     return mul
@@ -423,7 +423,7 @@ class TestCheckRelation:
                     shift = tuple(map(min, zip(*(
                         (m[0] + n[0], m[1] + n[1]) for a, n in zip(coeffs, exps) for m in a.terms
                     ))))
-                    direct = LaurentPoly(f.field, 2)
+                    direct = LaurentPoly(f.p, 2)
                     for a, n in zip(coeffs, exps):
                         direct = direct + a.shift((n[0] - shift[0], n[1] - shift[1]))
                     value = relation_value(coeffs, exps, f)

@@ -466,8 +466,8 @@ def faces_by_rank(poly, pts):
     """
     k = poly.affine_dim
     pts = sorted(set(pts))
-    if poly._proj_cols is not None:  # the hull's own projection, from the least point
-        pts = [apply_columns(poly._proj_cols, sub(p, pts[0]), k) for p in pts]
+    if poly.proj_cols is not None:  # the hull's own projection, from the least point
+        pts = [apply_columns(poly.proj_cols, sub(p, pts[0]), k) for p in pts]
     vertices = sorted(
         q for q in pts
         if int_rank([f.inward_normal for f in poly.facets if dot(f.inward_normal, q) == f.offset])

@@ -11,12 +11,17 @@ entry of ``tracing.py`` or an import of ``run.py``) and that keeps it.
 Every name a module of the package imports is used in it, re-exported
 in its ``__all__``, or imported for its side effect on a line marked
 ``# noqa: F401``.
+
+Every call of the command pays its imports, so importing ``polymix.cli``
+must not load ``dataclasses``, ``inspect`` or ``numpy``.
 """
 
 import ast
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 
 from polymix.cli import main
@@ -171,3 +176,11 @@ def test_every_import_is_used_or_exported():
                 unused += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
                            if (alias.asname or alias.name).split(".")[0] not in used]
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_the_command_imports_no_dataclasses_inspect_or_numpy():
+    code = "import sys, polymix.cli; print(*sorted({'dataclasses', 'inspect', 'numpy'} & sys.modules.keys()))"
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == []

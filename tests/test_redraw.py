@@ -187,6 +187,11 @@ class TestValidationAndEdgeCases:
         with pytest.raises(ValueError):
             make_skeleton(2, [(0, 0), (1, 0)], [(0, 0)])
 
+    def test_non_integer_edge_endpoint_rejected(self):
+        # not read as int(1.7) = 1
+        with pytest.raises(ValueError, match="non-integer"):
+            make_skeleton(2, [(0, 0), (1, 0), (0, 1)], [(0, 1.7), (1, 2)])
+
     def test_empty_edge_set_rejected(self):
         skel = make_skeleton(2, [(0, 0), (1, 0)], [])
         with pytest.raises(ValueError):
