@@ -11,8 +11,9 @@ Schemas:
                 "frobenius_family": bool}
   fractions    {"num": int, "den": int}
 
-Every integer vector (an exponent, a window point, an edge, an inline
-entry) is read by ``int_vector``, and a schema violation is a
+The records check their own fields, and ``laurent.check_vectors`` every
+integer vector (never ``true`` or ``false``), so this module checks only
+what JSON adds and the polynomial's dimension; a refusal is a
 ``ParseError``.  Serialization is canonical: sorted keys, fixed
 separators, so repeated runs on the same input are byte-identical.
 """
@@ -27,7 +28,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .errors import ParseError
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, check_vectors
 from .measure import CylinderSpec, MeasureResult
 from .mixing import ShapeCertificate
 from .polytope import LatticePolytope
@@ -104,18 +105,6 @@ def _load_json(path: str):
         raise ParseError(f"cannot read JSON from {path}: {exc}") from exc
 
 
-def is_json_int(x) -> bool:
-    """Is x a JSON integer?  ``true`` and ``false`` load as bools, which are ints."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def int_vector(v, dim: int, what: str) -> tuple[int, ...]:
-    """``v``, a JSON list of ``dim`` integers, as a tuple; ``what`` names it in the error."""
-    if not isinstance(v, list) or len(v) != dim or not all(map(is_json_int, v)):
-        raise ParseError(f"{what} {reprlib.repr(v)} is not an integer vector of length {dim}")
-    return tuple(v)
-
-
 def parse_vectors(text: str, dim: int, flag: str) -> list[tuple[int, ...]]:
     """The inline JSON of ``flag``: a non-empty list of integer vectors of length ``dim``."""
     try:
@@ -124,7 +113,16 @@ def parse_vectors(text: str, dim: int, flag: str) -> list[tuple[int, ...]]:
         raise ParseError(f"bad inline JSON for {flag}: {exc}") from exc
     if not isinstance(data, list) or not data:
         raise ParseError(f"{flag} must be a non-empty list of vectors")
-    return [int_vector(v, dim, f"{flag} entry") for v in data]
+    _check_vectors(data, dim, f"{flag} entry")
+    return [tuple(v) for v in data]
+
+
+def _check_vectors(data: list, dim: int, what: str) -> None:
+    """``laurent.check_vectors`` on JSON data: its refusal is a ``ParseError``."""
+    try:
+        check_vectors(data, dim, what)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def to_json_dict(g: LaurentPoly) -> dict:
@@ -138,8 +136,9 @@ def to_json_dict(g: LaurentPoly) -> dict:
 def from_json_dict(data) -> LaurentPoly:
     """The polynomial of a polynomial JSON object.
 
-    A schema violation is a ``ParseError``; a p that is not a prime or a d
-    below 1 is the ``ValueError`` of the constructor.
+    A schema violation is a ``ParseError``; what the constructor refuses (a
+    p that is not a prime, a d below 1, an exponent that is not d ints) is
+    its ``ValueError``.
     """
     if not isinstance(data, dict):
         raise ParseError("polynomial JSON must be an object")
@@ -147,7 +146,7 @@ def from_json_dict(data) -> LaurentPoly:
     if missing:
         raise ParseError(f"polynomial JSON missing keys: {sorted(missing)}")
     p, d, terms = data["p"], data["d"], data["terms"]
-    if not is_json_int(p) or not is_json_int(d):
+    if type(p) is not int or type(d) is not int:
         raise ParseError("'p' and 'd' must be integers")
     if not isinstance(terms, list):
         raise ParseError("'terms' must be a list")
@@ -155,9 +154,9 @@ def from_json_dict(data) -> LaurentPoly:
     for t in terms:
         if not isinstance(t, dict) or "e" not in t or "c" not in t:
             raise ParseError(f"malformed term {reprlib.repr(t)}")
-        if not is_json_int(t["c"]):
+        if type(t["c"]) is not int:
             raise ParseError(f"term coefficient {reprlib.repr(t['c'])} is not an integer")
-        pairs.append((int_vector(t["e"], d, "term exponent"), t["c"]))
+        pairs.append((t["e"], t["c"]))
     return LaurentPoly(p, d, pairs)
 
 
@@ -170,16 +169,12 @@ def load_poly(path: str) -> LaurentPoly:
 
 
 def _rational_entry(x):
-    if isinstance(x, bool):
-        raise ParseError(f"vertex entry {x} is not a number")
-    if isinstance(x, (int, float)):
+    if not isinstance(x, str):  # the skeleton refuses an entry that is not a number
         return x
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational entry {reprlib.repr(x)}") from exc
-    raise ParseError(f"bad vertex entry {reprlib.repr(x)}")
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad rational entry {reprlib.repr(x)}") from exc
 
 
 def load_skeleton(path: str) -> Skeleton:
@@ -192,13 +187,13 @@ def load_skeleton(path: str) -> Skeleton:
         edges = data["edges"]
     except KeyError as exc:
         raise ParseError(f"skeleton JSON missing key {exc}") from exc
-    if not is_json_int(dim):
+    if type(dim) is not int:
         raise ParseError(f"skeleton dim {reprlib.repr(dim)} is not an integer")
     if not isinstance(vertices, list) or not all(isinstance(v, list) for v in vertices):
         raise ParseError("skeleton vertices must be a list of lists")
     if not isinstance(edges, list):
         raise ParseError("skeleton edges must be a list of vertex index pairs")
-    edges = [int_vector(e, 2, "skeleton edge") for e in edges]
+    _check_vectors(edges, 2, "skeleton edge")
     try:
         positions = [tuple(_rational_entry(x) for x in v) for v in vertices]
         return make_skeleton(dim, positions, edges)
@@ -210,23 +205,15 @@ def load_cylinder(path: str, dim: int) -> CylinderSpec:
     data = _load_json(path)
     if not isinstance(data, dict) or "window" not in data or "values" not in data:
         raise ParseError("cylinder JSON needs 'window' and 'values'")
-    window = data["window"]
-    values = data["values"]
+    window, values = data["window"], data["values"]
     if not isinstance(window, list) or not isinstance(values, list):
         raise ParseError("cylinder 'window' and 'values' must be lists")
-    if len(window) != len(values):
-        raise ParseError("cylinder window and values differ in length")
-    pairs = []
-    for w, v in zip(window, values):
-        w = int_vector(w, dim, "window point")
-        if not is_json_int(v):
-            raise ParseError(
-                f"window point {reprlib.repr(w)} has the non-integer value {reprlib.repr(v)}")
-        pairs.append((w, v))
     try:
-        return CylinderSpec.from_pairs(pairs)
+        cylinder = CylinderSpec(window, values)
+        check_vectors(cylinder.window[:1], dim, "window point")
     except ValueError as exc:
-        raise ParseError(f"bad cylinder JSON: {exc}") from exc
+        raise ParseError(str(exc)) from exc
+    return cylinder
 
 
 def fraction_json(x: Fraction) -> dict:

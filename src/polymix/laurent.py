@@ -12,8 +12,9 @@ coefficients are reduced mod p, zero terms dropped, duplicate exponents
 summed -- so two polynomials are equal exactly when their term maps are
 equal.
 
-Exponents are plain Python ints; dilated supports such as p^k * n for
-k around 12 stay exact without any overflow concern.
+Exponents are plain Python ints, so dilated supports such as p^k * n stay
+exact.  ``check_vectors`` is the package's one integer-vector test, run
+wherever a vector enters: a tuple or list of ``int`` entries, no bool.
 
 Values are immutable after construction and all operations are pure
 functions, so they are safe to share between threads.  The one exception
@@ -84,16 +85,11 @@ class LaurentPoly:
             raise ValueError(f"modulus {reprlib.repr(p)} is not a prime integer")
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = list(terms.items() if isinstance(terms, Mapping) else terms)
+        check_vectors([e for e, _ in items], dim, "exponent vector")
         canonical: dict[ExponentVec, int] = {}
         for exps, coeff in items:
             exps = tuple(exps)
-            if len(exps) != dim:
-                raise ValueError(
-                    f"exponent vector {exps} has length {len(exps)}, expected {dim}"
-                )
-            if not all(isinstance(e, int) for e in exps):
-                raise ValueError(f"exponent vector {exps} has non-integer entries")
             c = (canonical.get(exps, 0) + coeff) % p
             if c:
                 canonical[exps] = c
@@ -167,8 +163,7 @@ class LaurentPoly:
 
     def shift(self, m: ExponentVec) -> "LaurentPoly":
         """Multiply by the monomial u^m."""
-        if len(m) != self.dim:
-            raise ValueError(f"shift vector {m} has wrong length")
+        check_vectors((m,), self.dim, "shift vector")
         return _raw(
             self.p,
             self.dim,
@@ -213,27 +208,37 @@ def _raw(p: int, dim: int, canonical: dict[ExponentVec, int]) -> LaurentPoly:
 def make_poly(
     p: int,
     dim: int,
-    terms: Iterable[tuple[Iterable[int], int]],
+    terms: Iterable[tuple[Sequence[int], int]],
 ) -> LaurentPoly:
     """Build a canonical polynomial from (exponent vector, coefficient) pairs."""
-    return LaurentPoly(p, dim, [(tuple(e), c) for e, c in terms])
+    return LaurentPoly(p, dim, terms)
 
 
 def one(p: int, dim: int) -> LaurentPoly:
     return LaurentPoly(p, dim, [((0,) * dim, 1)])
 
 
-def monomial(p: int, dim: int, exps: Iterable[int], coeff: int = 1) -> LaurentPoly:
-    return LaurentPoly(p, dim, [(tuple(exps), coeff)])
+def monomial(p: int, dim: int, exps: Sequence[int], coeff: int = 1) -> LaurentPoly:
+    return LaurentPoly(p, dim, [(exps, coeff)])
 
 
-def check_vectors(vectors: Iterable[Sequence[int]], dim: int, what: str) -> None:
-    """Raise ``ValueError`` at the first vector, named as ``what``, that is not ``dim`` ints."""
+def check_vectors(vectors: Iterable[Sequence[int]], dim: int | None, what: str) -> None:
+    """Raise ``ValueError`` at the first vector, named as ``what``, that is not ``dim`` ints.
+
+    The package's one integer rule: a vector is a tuple or a list, and an
+    entry counts only if its type is ``int``, so a bool, a float or a
+    numpy integer does not.  ``dim`` None asks for the first vector's length.
+    """
     for v in vectors:
+        if not isinstance(v, (tuple, list)):
+            raise ValueError(f"{what} {reprlib.repr(v)} is not a tuple or list")
+        if dim is None:
+            dim = len(v)
         if len(v) != dim:
-            raise ValueError(f"{what} {tuple(v)} has wrong dimension")
-        if not isinstance(sum(v), int):  # a float or Fraction entry makes the sum one too
-            raise ValueError(f"{what} {tuple(v)} has non-integer entries")
+            raise ValueError(f"{what} {reprlib.repr(v)} has wrong dimension: expected {dim}")
+        for x in v:
+            if type(x) is not int:
+                raise ValueError(f"{what} {reprlib.repr(v)} has non-integer entries")
 
 
 def frobenius_power(g: LaurentPoly, k: int) -> LaurentPoly:

@@ -36,9 +36,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import reprlib
 from collections import namedtuple
 from fractions import Fraction
-from operator import add, sub
+from operator import add, itemgetter, sub
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from . import budgets, gfp
@@ -56,30 +57,31 @@ class CylinderSpec(namedtuple("CylinderSpec", "window values")):
     """A finite window with a fixed F_p value at each of its points.
 
     The window is a non-empty tuple of distinct int vectors of one
-    length, and the values are ints, one per point.
+    length, in sorted order, and the values are ints, one per point.
     """
 
     __slots__ = ()
 
-    def __new__(cls, window: tuple[ExponentVec, ...], values: tuple[int, ...]):
+    def __new__(cls, window: Sequence[Sequence[int]], values: Sequence[int]):
         if not window:
             raise ValueError("cylinder window must be non-empty")
-        check_vectors(window, len(window[0]), "window point")
+        check_vectors(window, None, "window point")
+        if len(window) != len(values):
+            raise ValueError("cylinder window and values differ in length")
+        window, values = map(tuple, zip(*sorted(zip(map(tuple, window), values), key=itemgetter(0))))
         if len(set(window)) != len(window):
             raise ValueError("cylinder window has repeated points")
-        if len(window) != len(values):
-            raise ValueError("window and values have different lengths")
-        for v in values:
-            if not isinstance(v, int):
-                raise ValueError(f"cylinder value {v!r} is not an integer")
+        for w, v in zip(window, values):
+            if type(v) is not int:
+                raise ValueError(f"window point {w}: value {reprlib.repr(v)} is not an integer")
         return super().__new__(cls, window, values)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks as well
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[Sequence[int], int]]) -> "CylinderSpec":
-        items = sorted(((tuple(w), v) for w, v in pairs), key=lambda item: item[0])
-        return cls(tuple(w for w, _ in items), tuple(v for _, v in items))
+        pairs = list(pairs)
+        return cls([w for w, _ in pairs], [v for _, v in pairs])
 
 
 class MeasureResult(NamedTuple):
@@ -287,8 +289,7 @@ def cylinder_measure(
 ) -> MeasureResult:
     """Haar measure of the event {x restricted to the window = values}."""
     check_modulus(f)
-    if len(cyl.window[0]) != f.dim:
-        raise ValueError(f"window point {cyl.window[0]} has wrong dimension")
+    check_vectors(cyl.window[:1], f.dim, "window point")
     if method == "exact":
         return _exact_measure(f, cyl)
     if method == "box":
@@ -300,8 +301,7 @@ def merge_events(events: Sequence[tuple[Sequence[int], CylinderSpec]]) -> Cylind
     """Union of shifted cylinders; None signals a conflicting overlap."""
     merged: dict[ExponentVec, int] = {}
     for shift, cyl in events:
-        if len(shift) != len(cyl.window[0]):
-            raise ValueError(f"shift {tuple(shift)} has wrong dimension")
+        check_vectors((shift,), len(cyl.window[0]), "shift")
         for w, v in zip(cyl.window, cyl.values):
             w = tuple(map(add, w, shift))
             if merged.setdefault(w, v) != v:

@@ -31,8 +31,8 @@ from .quotient import (
     divides_exactly,
     leading_term,
     monomial_residue,
-    nf,
     normalize,
+    reduce,
 )
 from .redraw import redraw_space, skeleton_from_polytope
 
@@ -120,7 +120,7 @@ def frobenius_certificate(f: LaurentPoly, k_max: int) -> ShapeCertificate:
     shape = tuple(sorted(f.terms))
     coeffs = tuple(f.terms[n] for n in shape)
     fhat, base = normalize(f)
-    if not nf(fhat, f).is_zero:
+    if not reduce(fhat, f).is_zero:
         raise InternalInconsistencyError(
             "dilated support relation failed to vanish at k=0"
         )
@@ -159,14 +159,12 @@ def relation_value(
     for a, n in zip(coefficients, exponents):
         a._check_compatible(f)
         shifted += [(tuple(map(add, m, n)), c) for m, c in a.terms.items()]
-    if not shifted:
-        return LaurentPoly(f.p, f.dim)
     shift = tuple(map(min, zip(*(e for e, _ in shifted))))
-    return LaurentPoly(f.p, f.dim, [
-        (e, c * v)
-        for x, c in shifted
-        for e, v in monomial_residue(tuple(map(sub, x, shift)), f).terms.items()
-    ])
+    total: dict[ExponentVec, int] = {}
+    for x, c in shifted:
+        for e, v in monomial_residue(tuple(map(sub, x, shift)), f).terms.items():
+            total[e] = (total.get(e, 0) + c * v) % f.p
+    return _raw(f.p, f.dim, {e: c for e, c in total.items() if c})
 
 
 def _coefficient_space(f: LaurentPoly, degree_bound: int) -> list[LaurentPoly]:
@@ -251,7 +249,7 @@ def search_relations(
         return []
     # coefficients vanishing in the quotient would make any relation vacuous
     coeff_pool = [
-        a for a in _coefficient_space(f, coeff_degree_bound) if not nf(a, f).is_zero
+        a for a in _coefficient_space(f, coeff_degree_bound) if not reduce(a, f).is_zero
     ]
     lead_one = [a for a in coeff_pool if leading_term(a)[1] == 1]
     ks = (1, p, p * p)

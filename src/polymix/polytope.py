@@ -45,6 +45,7 @@ from .lattice import (
     int_rank,
     primitive,
 )
+from .laurent import check_vectors
 
 IntVec = tuple[int, ...]
 
@@ -287,6 +288,7 @@ def _counter_clockwise(
 def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
     """Convex hull of a non-empty set of lattice points, exactly.
 
+    The points are int vectors of one length (``laurent.check_vectors``).
     Vertices are reported in the original coordinates, ordered by their
     face-computation coordinates: sorted, except in affine dimension 2,
     where they run counter-clockwise from the lexicographic minimum.
@@ -294,12 +296,12 @@ def hull(points: Iterable[Sequence[int]]) -> LatticePolytope:
     every affine dimension: a pair is an edge when its closure, the
     vertices on every facet through both, is the pair itself.
     """
-    pts = sorted({tuple(int(x) for x in s) for s in points})
+    points = list(points)
+    check_vectors(points, None, "point")
+    pts = sorted(set(map(tuple, points)))
     if not pts:
         raise ValueError("empty point set has no hull")
     dim = len(pts[0])
-    if any(len(s) != dim for s in pts):
-        raise ValueError("points have inconsistent dimensions")
     base = pts[0]
     diffs = [_sub(s, base) for s in pts]
     vcols, k = column_reduce(diffs, dim)

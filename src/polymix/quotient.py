@@ -87,7 +87,6 @@ __all__ = [
     "leading_term",
     "normalize",
     "reduce",
-    "nf",
     "monomial_residue",
     "window_residues",
     "power_residue",
@@ -329,11 +328,6 @@ def reduce(g: LaurentPoly, f: LaurentPoly) -> Residue:
     return Residue(_unpacked(f, _divide(work, m, frame), frame))
 
 
-def nf(g: LaurentPoly, f: LaurentPoly) -> LaurentPoly:
-    """Shorthand for the remainder polynomial of reduce(g, f)."""
-    return reduce(g, f).value
-
-
 def power_residue(g: LaurentPoly, n: int, f: LaurentPoly) -> LaurentPoly:
     """Residue of g**n by square-and-multiply in the quotient ring, each step reduced.
 
@@ -343,7 +337,7 @@ def power_residue(g: LaurentPoly, n: int, f: LaurentPoly) -> LaurentPoly:
     if n < 0:
         raise ValueError("negative powers are not defined")
     m = _prepared(f)
-    base = nf(g, f)
+    base = reduce(g, f).value
     frame = m.tables(2 * n * max(map(sum, base.terms), default=0))[0]
     base = {_pack(e, frame.weights): c for e, c in base.terms.items()}
     result = {0: 1}

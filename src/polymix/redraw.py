@@ -26,6 +26,7 @@ and so does the triangle scan that forms the exact path's scale classes.
 
 from __future__ import annotations
 
+import reprlib
 from collections import namedtuple
 from math import isfinite
 from numbers import Rational
@@ -34,30 +35,33 @@ from typing import NamedTuple, Sequence
 from . import budgets
 from .errors import InternalInconsistencyError
 from .lattice import int_rank
+from .laurent import check_vectors
 from .polytope import LatticePolytope
 
 TOLERANCE = 1e-9
 
 
 class Skeleton(namedtuple("Skeleton", "dim positions edges")):
-    """Vertex positions in R^dim and edges as pairs of int vertex indices."""
+    """Positions in R^dim (finite ints, floats or rationals) and edges as int index pairs."""
 
     __slots__ = ()
 
-    def __new__(cls, dim: int, positions: tuple[tuple, ...], edges: tuple[tuple[int, int], ...]):
+    def __new__(cls, dim: int, positions: Sequence[Sequence], edges: Sequence[Sequence[int]]):
         if dim < 1:
             raise ValueError("ambient dimension must be >= 1")
+        for p in positions:
+            if not isinstance(p, (tuple, list)) or len(p) != dim:
+                raise ValueError(f"position {reprlib.repr(p)} does not have dimension {dim}")
+            if not all(type(x) is int or isinstance(x, float) and isfinite(x)
+                       or type(x) is not bool and isinstance(x, Rational) for x in p):
+                raise ValueError(f"position {reprlib.repr(p)} is not a vector of finite numbers")
+        positions = tuple(map(tuple, positions))
         if len(set(positions)) != len(positions):
             raise ValueError("repeated vertex positions")
-        for p in positions:
-            if len(p) != dim:
-                raise ValueError(f"position {p} does not have dimension {dim}")
-            if any(isinstance(x, float) and not isfinite(x) for x in p):
-                raise ValueError(f"position {p} is not finite")
+        check_vectors(edges, 2, "edge")
+        edges = tuple(map(tuple, edges))
         n = len(positions)
         for s, t in edges:
-            if not (isinstance(s, int) and isinstance(t, int)):
-                raise ValueError(f"edge ({s},{t}) has a non-integer endpoint")
             if s == t:
                 raise ValueError(f"edge ({s},{t}) has equal endpoints")
             if not (0 <= s < n and 0 <= t < n):
@@ -70,7 +74,7 @@ class Skeleton(namedtuple("Skeleton", "dim positions edges")):
 
 
 def make_skeleton(dim: int, positions: Sequence[Sequence], edges: Sequence[Sequence[int]]) -> Skeleton:
-    return Skeleton(dim, tuple(tuple(p) for p in positions), tuple(tuple(e) for e in edges))
+    return Skeleton(dim, tuple(positions), tuple(edges))
 
 
 def skeleton_from_polytope(poly: LatticePolytope) -> Skeleton:

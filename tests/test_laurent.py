@@ -207,8 +207,9 @@ class TestJson:
         assert from_json_dict(to_json_dict(g)) == g
 
     def test_rejects_wrong_exponent_length(self):
+        # the constructor checks exponents, so the error is its ValueError
         data = {"p": 2, "d": 2, "terms": [{"e": [0], "c": 1}]}
-        with pytest.raises(ParseError):
+        with pytest.raises(ValueError, match=r"exponent vector \[0\] has wrong dimension"):
             from_json_dict(data)
 
     def test_rejects_non_prime(self):
@@ -222,5 +223,5 @@ class TestJson:
 
     def test_rejects_non_integer_entries(self):
         data = {"p": 2, "d": 1, "terms": [{"e": [0.5], "c": 1}]}
-        with pytest.raises(ParseError):
+        with pytest.raises(ValueError, match=r"exponent vector \[0.5\] has non-integer entries"):
             from_json_dict(data)

@@ -169,9 +169,9 @@ class TestJointMeasure:
 
 
 class TestCylinderSpec:
-    @pytest.mark.parametrize("value", ["3", 0.9])
+    @pytest.mark.parametrize("value", ["3", 0.9, True, None])
     def test_value_that_is_not_an_int_refused(self, value):
-        # not read as int("3") = 3 or int(0.9) = 0
+        # not read as int("3") = 3 or int(0.9) = 0, and a bool is not an int
         with pytest.raises(ValueError, match="is not an integer"):
             CylinderSpec.from_pairs([((0, 0), 1), ((1, 0), value)])
 

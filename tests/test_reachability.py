@@ -74,7 +74,6 @@ KEPT = {
     "laurent.LaurentPoly.__eq__": ("value API: polynomials compare by their terms", None),
     "laurent.LaurentPoly.__repr__": ("value API: how a polynomial prints", None),
     "laurent.LaurentPoly.__setattr__": ("value API: refuses mutation", None),
-    "quotient.Residue.is_zero": ("value API: the documented membership test g in <f>", None),
 }
 
 
