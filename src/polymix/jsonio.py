@@ -137,8 +137,8 @@ def from_json_dict(data) -> LaurentPoly:
     """The polynomial of a polynomial JSON object.
 
     A schema violation is a ``ParseError``; what the constructor refuses (a
-    p that is not a prime, a d below 1, an exponent that is not d ints) is
-    its ``ValueError``.
+    p that is not a prime, a d below 1, a coefficient that is not an int,
+    an exponent that is not d ints) is its ``ValueError``.
     """
     if not isinstance(data, dict):
         raise ParseError("polynomial JSON must be an object")
@@ -154,8 +154,6 @@ def from_json_dict(data) -> LaurentPoly:
     for t in terms:
         if not isinstance(t, dict) or "e" not in t or "c" not in t:
             raise ParseError(f"malformed term {reprlib.repr(t)}")
-        if type(t["c"]) is not int:
-            raise ParseError(f"term coefficient {reprlib.repr(t['c'])} is not an integer")
         pairs.append((t["e"], t["c"]))
     return LaurentPoly(p, d, pairs)
 

@@ -7,7 +7,8 @@ Miller-Rabin, and every polynomial computed from it shares it unchecked.
 
 A polynomial is a finite map from exponent vectors (tuples of ``dim``
 integers, negative entries allowed) to coefficients in {1, ..., p-1}.  The
-zero polynomial is the empty map.  Every constructor canonicalizes --
+zero polynomial is the empty map.  ``dim`` and every coefficient given
+must have the type ``int`` (no bool).  Every constructor canonicalizes --
 coefficients are reduced mod p, zero terms dropped, duplicate exponents
 summed -- so two polynomials are equal exactly when their term maps are
 equal.
@@ -83,9 +84,14 @@ class LaurentPoly:
                              f"primality is decided for p < {MAX_PRIME}")
         if not isinstance(p, int) or not _is_prime(p):
             raise ValueError(f"modulus {reprlib.repr(p)} is not a prime integer")
+        if type(dim) is not int:
+            raise ValueError(f"dimension {reprlib.repr(dim)} is not an integer")
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
         items = list(terms.items() if isinstance(terms, Mapping) else terms)
+        for _, coeff in items:
+            if type(coeff) is not int:
+                raise ValueError(f"term coefficient {reprlib.repr(coeff)} is not an integer")
         check_vectors([e for e, _ in items], dim, "exponent vector")
         canonical: dict[ExponentVec, int] = {}
         for exps, coeff in items:

@@ -4,32 +4,38 @@ The configurations x: Z^d -> F_p satisfying sum_n c_{f,n} x(m+n) = 0 for
 every m form a compact group X; cylinder events fix the values on a
 finite window W.  Their Haar measure is always 0 or p^{-m}.
 
-Both computation paths insert sparse rows into one F_p echelon,
-``gfp.insert_row``, and are cross-checked:
+The two computation paths are cross-checked:
 
-* ``exact``  -- the measure-zero/p^{-m} split comes from the projection
-  of X onto F_p^W, whose annihilator consists exactly of the window
-  polynomials sum lambda_w u^w lying in the ideal <f>.  The projected
-  dimension is therefore the rank of the window monomials' residues, a
-  few small quotient-ring reductions, and the values are consistent
-  unless the rank grows when they are put beside the residues.  Total
-  and exact for any window.
+* ``exact``  -- the projection of X onto F_p^W has as annihilator the
+  window polynomials sum lambda_w u^w lying in the ideal <f>.  When W
+  fills its bounding box, Ostrowski's theorem N(f h) = N(f) + N(h) puts
+  m + S(f) inside W for every m in supp(h) of such a polynomial f h, so
+  the annihilator is spanned by the T translates u^m f that fit in W.
+  Their lexicographically least cells differ, so they are independent:
+  the projected dimension is |W| - T, and the values are consistent
+  exactly when every translate's relation vanishes on them.  That costs
+  T |S(f)| steps and no residue.  Any other window takes the rank of the
+  window monomials' residues, a few small quotient-ring reductions, and
+  the values are consistent unless the rank grows when they are put
+  beside the residues.  Total and exact for any window.
 * ``box``    -- the literal finite-window relaxation: the relations of f
   on a surrounding box, keyed so that window cells come last.  Growing
-  the box by one ring inserts only the new translates' relations into
-  the kept echelon; the rows led by a window cell span the annihilator
-  of the projection onto the window, which gives the projected
-  dimension and the consistency test.  The margin grows until that
-  dimension stops dropping for two consecutive steps.  Dimensions are
-  monotone non-increasing in the margin, so this stabilizes, but the
-  stopping rule is a heuristic and the result carries the margin used
-  and a ``stabilized`` flag.
+  the box by one ring walks only the translates it gains and inserts
+  their relations into the kept echelon; the rows led by a window cell
+  span the annihilator of the projection onto the window, which gives
+  the projected dimension and the consistency test.  The margin grows
+  until that dimension stops dropping for two consecutive steps.
+  Dimensions are monotone non-increasing in the margin, so this
+  stabilizes, but the stopping rule is a heuristic and the result
+  carries the margin used and a ``stabilized`` flag.
 
-``brute_force_measure`` enumerates every configuration on a small box
-and serves as an independent oracle for both paths.  ``solution_space``
-solves a box densely with ``gfp.kernel_basis``; it and the brute force
-import numpy inside, as does ``box_projected_dimension`` for the array
-it returns, so ``measure`` and ``experiment`` never load it.
+The residue rank and the box path insert sparse rows into one F_p
+echelon, ``gfp.insert_row``.  ``brute_force_measure`` enumerates every
+configuration on a small box and serves as an independent oracle for
+both paths.  ``solution_space`` solves a box densely with
+``gfp.kernel_basis``; it and the brute force import numpy inside, as
+does ``box_projected_dimension`` for the array it returns, so
+``measure`` and ``experiment`` never load it.
 """
 
 from __future__ import annotations
@@ -110,6 +116,7 @@ class SolutionSpace(NamedTuple):
 def _check_box(box: Box, dim: int) -> None:
     if len(box) != dim:
         raise ValueError(f"box has {len(box)} axes, polynomial has {dim}")
+    check_vectors(box, 2, "box axis range")
     for lo, hi in box:
         if lo > hi:
             raise ValueError(f"empty axis range ({lo}, {hi})")
@@ -120,20 +127,33 @@ def _box_cells(box: Box, dim: int) -> list[ExponentVec]:
     return list(itertools.product(*(range(lo, hi + 1) for lo, hi in box)))
 
 
+def _ring(ranges: Sequence[range]) -> list[ExponentVec]:
+    """The points of the product of the ranges with some entry at an end of its range.
+
+    In lexicographic order: a point whose first entry is an end of the
+    first range may end in any point of the other ranges, one whose first
+    entry lies strictly inside only in a point of their ring.
+    """
+    head, rest = ranges[0], ranges[1:]
+    every = list(itertools.product(*rest))
+    inner = _ring(rest) if rest else []
+    return [(x, *tail) for x in head
+            for tail in (every if x == head[0] or x == head[-1] else inner)]
+
+
 def _relations(f: LaurentPoly, box: Box, grown: bool = False) -> Iterator[dict[ExponentVec, int]]:
     """The relations of f contained in the box, as {cell: coefficient}.
 
     One relation per translate m with m + S(f) inside the box, in
-    lexicographic order of m.  With ``grown`` the translates that also
-    fit the box shrunk by one cell per side are left out: those are the
-    relations a box gains when it grows by one ring.
+    lexicographic order of m.  With ``grown`` only the translates that do
+    not fit the box shrunk by one cell per side are walked, the ring of
+    the range of m: those are the relations a box gains when it grows by
+    one ring.
     """
     terms = list(f.terms.items())
     ranges = [range(lo - a, hi - b + 1)
               for (lo, hi), a, b in zip(box, f.min_exponents(), f.max_exponents())]
-    for m in itertools.product(*ranges):
-        if grown and all(r[0] < x < r[-1] for x, r in zip(m, ranges)):
-            continue
+    for m in _ring(ranges) if grown else itertools.product(*ranges):
         yield {tuple(map(add, m, e)): c for e, c in terms}
 
 
@@ -153,11 +173,10 @@ def _constraint_matrix(f: LaurentPoly, box: Box) -> np.ndarray:
 def solution_space(f: LaurentPoly, box: Box) -> SolutionSpace:
     """Basis of the configurations on the box meeting every contained relation."""
     check_modulus(f)
-    box = tuple((int(lo), int(hi)) for lo, hi in box)
     cells = _box_cells(box, f.dim)
     budgets.check("cells", len(cells))
     basis = gfp.kernel_basis(_constraint_matrix(f, box), f.p)
-    return SolutionSpace(box, cells, basis, basis.shape[0])
+    return SolutionSpace(tuple(map(tuple, box)), cells, basis, basis.shape[0])
 
 
 def _insert_relations(
@@ -190,7 +209,6 @@ def box_projected_dimension(
 
     check_modulus(f)
     gfp.check_modulus(f.p)
-    box = tuple((int(lo), int(hi)) for lo, hi in box)
     _check_box(box, f.dim)
     window = [tuple(w) for w in window]
     for w in window:
@@ -211,10 +229,17 @@ def box_projected_dimension(
 
 
 def _exact_measure(f: LaurentPoly, cyl: CylinderSpec) -> MeasureResult:
-    """Rank of the window monomials' residues, with the values beside them.
+    """Exponent of the window projection of X, or None when the values miss it.
 
-    lambda annihilates the window projection iff sum lambda_w u^w lies in
-    <f>, so the projected dimension is the rank of the residues.  Each
+    A window that fills its bounding box walks the translates of f inside
+    it: by Ostrowski's theorem they span the window polynomials in <f>,
+    the annihilator of the projection, and they are independent, so the
+    exponent is |W| minus their number unless one of their relations is
+    nonzero on the values.  No modulus is prepared and no budget charged.
+
+    Any other window ranks the window monomials' residues: lambda
+    annihilates the window projection iff sum lambda_w u^w lies in <f>,
+    so the projected dimension is the rank of the residues.  Each
     residue is inserted on the packed keys of ``window_residues``, with
     the cylinder value, when nonzero, under its top key.  That key sits
     above every monomial key, so it leads a kept row exactly when some
@@ -226,6 +251,15 @@ def _exact_measure(f: LaurentPoly, cyl: CylinderSpec) -> MeasureResult:
     """
     p = f.p
     shift = tuple(min(w[i] for w in cyl.window) for i in range(f.dim))
+    box = tuple(zip(shift, (max(w[i] for w in cyl.window) for i in range(f.dim))))
+    if len(cyl.window) == math.prod(hi - lo + 1 for lo, hi in box):
+        values = dict(zip(cyl.window, cyl.values))
+        translates = 0
+        for relation in _relations(f, box):
+            if sum(c * values[w] for w, c in relation.items()) % p:
+                return MeasureResult(p, None, 0, True, "exact")
+            translates += 1
+        return MeasureResult(p, len(cyl.window) - translates, 0, True, "exact")
     residues, top = window_residues([tuple(map(sub, w, shift)) for w in cyl.window], f)
     echelon: dict = {}
     values = (v % p for v in cyl.values)
@@ -390,7 +424,7 @@ def brute_force_counts(
 
     check_modulus(f)
     p = f.p
-    cells = _box_cells(tuple((int(a), int(b)) for a, b in box), f.dim)
+    cells = _box_cells(box, f.dim)
     n_cells = len(cells)
     n_configs = p ** n_cells
     budgets.check("enumeration", n_configs)
@@ -398,7 +432,7 @@ def brute_force_counts(
     for w in cyl.window:
         if tuple(w) not in index:
             raise ValueError(f"window point {w} outside the box")
-    matrix = _constraint_matrix(f, tuple(box))
+    matrix = _constraint_matrix(f, box)
     wcols = np.array([index[tuple(w)] for w in cyl.window], dtype=np.int64)
     wvals = np.array([v % p for v in cyl.values], dtype=np.int64)
 

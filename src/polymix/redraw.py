@@ -47,6 +47,8 @@ class Skeleton(namedtuple("Skeleton", "dim positions edges")):
     __slots__ = ()
 
     def __new__(cls, dim: int, positions: Sequence[Sequence], edges: Sequence[Sequence[int]]):
+        if type(dim) is not int:
+            raise ValueError(f"ambient dimension {reprlib.repr(dim)} is not an integer")
         if dim < 1:
             raise ValueError("ambient dimension must be >= 1")
         for p in positions:

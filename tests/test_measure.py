@@ -1,9 +1,11 @@
+import itertools
 import json
 import random
 import sys
 import types
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from polymix.measure import (
     brute_force_counts,
     merge_events,
 )
+from polymix.quotient import window_residues
 
 from conftest import FIXTURES, divide_from_scratch, generic_poly, random_poly
 
@@ -409,6 +412,113 @@ class TestWindowResidues:
     def test_square_f3_exact_window(self, square_f3):
         window = [(x, y) for x in range(20) for y in range(20)]
         self._check(square_f3, window, random.Random(49))
+
+
+def _residue_exponent(f, window, values):
+    """Exponent from the rank of the window monomials' residues, the values beside them.
+
+    The residue path of every window: a row per point, its residue with
+    the value under a key above every monomial, inserted into one echelon.
+    """
+    shift = [min(w[i] for w in window) for i in range(f.dim)]
+    residues, top = window_residues([tuple(a - b for a, b in zip(w, shift)) for w in window], f)
+    echelon = {}
+    for terms, v in zip(residues, values):
+        row = dict(terms)
+        if v % f.p:
+            row[top] = v % f.p
+        gfp.insert_row(echelon, row, f.p)
+    return None if top in echelon else len(echelon)
+
+
+def _box_window(rng, d, sides=None):
+    """The cells of a box of random corner and sides, in lexicographic order."""
+    side = {1: 7, 2: 5, 3: 3}[d]
+    corner = [rng.randint(-4, 2) for _ in range(d)]
+    sides = sides or [rng.randint(1, side) for _ in range(d)]
+    return list(itertools.product(*(range(c, c + n) for c, n in zip(corner, sides))))
+
+
+def _consistent_values(rng, f, window):
+    """The window values of a random solution on the window's own box."""
+    box = [(window[0][i], window[-1][i]) for i in range(f.dim)]
+    basis = solution_space(f, box).basis
+    return [int(v) for v in np.array([rng.randrange(f.p) for _ in basis]) @ basis % f.p] \
+        if len(basis) else [0] * len(window)
+
+
+class TestBoxWindows:
+    """A window that fills its box: |W| minus the translates of f inside it."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+    def test_matches_the_residue_rank(self, p, d):
+        rng = random.Random(1000 * p + d)
+        verdicts = set()
+        for _ in range(6):
+            f = _random_modulus(rng, p, d)
+            span = [b - a for a, b in zip(f.min_exponents(), f.max_exponents())]
+            # as long as f's span on its widest axis, so no translate fits (T = 0)
+            narrow = [rng.randint(1, 3) for _ in span]
+            narrow[span.index(max(span))] = max(span)
+            for window in (_box_window(rng, d), _box_window(rng, d, narrow)):
+                for values in ([0] * len(window), [rng.randrange(-p, 2 * p) for _ in window],
+                               _consistent_values(rng, f, window)):
+                    cyl = CylinderSpec.from_pairs(zip(window, values))
+                    exponent = cylinder_measure(f, cyl).exponent
+                    assert exponent == _residue_exponent(f, window, values)
+                    verdicts.add(None if exponent is None else len(window) - exponent)
+        # zero measures, windows no translate fits, and windows some do
+        assert None in verdicts and 0 in verdicts and len(verdicts) > 2
+
+    def test_matches_brute_force(self, all_fixtures):
+        rng = random.Random(51)
+        moduli = list(all_fixtures) + [_random_modulus(rng, p, d) for p in (2, 3) for d in (1, 2)]
+        for f in moduli:
+            for _ in range(6):
+                window = _box_window(rng, f.dim, [rng.randint(1, 3) for _ in range(f.dim)])
+                if f.p ** len(window) > 1 << 12:
+                    continue
+                box = [(window[0][i], window[-1][i]) for i in range(f.dim)]
+                for values in ([rng.randrange(f.p) for _ in window],
+                               _consistent_values(rng, f, window)):
+                    cyl = CylinderSpec.from_pairs(zip(window, values))
+                    assert cylinder_measure(f, cyl).exponent == \
+                        brute_force_measure(f, cyl, box).exponent
+
+    def test_box_windows_take_no_residues(self, square_f3, monkeypatch):
+        spy = mock.Mock(wraps=measure.window_residues)
+        monkeypatch.setattr(measure, "window_residues", spy)
+        rect = [(x, y) for x in range(-2, 4) for y in range(-1, 4)]
+        for window in (rect, rect[:1], [(x, 0) for x in range(9)]):
+            cylinder_measure(square_f3, CylinderSpec.from_pairs((w, 1) for w in window))
+        assert spy.call_count == 0
+        assert getattr(square_f3, "_modulus", None) is None  # no modulus prepared
+        thinned = CylinderSpec.from_pairs((w, 1) for w in rect[1:])
+        cylinder_measure(square_f3, thinned)
+        assert spy.call_count == 1
+
+    def test_a_large_box_window_charges_no_budget(self, capsys, monkeypatch, tmp_path):
+        # 32 x 32 cells, 30 x 30 translates of a support of span 2 x 2
+        monkeypatch.setenv("POLYMIX_BUDGET", "1")
+        spy = mock.Mock(wraps=measure.window_residues)
+        monkeypatch.setattr(measure, "window_residues", spy)
+        path = tmp_path / "cyl.json"
+        path.write_text(json.dumps({"window": [[x, y] for x in range(32) for y in range(32)],
+                                    "values": [0] * 1024}))
+        code = main(["measure", str(FIXTURES / "generic_f7.json"), "--cylinder", str(path)])
+        assert code == 0 and spy.call_count == 0
+        assert json.loads(capsys.readouterr().out)["value"] == {"num": 1, "den": 7 ** 124}
+
+    def test_ring_is_the_filtered_scan(self):
+        # the translates of a grown box that the box before it did not hold
+        rng = random.Random(52)
+        for _ in range(400):
+            ranges = [range(a, a + rng.randint(0, 5))
+                      for a in (rng.randint(-3, 3) for _ in range(rng.randint(1, 3)))]
+            scan = [m for m in itertools.product(*ranges)
+                    if not all(r[0] < x < r[-1] for x, r in zip(m, ranges))]
+            assert measure._ring(ranges) == scan
 
 
 def _mutation_corpus():

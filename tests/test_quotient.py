@@ -441,10 +441,12 @@ class TestPreparedModulus:
                     use(f)
 
     def test_residue_limit_read_once_per_modulus(self, square_f3, monkeypatch):
-        # the 156 residues of a 13 x 12 window each charge the count, against
-        # the limit read when the modulus was prepared
+        # the 155 residues of a 13 x 12 window without its far corner each charge
+        # the count, against the limit read when the modulus was prepared (a
+        # window that fills its box prepares no modulus)
         monkeypatch.delenv("POLYMIX_BUDGET", raising=False)
-        cyl = CylinderSpec.from_pairs(((x, y), 0) for x in range(13) for y in range(12))
+        cyl = CylinderSpec.from_pairs(((x, y), 0) for x in range(13) for y in range(12)
+                                      if (x, y) != (12, 11))
         with mock.patch.object(budgets, "_override", wraps=budgets._override) as reads:
             assert cylinder_measure(square_f3, cyl).exponent is not None
         assert reads.call_count == 1

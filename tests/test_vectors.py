@@ -24,6 +24,7 @@ from polymix import (
 )
 from polymix import laurent
 from polymix.jsonio import to_json_dict
+from polymix.measure import box_projected_dimension, brute_force_measure, solution_space
 from polymix.mixing import relation_value
 from polymix.quotient import monomial_residue, window_residues
 
@@ -46,6 +47,9 @@ ENTRIES = {
     "relation_value": lambda v, f: relation_value([one(2, 2)] * 2, [(0, 0), v], f),
     "monomial_residue": lambda v, f: monomial_residue(v, f),
     "window_residues": lambda v, f: window_residues([(0, 0), v], f),
+    "solution_space.box": lambda v, f: solution_space(f, [(0, 1), v]),
+    "box_projected_dimension.box": lambda v, f: box_projected_dimension(f, [(0, 0)], [(0, 1), v]),
+    "brute_force_measure.box": lambda v, f: brute_force_measure(f, CELL, [(0, 1), v]),
 }
 
 BAD = {
@@ -103,6 +107,30 @@ class TestReproducers:
     def test_bool_edge(self):
         with pytest.raises(ValueError, match=r"edge \(False, True\) has non-integer entries"):
             make_skeleton(2, [(0, 0), (1, 0)], [(False, True)])
+
+    def test_coefficients(self):
+        # 1.5 was kept over F_2 and True read as 1
+        with pytest.raises(ValueError, match="term coefficient 1.5 is not an integer"):
+            make_poly(2, 2, [((0, 0), 1.5), ((1, 0), True)])
+        with pytest.raises(ValueError, match="term coefficient True is not an integer"):
+            make_poly(2, 2, [((0, 0), 1), ((1, 0), True)])
+
+    def test_bool_dimension(self):
+        # was a polynomial of dim True, and a skeleton of ambient dimension True
+        with pytest.raises(ValueError, match="dimension True is not an integer"):
+            LaurentPoly(2, True, [((0,), 1)])
+        with pytest.raises(ValueError, match="ambient dimension True is not an integer"):
+            make_skeleton(True, [(0,), (1,)], [(0, 1)])
+
+    @pytest.mark.parametrize("call", [
+        lambda f, box: solution_space(f, box),
+        lambda f, box: box_projected_dimension(f, [(0, 0)], box),
+        lambda f, box: brute_force_measure(f, CELL, box),
+    ], ids=["solution_space", "box_projected_dimension", "brute_force_measure"])
+    def test_float_box_bound(self, ledrappier, call):
+        # solution_space(f, [(0, 1.9), (0, 1)]).box was ((0, 1), (0, 1))
+        with pytest.raises(ValueError, match=r"box axis range \(0, 1.9\) has non-integer"):
+            call(ledrappier, [(0, 1.9), (0, 1)])
 
     def test_bool_positions(self):
         # redraw_space ranked this skeleton as exact
