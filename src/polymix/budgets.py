@@ -7,7 +7,8 @@ calls ``check``, a meter charged once, before the work starts; one whose
 size grows as it runs keeps a meter and charges it as the work is done.
 ``POLYMIX_BUDGET`` (an integer) overrides every budget at once; when it
 is unset the defaults below apply.  A value that is not a positive
-integer is a ``ParseError``, read when a meter is made.
+integer is a ``ParseError``, raised by ``check_override`` (the CLI calls
+it before every command) and when a meter is made.
 """
 
 import os
@@ -43,6 +44,11 @@ def _override() -> int | None:
     if value <= 0:
         raise ParseError(f"{_ENV_VAR} must be positive, got {value}")
     return value
+
+
+def check_override() -> None:
+    """Raise ``ParseError`` unless ``POLYMIX_BUDGET`` is unset or a positive integer."""
+    _override()
 
 
 class Meter:

@@ -25,7 +25,9 @@ of the wrong type, such as --max-k x), 3 budget exceeded
 (the message names the budget, its use and its limit), 4 internal error
 (a machine check failed), 141 stdout closed before the report was written
 (128 + SIGPIPE, as a shell reports for ``yes | head``).  The environment
-variable POLYMIX_BUDGET overrides every budget of ``budgets``: ``cells``
+variable POLYMIX_BUDGET overrides every budget of ``budgets``; it is
+checked before the command reads its input, so a malformed value exits 1
+whatever the command and input.  The budgets: ``cells``
 (box cells), ``enumeration`` (brute-force configurations), ``search``
 (search candidates), ``division`` (the monomials of the certificate's
 division box on the lattice of f's exponent gcds), ``detector`` (the
@@ -267,6 +269,7 @@ def _parse(argv: list[str]) -> tuple[str, SimpleNamespace | argparse.Namespace]:
 def main(argv: list[str] | None = None) -> int:
     command, args = _parse(sys.argv[1:] if argv is None else argv)
     try:
+        budgets.check_override()
         report = _COMMANDS[command].run(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -19,15 +19,15 @@ The two computation paths are cross-checked:
   the values are consistent unless the rank grows when they are put
   beside the residues.  Total and exact for any window.
 * ``box``    -- the literal finite-window relaxation: the relations of f
-  on a surrounding box, keyed so that window cells come last.  Growing
-  the box by one ring walks only the translates it gains and inserts
-  their relations into the kept echelon; the rows led by a window cell
-  span the annihilator of the projection onto the window, which gives
-  the projected dimension and the consistency test.  The margin grows
-  until that dimension stops dropping for two consecutive steps.
-  Dimensions are monotone non-increasing in the margin, so this
-  stabilizes, but the stopping rule is a heuristic and the result
-  carries the margin used and a ``stabilized`` flag.
+  on a box around W, keyed so that window cells come last and inserted
+  into one echelon, whose rows led by a window cell span rowspace ∩ F^W,
+  the annihilator of the box solutions' projection onto the window.  It
+  gives the projected dimension and the consistency test.  Every box B
+  holding W gives the same annihilator, <f> ∩ F^W: each relation u^n f
+  lies in <f>, and a window polynomial f h in <f> has, by Ostrowski,
+  N(f) + N(h) = N(f h) inside conv(W), so every translate u^n f with n
+  in supp(h) fits in B.  So one elimination is exact at every margin;
+  the margin it reports is the one the ``cells`` budget allows.
 
 The residue rank and the box path insert sparse rows into one F_p
 echelon, ``gfp.insert_row``.  ``brute_force_measure`` enumerates every
@@ -127,34 +127,26 @@ def _box_cells(box: Box, dim: int) -> list[ExponentVec]:
     return list(itertools.product(*(range(lo, hi + 1) for lo, hi in box)))
 
 
-def _ring(ranges: Sequence[range]) -> list[ExponentVec]:
-    """The points of the product of the ranges with some entry at an end of its range.
-
-    In lexicographic order: a point whose first entry is an end of the
-    first range may end in any point of the other ranges, one whose first
-    entry lies strictly inside only in a point of their ring.
-    """
-    head, rest = ranges[0], ranges[1:]
-    every = list(itertools.product(*rest))
-    inner = _ring(rest) if rest else []
-    return [(x, *tail) for x in head
-            for tail in (every if x == head[0] or x == head[-1] else inner)]
-
-
-def _relations(f: LaurentPoly, box: Box, grown: bool = False) -> Iterator[dict[ExponentVec, int]]:
+def _relations(f: LaurentPoly, box: Box) -> Iterator[dict[ExponentVec, int]]:
     """The relations of f contained in the box, as {cell: coefficient}.
 
     One relation per translate m with m + S(f) inside the box, in
-    lexicographic order of m.  With ``grown`` only the translates that do
-    not fit the box shrunk by one cell per side are walked, the ring of
-    the range of m: those are the relations a box gains when it grows by
-    one ring.
+    lexicographic order of m.
     """
     terms = list(f.terms.items())
     ranges = [range(lo - a, hi - b + 1)
               for (lo, hi), a, b in zip(box, f.min_exponents(), f.max_exponents())]
-    for m in _ring(ranges) if grown else itertools.product(*ranges):
+    for m in itertools.product(*ranges):
         yield {tuple(map(add, m, e)): c for e, c in terms}
+
+
+def _volume(box: Box) -> int:
+    return math.prod(hi - lo + 1 for lo, hi in box)
+
+
+def _window_box(window: Sequence[ExponentVec], margin: int = 0) -> tuple[tuple[int, int], ...]:
+    """The window's bounding box, widened by the margin on every side."""
+    return tuple((min(axis) - margin, max(axis) + margin) for axis in zip(*window))
 
 
 def _constraint_matrix(f: LaurentPoly, box: Box) -> np.ndarray:
@@ -179,19 +171,15 @@ def solution_space(f: LaurentPoly, box: Box) -> SolutionSpace:
     return SolutionSpace(tuple(map(tuple, box)), cells, basis, basis.shape[0])
 
 
-def _insert_relations(
-    f: LaurentPoly, window: set, box: Box, echelon: dict, grown: bool = False
-) -> list[dict]:
-    """Insert the box's relations keyed (cell in window, cell); return the window rows.
+def _insert_relations(f: LaurentPoly, window: set, box: Box) -> list[dict]:
+    """Eliminate the box's relations keyed (cell in window, cell); return the window rows.
 
-    Window cells come last in that static order, so a growing box only
-    inserts its new translates' relations into the kept echelon.  A kept
-    row led by a window cell lies in F^W, and those rows span
-    rowspace ∩ F^W: the functionals on the window vanishing on every box
-    solution.
+    Window cells come last in that order, so a kept row led by a window
+    cell lies in F^W, and those rows span rowspace ∩ F^W: the functionals
+    on the window vanishing on every box solution.
     """
-    budgets.check("cells", math.prod(hi - lo + 1 for lo, hi in box))
-    for relation in _relations(f, box, grown):
+    echelon: dict = {}
+    for relation in _relations(f, box):
         gfp.insert_row(echelon, {(c in window, c): v for c, v in relation.items()}, f.p)
     return [row for lead, row in echelon.items() if lead[0]]
 
@@ -203,7 +191,8 @@ def box_projected_dimension(
 
     Also returns the annihilator of the projection, one functional on
     the window per row: values are the restriction of a box solution iff
-    every row sums to 0 against them.
+    every row sums to 0 against them.  Every box holding the window gives
+    the same answer: the annihilator is <f> ∩ F^W (see the module notes).
     """
     import numpy as np
 
@@ -216,7 +205,8 @@ def box_projected_dimension(
             raise ValueError(f"window point {w} outside the box")
     if len(set(window)) != len(window):
         raise ValueError("window has repeated points")
-    rows = _insert_relations(f, set(window), box, {})
+    budgets.check("cells", _volume(box))
+    rows = _insert_relations(f, set(window), box)
     index = {w: i for i, w in enumerate(window)}
     annihilator = np.zeros((len(rows), len(window)), dtype=np.int64)
     for r, row in enumerate(rows):
@@ -250,9 +240,8 @@ def _exact_measure(f: LaurentPoly, cyl: CylinderSpec) -> MeasureResult:
     clears that monomial from every later row in one step.
     """
     p = f.p
-    shift = tuple(min(w[i] for w in cyl.window) for i in range(f.dim))
-    box = tuple(zip(shift, (max(w[i] for w in cyl.window) for i in range(f.dim))))
-    if len(cyl.window) == math.prod(hi - lo + 1 for lo, hi in box):
+    box = _window_box(cyl.window)
+    if len(cyl.window) == _volume(box):
         values = dict(zip(cyl.window, cyl.values))
         translates = 0
         for relation in _relations(f, box):
@@ -260,6 +249,7 @@ def _exact_measure(f: LaurentPoly, cyl: CylinderSpec) -> MeasureResult:
                 return MeasureResult(p, None, 0, True, "exact")
             translates += 1
         return MeasureResult(p, len(cyl.window) - translates, 0, True, "exact")
+    shift = [lo for lo, _ in box]
     residues, top = window_residues([tuple(map(sub, w, shift)) for w in cyl.window], f)
     echelon: dict = {}
     values = (v % p for v in cyl.values)
@@ -276,41 +266,36 @@ def _exact_measure(f: LaurentPoly, cyl: CylinderSpec) -> MeasureResult:
 
 
 def _box_measure(f: LaurentPoly, cyl: CylinderSpec) -> MeasureResult:
-    p = f.p
-    smin, smax = f.min_exponents(), f.max_exponents()
-    diameter = max(b - a for a, b in zip(smin, smax))
-    m = max(1, diameter)
-    wlo = [min(w[i] for w in cyl.window) for i in range(f.dim)]
-    whi = [max(w[i] for w in cyl.window) for i in range(f.dim)]
-    window = set(cyl.window)
-    echelon: dict = {}
-    box = tuple((lo - m, hi + m) for lo, hi in zip(wlo, whi))
-    annihilator = _insert_relations(f, window, box, echelon)
-    previous = None
-    stable = 0
-    while True:
-        dim_proj = len(cyl.window) - len(annihilator)
-        if previous is not None:
-            if dim_proj > previous:
-                raise InternalInconsistencyError(
-                    "projected dimension grew with the box margin"
-                )
-            stable = stable + 1 if dim_proj == previous else 0
-        previous = dim_proj
-        stabilized = stable >= 2
-        if stabilized:
-            break
-        box = tuple((lo - 1, hi + 1) for lo, hi in box)
-        try:
-            annihilator = _insert_relations(f, window, box, echelon, grown=True)
-        except BudgetExceededError:
-            break
-        m += 1
+    """Projected dimension of the relations of one box around the window.
+
+    The box has margin m + g around the window's bounding box, where
+    m = max(1, span of f) and g is 2, or 1 or 0 when the ``cells`` budget
+    refuses the margin m + 1 or m + 2 box; the margin-m box must fit.
+    Let B be any box holding W.  Each relation u^n f inside B lies in
+    <f>, so rowspace(B) ∩ F^W ⊆ <f> ∩ F^W.  Conversely, take f h in <f>
+    supported on W: Ostrowski gives N(f) + N(h) = N(f h) ⊆ conv(W) ⊆ B,
+    so n + N(f) ⊆ B for every n in supp(h), and f h = Σ h_n u^n f lies in
+    rowspace(B).  The projected dimension is therefore the same at every
+    margin, so the answer is exact whatever g is; ``stabilized`` (g == 2)
+    only says that the two wider boxes fit.
+    """
+    m = max(1, max(map(sub, f.max_exponents(), f.min_exponents())))
+    budgets.check("cells", _volume(_window_box(cyl.window, m)))
+    g = 0
+    try:  # the wider boxes only while they fit
+        budgets.check("cells", _volume(_window_box(cyl.window, m + 1)))
+        g = 1
+        budgets.check("cells", _volume(_window_box(cyl.window, m + 2)))
+        g = 2
+    except BudgetExceededError:
+        pass
+    annihilator = _insert_relations(f, set(cyl.window), _window_box(cyl.window, m + g))
     values = dict(zip(cyl.window, cyl.values))
     consistent = all(
-        sum(v * values[c] for (_, c), v in row.items()) % p == 0 for row in annihilator
+        sum(v * values[c] for (_, c), v in row.items()) % f.p == 0 for row in annihilator
     )
-    return MeasureResult(p, dim_proj if consistent else None, m, stabilized, "box")
+    exponent = len(cyl.window) - len(annihilator) if consistent else None
+    return MeasureResult(f.p, exponent, m + g, g == 2, "box")
 
 
 # -- public operations --------------------------------------------------------

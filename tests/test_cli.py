@@ -291,9 +291,17 @@ class TestSubcommands:
         assert "3317044064679887385961981" in captured.err
 
     @pytest.mark.parametrize("value", ["abc", "0", "-5"])
-    def test_malformed_budget_env_exits_1(self, capsys, monkeypatch, value):
+    @pytest.mark.parametrize(
+        "case",
+        [case for case in json.loads((GOLDEN / "cases.json").read_text())
+         if case["argv"][0] in polymix.cli._COMMANDS],  # past argument parsing
+        ids=lambda case: case["name"],
+    )
+    def test_malformed_budget_env_exits_1(self, capsys, monkeypatch, case, value):
+        # checked before the command reads its input, whatever that input is
         monkeypatch.setenv("POLYMIX_BUDGET", value)
-        code = main(["measure", LED, "--cylinder", CELL, "--method", "box"])
+        code = main([str(FIXTURES.parent / a) if a.startswith("fixtures/") else a
+                     for a in case["argv"]])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""

@@ -334,10 +334,11 @@ class TestHaarProperties:
                 assert cylinder_measure(f, moved).value == base
 
     def test_box_margins_reported(self, ledrappier):
+        # span 1, so margin max(1, 1) and the two wider boxes
         res = cylinder_measure(ledrappier, cell(0), method="box")
         assert res.method == "box"
         assert res.stabilized
-        assert res.box_margin_used >= 1
+        assert res.box_margin_used == 3
 
     def test_box_path_confirms_non_mixing_values(self, ledrappier):
         # same windows as the dilation experiment, at box-affordable sizes
@@ -510,16 +511,6 @@ class TestBoxWindows:
         assert code == 0 and spy.call_count == 0
         assert json.loads(capsys.readouterr().out)["value"] == {"num": 1, "den": 7 ** 124}
 
-    def test_ring_is_the_filtered_scan(self):
-        # the translates of a grown box that the box before it did not hold
-        rng = random.Random(52)
-        for _ in range(400):
-            ranges = [range(a, a + rng.randint(0, 5))
-                      for a in (rng.randint(-3, 3) for _ in range(rng.randint(1, 3)))]
-            scan = [m for m in itertools.product(*ranges)
-                    if not all(r[0] < x < r[-1] for x, r in zip(m, ranges))]
-            assert measure._ring(ranges) == scan
-
 
 def _mutation_corpus():
     """(f, cylinder, exponent) cases, the exponent from the dense reference.
@@ -564,7 +555,6 @@ class TestOneEchelon:
         ids=["lead_is_greatest_key", "subtraction_key_not_pushed", "window_keys_first"],
     )
     def test_mutant_is_caught(self, monkeypatch, module, old, new):
-        monkeypatch.setenv("POLYMIX_BUDGET", "1000")  # a mutant box may never stabilize
         source = Path(module.__file__).read_text()
         assert source.count(old) == 1
         mutant = types.ModuleType(module.__name__ + "_mutant")
@@ -659,15 +649,26 @@ class TestGrowingEchelon:
                     assert box.stabilized
                     assert box.exponent == cylinder_measure(f, cyl).exponent
 
-    def test_budget_stops_at_a_later_margin(self, ledrappier, monkeypatch):
-        # margins 1 and 2 fit (16 and 36 cells), margin 3 (64 cells) does not
+    @pytest.mark.parametrize("limit, margin, stabilized", [
+        (15, None, None), (16, 1, False), (35, 1, False),
+        (36, 2, False), (63, 2, False), (64, 3, True),
+    ])
+    def test_budget_stops_at_a_later_margin(self, ledrappier, monkeypatch, limit, margin,
+                                            stabilized):
+        # the boxes of margins 1, 2 and 3 have 16, 36 and 64 cells
         cyl = CylinderSpec.from_pairs(
             [((0, 0), 1), ((1, 0), 0), ((0, 1), 1), ((1, 1), 1)]
         )
-        monkeypatch.setenv("POLYMIX_BUDGET", "40")
+        monkeypatch.setenv("POLYMIX_BUDGET", str(limit))
+        if margin is None:
+            with pytest.raises(BudgetExceededError, match="^cells budget: 16 "):
+                cylinder_measure(ledrappier, cyl, method="box")
+            with pytest.raises(BudgetExceededError):
+                per_margin_box_measure(ledrappier, cyl)
+            return
         box = cylinder_measure(ledrappier, cyl, method="box")
-        assert (box.box_margin_used, box.stabilized) == (2, False)
-        assert (box.exponent, 2, False) == per_margin_box_measure(ledrappier, cyl)
+        assert (box.box_margin_used, box.stabilized) == (margin, stabilized)
+        assert (box.exponent, margin, stabilized) == per_margin_box_measure(ledrappier, cyl)
         monkeypatch.delenv("POLYMIX_BUDGET")
         assert box.exponent == cylinder_measure(ledrappier, cyl).exponent
 
@@ -703,6 +704,26 @@ class TestGrowingEchelon:
                     matching, _ = brute_force_counts(f, cyl, box)
                     consistent = not (annihilator @ np.array(values) % f.p).any()
                     assert consistent == (matching > 0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+    def test_every_margin_projects_alike(self, p, d):
+        # the annihilator is <f> ∩ F^W, so the window's bounding box and
+        # every wider box give the exact path's dimension and verdicts
+        rng = random.Random(1000 * p + d)
+        for _ in range(4):
+            f = _random_modulus(rng, p, d)
+            for window in _random_windows(rng, d):
+                trials = [[0] * len(window)] + [[rng.randrange(p) for _ in window]
+                                                for _ in range(3)]
+                exact = [cylinder_measure(f, CylinderSpec.from_pairs(zip(window, values)))
+                         for values in trials]
+                expected = (exact[0].exponent, tuple(m.exponent is not None for m in exact))
+                for margin in range(4):
+                    dim, annihilator = box_projected_dimension(
+                        f, window, measure._window_box(window, margin))
+                    assert (dim, tuple(not (annihilator @ np.array(values) % p).any()
+                                       for values in trials)) == expected
 
     def test_bad_windows_rejected(self, ledrappier):
         with pytest.raises(ValueError, match="outside the box"):
