@@ -18,7 +18,7 @@ from .errors import BudgetExceededError, ParseError
 
 # name -> (default limit, what its use counts)
 DEFAULTS = {
-    "cells": (10_000, "cells of a constraint box"),
+    "cells": (10_000, "cells of a constraint box: the window's bounding box for --method box"),
     "enumeration": (2 ** 22, "configurations enumerated brute-force"),
     "search": (10 ** 7, "(shape, coefficient) candidates"),
     "division": (10 ** 6, "lattice monomials of the box holding f(u^p)"),

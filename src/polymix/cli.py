@@ -27,11 +27,12 @@ of the wrong type, such as --max-k x), 3 budget exceeded
 (128 + SIGPIPE, as a shell reports for ``yes | head``).  The environment
 variable POLYMIX_BUDGET overrides every budget of ``budgets``; it is
 checked before the command reads its input, so a malformed value exits 1
-whatever the command and input.  The budgets: ``cells``
-(box cells), ``enumeration`` (brute-force configurations), ``search``
-(search candidates), ``division`` (the monomials of the certificate's
-division box on the lattice of f's exponent gcds), ``detector`` (the
-detector's placements), ``hull`` (the visibility tests of a convex hull,
+whatever the command and input.  The budgets: ``cells`` (the cells of
+the window's bounding box for --method box), ``enumeration``
+(brute-force configurations), ``search`` (search candidates),
+``division`` (the monomials of the certificate's division box on the
+lattice of f's exponent gcds), ``detector`` (the detector's
+placements), ``hull`` (the visibility tests of a convex hull,
 outside-set assignments and the walk to the facets a point sees, plus k
 for each facet normal it builds in dimension k), ``redraw`` (the
 neighbour tests of the triangle scan, or the cells of the rank system of

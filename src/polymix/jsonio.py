@@ -244,8 +244,6 @@ def certificate_json(cert: ShapeCertificate) -> dict:
 def measure_json(result: MeasureResult) -> dict:
     return {
         "value": fraction_json(result.value),
-        "box_margin_used": result.box_margin_used,
-        "stabilized": result.stabilized,
         "method": result.method,
     }
 

@@ -26,8 +26,8 @@ The two computation paths are cross-checked:
   holding W gives the same annihilator, <f> ∩ F^W: each relation u^n f
   lies in <f>, and a window polynomial f h in <f> has, by Ostrowski,
   N(f) + N(h) = N(f h) inside conv(W), so every translate u^n f with n
-  in supp(h) fits in B.  So one elimination is exact at every margin;
-  the margin it reports is the one the ``cells`` budget allows.
+  in supp(h) fits in B.  So the window's own bounding box is exact, and
+  it is the one box eliminated.
 
 The residue rank and the box path insert sparse rows into one F_p
 echelon, ``gfp.insert_row``.  ``brute_force_measure`` enumerates every
@@ -95,8 +95,6 @@ class MeasureResult(NamedTuple):
 
     p: int
     exponent: int | None
-    box_margin_used: int
-    stabilized: bool
     method: str
 
     @property
@@ -144,9 +142,9 @@ def _volume(box: Box) -> int:
     return math.prod(hi - lo + 1 for lo, hi in box)
 
 
-def _window_box(window: Sequence[ExponentVec], margin: int = 0) -> tuple[tuple[int, int], ...]:
-    """The window's bounding box, widened by the margin on every side."""
-    return tuple((min(axis) - margin, max(axis) + margin) for axis in zip(*window))
+def _window_box(window: Sequence[ExponentVec]) -> tuple[tuple[int, int], ...]:
+    """The window's bounding box."""
+    return tuple((min(axis), max(axis)) for axis in zip(*window))
 
 
 def _constraint_matrix(f: LaurentPoly, box: Box) -> np.ndarray:
@@ -199,9 +197,10 @@ def box_projected_dimension(
     check_modulus(f)
     gfp.check_modulus(f.p)
     _check_box(box, f.dim)
+    check_vectors(window, f.dim, "window point")
     window = [tuple(w) for w in window]
     for w in window:
-        if len(w) != len(box) or not all(lo <= a <= hi for a, (lo, hi) in zip(w, box)):
+        if not all(lo <= a <= hi for a, (lo, hi) in zip(w, box)):
             raise ValueError(f"window point {w} outside the box")
     if len(set(window)) != len(window):
         raise ValueError("window has repeated points")
@@ -246,9 +245,9 @@ def _exact_measure(f: LaurentPoly, cyl: CylinderSpec) -> MeasureResult:
         translates = 0
         for relation in _relations(f, box):
             if sum(c * values[w] for w, c in relation.items()) % p:
-                return MeasureResult(p, None, 0, True, "exact")
+                return MeasureResult(p, None, "exact")
             translates += 1
-        return MeasureResult(p, len(cyl.window) - translates, 0, True, "exact")
+        return MeasureResult(p, len(cyl.window) - translates, "exact")
     shift = [lo for lo, _ in box]
     residues, top = window_residues([tuple(map(sub, w, shift)) for w in cyl.window], f)
     echelon: dict = {}
@@ -259,43 +258,31 @@ def _exact_measure(f: LaurentPoly, cyl: CylinderSpec) -> MeasureResult:
             row[top] = v
         gfp.insert_row(echelon, row, p)
     exponent = None if top in echelon else len(echelon)
-    return MeasureResult(p, exponent, 0, True, "exact")
+    return MeasureResult(p, exponent, "exact")
 
 
 # -- box (finite relaxation) path --------------------------------------------
 
 
 def _box_measure(f: LaurentPoly, cyl: CylinderSpec) -> MeasureResult:
-    """Projected dimension of the relations of one box around the window.
+    """Projected dimension of the relations of the window's bounding box B.
 
-    The box has margin m + g around the window's bounding box, where
-    m = max(1, span of f) and g is 2, or 1 or 0 when the ``cells`` budget
-    refuses the margin m + 1 or m + 2 box; the margin-m box must fit.
-    Let B be any box holding W.  Each relation u^n f inside B lies in
-    <f>, so rowspace(B) ∩ F^W ⊆ <f> ∩ F^W.  Conversely, take f h in <f>
-    supported on W: Ostrowski gives N(f) + N(h) = N(f h) ⊆ conv(W) ⊆ B,
-    so n + N(f) ⊆ B for every n in supp(h), and f h = Σ h_n u^n f lies in
-    rowspace(B).  The projected dimension is therefore the same at every
-    margin, so the answer is exact whatever g is; ``stabilized`` (g == 2)
-    only says that the two wider boxes fit.
+    Each relation u^n f inside B lies in <f>, so rowspace(B) ∩ F^W ⊆
+    <f> ∩ F^W.  Conversely, take f h in <f> supported on W: Ostrowski
+    gives N(f) + N(h) = N(f h) ⊆ conv(W) ⊆ B, so n + N(f) ⊆ B for every
+    n in supp(h), and f h = Σ h_n u^n f lies in rowspace(B).  So the rows
+    of B led by a window cell span <f> ∩ F^W, the annihilator of X's
+    projection, and no wider box is needed.
     """
-    m = max(1, max(map(sub, f.max_exponents(), f.min_exponents())))
-    budgets.check("cells", _volume(_window_box(cyl.window, m)))
-    g = 0
-    try:  # the wider boxes only while they fit
-        budgets.check("cells", _volume(_window_box(cyl.window, m + 1)))
-        g = 1
-        budgets.check("cells", _volume(_window_box(cyl.window, m + 2)))
-        g = 2
-    except BudgetExceededError:
-        pass
-    annihilator = _insert_relations(f, set(cyl.window), _window_box(cyl.window, m + g))
+    box = _window_box(cyl.window)
+    budgets.check("cells", _volume(box))
+    annihilator = _insert_relations(f, set(cyl.window), box)
     values = dict(zip(cyl.window, cyl.values))
     consistent = all(
         sum(v * values[c] for (_, c), v in row.items()) % f.p == 0 for row in annihilator
     )
     exponent = len(cyl.window) - len(annihilator) if consistent else None
-    return MeasureResult(f.p, exponent, m + g, g == 2, "box")
+    return MeasureResult(f.p, exponent, "box")
 
 
 # -- public operations --------------------------------------------------------
@@ -343,7 +330,7 @@ def joint_measure(
     check_vectors([shift for shift, _ in events], f.dim, "shift")
     merged = merge_events(events)
     if merged is None:
-        return MeasureResult(f.p, None, 0, True, "merge")
+        return MeasureResult(f.p, None, "merge")
     return cylinder_measure(f, merged, method=method)
 
 
@@ -446,7 +433,7 @@ def brute_force_measure(f: LaurentPoly, cyl: CylinderSpec, box: Box) -> MeasureR
     """
     matching, total = brute_force_counts(f, cyl, box)
     if matching == 0:
-        return MeasureResult(f.p, None, 0, False, "brute-force")
+        return MeasureResult(f.p, None, "brute-force")
     ratio = Fraction(matching, total)
     exponent = 0
     rest = ratio
@@ -457,4 +444,4 @@ def brute_force_measure(f: LaurentPoly, cyl: CylinderSpec, box: Box) -> MeasureR
         raise InternalInconsistencyError(
             f"brute-force frequency {ratio} is not a power of 1/{f.p}"
         )
-    return MeasureResult(f.p, exponent, 0, False, "brute-force")
+    return MeasureResult(f.p, exponent, "brute-force")

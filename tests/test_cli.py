@@ -25,6 +25,7 @@ QUAD = str(FIXTURES / "quad.json")
 CUBE = str(FIXTURES / "cube_skeleton.json")
 ICOSA = str(FIXTURES / "icosahedron_skeleton.json")
 CELL = str(FIXTURES / "single_cell_cylinder.json")
+WINDOW = str(FIXTURES / "window_cylinder.json")  # bounding box [-1, 3] x [0, 2]
 MONO = str(FIXTURES / "monomial.json")
 
 
@@ -142,12 +143,16 @@ class TestSubcommands:
         assert report["value"] == {"num": 1, "den": 4}
 
     def test_measure_box_method(self, capsys):
-        code, out = run(capsys, "measure", LED, "--cylinder", CELL, "--method", "box")
-        report = json.loads(out)
-        assert code == 0
-        assert report["method"] == "box"
-        assert report["value"] == {"num": 1, "den": 2}
-        assert report["stabilized"] is True
+        # a report holds the value and the method that gave it, nothing more
+        for options, method, value in [
+            (["--cylinder", CELL], "exact", {"num": 1, "den": 2}),
+            (["--cylinder", CELL, "--method", "box"], "box", {"num": 1, "den": 2}),
+            # (0, 2) holds 2, and the copy shifted by (0, 1) puts 1 there
+            (["--cylinder", WINDOW, "--shifts", "[[0,0],[0,1]]"], "merge", {"num": 0, "den": 1}),
+        ]:
+            code, out = run(capsys, "measure", LED, *options)
+            assert code == 0
+            assert json.loads(out) == {"method": method, "value": value}
 
     def test_experiment(self, capsys):
         code, out = run(
@@ -239,6 +244,20 @@ class TestSubcommands:
         assert code == 0
         assert all(row["available"] is False for row in report["rows"])
 
+    def test_experiment_box_rows_need_only_the_window_box(self, capsys, monkeypatch):
+        # the joint window {0, k e1, k e2} has a (k + 1)^2 bounding box: 4 and
+        # 9 cells fit a limit of 15, and 16 does not
+        monkeypatch.setenv("POLYMIX_BUDGET", "15")
+        argv = ["experiment", LED, "--shape", "[[0,0],[1,0],[0,1]]", "--cylinder", CELL,
+                "--k-range", "1:3"]
+        code, out = run(capsys, *argv, "--method", "box")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [row["available"] for row in rows] == [True, True, False]
+        monkeypatch.delenv("POLYMIX_BUDGET")
+        _, out = run(capsys, *argv)
+        assert rows[:2] == json.loads(out)["rows"][:2]
+
     def test_failed_machine_check_exits_4(self, capsys, monkeypatch):
         # a constraint rank equal to the row count breaks the d+1 floor
         monkeypatch.setattr("polymix.redraw.int_rank", lambda rows: len(rows))
@@ -249,9 +268,11 @@ class TestSubcommands:
         assert captured.err.startswith("internal error: ")
 
     def test_budget_env_exits_3(self, capsys, monkeypatch):
+        # the window's bounding box has 15 cells
         monkeypatch.setenv("POLYMIX_BUDGET", "4")
-        code, _ = run(capsys, "measure", LED, "--cylinder", CELL, "--method", "box")
+        code = main(["measure", LED, "--cylinder", WINDOW, "--method", "box"])
         assert code == 3
+        assert capsys.readouterr().err.startswith("budget exceeded: cells budget: 15 ")
 
     def test_certify_exponents_past_64_bits(self, capsys, tmp_path):
         # 1 + u1^(10^30) + u2 over F_2: f(u^2) has total degree 2 * 10^30, so
@@ -310,7 +331,7 @@ class TestSubcommands:
     @pytest.mark.parametrize(
         "budget, env, argv, used, limit",
         [
-            ("cells", "4", ["measure", LED, "--cylinder", CELL, "--method", "box"], 9, 4),
+            ("cells", "4", ["measure", LED, "--cylinder", WINDOW, "--method", "box"], 15, 4),
             ("search", None, ["search", LED, "--r", "3", "--radius", "12"],
              40_495_000, 10 ** 7),
             ("division", "8", ["certify", LED, "--max-k", "1"], 9, 8),
@@ -392,9 +413,9 @@ class TestSubcommands:
         # 4,300 nines on each side of --k-range: 2 * 10^4300 - 1 rows
         (["experiment", LED, "--shape", "[[0,0],[1,0]]", "--cylinder", CELL,
           "--k-range=-" + "9" * 4300 + ":" + "9" * 4300], "experiment", 2 * 10 ** 4300 - 1),
-        # the first box pads the window by Ledrappier's span, 1, on each side
+        # the window's own bounding box
         (["measure", LED, "--method", "box", "--cylinder", "HUGE"], "cells",
-         (10 ** 4000 + 3) ** 2),
+         (10 ** 4000 + 1) ** 2),
     ], ids=["experiment", "measure_box"])
     def test_budget_message_prints_any_use(self, capsys, monkeypatch, tmp_path, argv, budget,
                                            used):
@@ -513,7 +534,8 @@ class TestSubcommands:
         with pytest.raises(BudgetExceededError) as raised:
             polymix.budgets.Meter("cells").charge(10 ** 5000)
         assert str(raised.value) == (
-            f"cells budget: 1{'0' * 5000} cells of a constraint box, limit 10000")
+            f"cells budget: 1{'0' * 5000} cells of a constraint box: the window's bounding box "
+            "for --method box, limit 10000")
 
     @pytest.mark.parametrize("env, code", [("6", 3), ("7", 3), ("8", 3), ("9", 0)])
     def test_hull_stops_at_its_last_assignment(self, capsys, monkeypatch, tmp_path, env,

@@ -99,7 +99,6 @@ class TestCylinderMeasure:
                 )
                 exact = cylinder_measure(f, cyl, method="exact")
                 box = cylinder_measure(f, cyl, method="box")
-                assert box.stabilized
                 assert exact.value == box.value
 
     def test_monomial_rejected(self):
@@ -333,12 +332,11 @@ class TestHaarProperties:
                 moved = merge_events([(m, cyl)])
                 assert cylinder_measure(f, moved).value == base
 
-    def test_box_margins_reported(self, ledrappier):
-        # span 1, so margin max(1, 1) and the two wider boxes
+    def test_box_reports_p_exponent_and_method(self, ledrappier):
+        # the one box eliminated is the window's own, so it adds no field
         res = cylinder_measure(ledrappier, cell(0), method="box")
-        assert res.method == "box"
-        assert res.stabilized
-        assert res.box_margin_used == 3
+        assert res._fields == ("p", "exponent", "method")
+        assert res == (2, 1, "box")
 
     def test_box_path_confirms_non_mixing_values(self, ledrappier):
         # same windows as the dilation experiment, at box-affordable sizes
@@ -575,11 +573,12 @@ class TestOneEchelon:
 
 
 def per_margin_box_measure(f, cyl, initial_margin=None):
-    """The box path with a fresh elimination at every margin (test oracle).
+    """The box relaxation solved densely at growing margins (test oracle).
 
-    Solves the box from scratch, restricts the kernel basis to the
+    Solves each box from scratch, restricts the kernel basis to the
     window, ranks it, and tests the values for membership in its row
-    space; same stopping rule and budget behaviour as the box path.
+    space.  The margin grows from max(1, span of f) until the rank holds
+    twice, or until the ``cells`` budget refuses the next box.
     Returns (exponent, margin used, stabilized).
     """
     smin, smax = f.min_exponents(), f.max_exponents()
@@ -644,10 +643,8 @@ class TestGrowingEchelon:
                 for values in ([0] * len(window), [rng.randrange(p) for _ in window]):
                     cyl = CylinderSpec.from_pairs(zip(window, values))
                     box = cylinder_measure(f, cyl, method="box")
-                    expected = per_margin_box_measure(f, cyl)
-                    assert (box.exponent, box.box_margin_used, box.stabilized) == expected
-                    assert box.stabilized
-                    assert box.exponent == cylinder_measure(f, cyl).exponent
+                    exponent, _, _ = per_margin_box_measure(f, cyl)
+                    assert box.exponent == exponent == cylinder_measure(f, cyl).exponent
 
     @pytest.mark.parametrize("limit, margin, stabilized", [
         (15, None, None), (16, 1, False), (35, 1, False),
@@ -655,38 +652,45 @@ class TestGrowingEchelon:
     ])
     def test_budget_stops_at_a_later_margin(self, ledrappier, monkeypatch, limit, margin,
                                             stabilized):
-        # the boxes of margins 1, 2 and 3 have 16, 36 and 64 cells
+        # the per-margin chain's boxes of margins 1, 2 and 3 have 16, 36 and
+        # 64 cells, so the limit stops it at `margin` (None: before its
+        # first box); the box method needs only the window's own 4 cells
         cyl = CylinderSpec.from_pairs(
             [((0, 0), 1), ((1, 0), 0), ((0, 1), 1), ((1, 1), 1)]
         )
+        exact = cylinder_measure(ledrappier, cyl).exponent
         monkeypatch.setenv("POLYMIX_BUDGET", str(limit))
+        assert cylinder_measure(ledrappier, cyl, method="box") == (2, exact, "box")
         if margin is None:
             with pytest.raises(BudgetExceededError, match="^cells budget: 16 "):
-                cylinder_measure(ledrappier, cyl, method="box")
-            with pytest.raises(BudgetExceededError):
                 per_margin_box_measure(ledrappier, cyl)
-            return
-        box = cylinder_measure(ledrappier, cyl, method="box")
-        assert (box.box_margin_used, box.stabilized) == (margin, stabilized)
-        assert (box.exponent, margin, stabilized) == per_margin_box_measure(ledrappier, cyl)
-        monkeypatch.delenv("POLYMIX_BUDGET")
-        assert box.exponent == cylinder_measure(ledrappier, cyl).exponent
+        else:
+            assert per_margin_box_measure(ledrappier, cyl) == (exact, margin, stabilized)
 
     def test_budget_stops_at_the_first_margin(self, ledrappier, monkeypatch, tmp_path, capsys):
+        # the chain's first box has 25 cells and the window's own box 9: a
+        # limit between them stops the chain, while the box method answers
+        # with the exact path's value, in the library and on the command line
         window = [(x, y) for x in range(3) for y in range(3)]
         cyl = CylinderSpec.from_pairs((w, 0) for w in window)
-        monkeypatch.setenv("POLYMIX_BUDGET", "24")  # the first box has 25 cells
-        with pytest.raises(BudgetExceededError):
-            cylinder_measure(ledrappier, cyl, method="box")
-        with pytest.raises(BudgetExceededError):
-            per_margin_box_measure(ledrappier, cyl)
+        exact = cylinder_measure(ledrappier, cyl)
+        assert exact.value == Fraction(1, 32)  # 9 cells, 4 translates of f
         path = tmp_path / "cyl.json"
         path.write_text(f'{{"window": {[list(w) for w in window]}, "values": {[0] * 9}}}')
-        code = main(["measure", str(FIXTURES / "ledrappier.json"), "--cylinder", str(path),
-                     "--method", "box"])
-        captured = capsys.readouterr()
-        assert code == 3
-        assert captured.out == ""
+        argv = ["measure", str(FIXTURES / "ledrappier.json"), "--cylinder", str(path),
+                "--method", "box"]
+        monkeypatch.setenv("POLYMIX_BUDGET", "24")
+        with pytest.raises(BudgetExceededError, match="^cells budget: 25 "):
+            per_margin_box_measure(ledrappier, cyl)
+        assert cylinder_measure(ledrappier, cyl, method="box").value == exact.value
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "method": "box", "value": {"num": 1, "den": 32}}
+        monkeypatch.setenv("POLYMIX_BUDGET", "8")
+        with pytest.raises(BudgetExceededError, match="^cells budget: 9 "):
+            cylinder_measure(ledrappier, cyl, method="box")
+        assert main(argv) == 3
+        assert capsys.readouterr().out == ""
 
     def test_annihilator_decides_consistency_like_brute_force(self, all_fixtures):
         from itertools import product as iproduct
@@ -720,8 +724,8 @@ class TestGrowingEchelon:
                          for values in trials]
                 expected = (exact[0].exponent, tuple(m.exponent is not None for m in exact))
                 for margin in range(4):
-                    dim, annihilator = box_projected_dimension(
-                        f, window, measure._window_box(window, margin))
+                    box = [(lo - margin, hi + margin) for lo, hi in measure._window_box(window)]
+                    dim, annihilator = box_projected_dimension(f, window, box)
                     assert (dim, tuple(not (annihilator @ np.array(values) % p).any()
                                        for values in trials)) == expected
 

@@ -49,6 +49,8 @@ ENTRIES = {
     "window_residues": lambda v, f: window_residues([(0, 0), v], f),
     "solution_space.box": lambda v, f: solution_space(f, [(0, 1), v]),
     "box_projected_dimension.box": lambda v, f: box_projected_dimension(f, [(0, 0)], [(0, 1), v]),
+    "box_projected_dimension.window":
+        lambda v, f: box_projected_dimension(f, [(0, 0), v], [(0, 1), (0, 1)]),
     "brute_force_measure.box": lambda v, f: brute_force_measure(f, CELL, [(0, 1), v]),
 }
 
@@ -131,6 +133,17 @@ class TestReproducers:
         # solution_space(f, [(0, 1.9), (0, 1)]).box was ((0, 1), (0, 1))
         with pytest.raises(ValueError, match=r"box axis range \(0, 1.9\) has non-integer"):
             call(ledrappier, [(0, 1.9), (0, 1)])
+
+    @pytest.mark.parametrize("window, message", [
+        ([(True, 0), (0, 1)], r"\(True, 0\) has non-integer entries"),
+        ([(0, 0), (0.0, 1)], r"\(0.0, 1\) has non-integer entries"),
+        ([(0, 0, 0)], r"\(0, 0, 0\) has wrong dimension: expected 2"),
+    ], ids=["bool", "float", "wrong_dimension"])
+    def test_box_projected_dimension_window(self, ledrappier, window, message):
+        # bool and float points were read as ints (dimension 2 for
+        # [(True, 0), (0.0, 1)]), and a 3-entry point was "outside the box"
+        with pytest.raises(ValueError, match="^window point " + message):
+            box_projected_dimension(ledrappier, window, [(0, 2), (0, 2)])
 
     def test_bool_positions(self):
         # redraw_space ranked this skeleton as exact
